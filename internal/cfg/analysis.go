@@ -11,16 +11,25 @@ package cfg
 // All analyses are computed once on demand and cached on the Graph. Graphs
 // are immutable after Build, so the caches never invalidate.
 
-// bitset is a simple dense bitset over node IDs.
-type bitset []uint64
+import "math/bits"
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+// Bitset is a dense set of node IDs, one bit per node of a Graph.
+type Bitset []uint64
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+// NewBitset returns an empty set with room for IDs 0..n-1.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
 
-// or sets b |= c, reporting whether b changed.
-func (b bitset) or(c bitset) bool {
+// Set adds i.
+func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
+
+// Clear removes i.
+func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
+
+// Has reports whether i is a member.
+func (b Bitset) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+
+// Or sets b |= c, reporting whether b changed.
+func (b Bitset) Or(c Bitset) bool {
 	changed := false
 	for i := range b {
 		old := b[i]
@@ -30,27 +39,48 @@ func (b bitset) or(c bitset) bool {
 	return changed
 }
 
-// and sets b &= c.
-func (b bitset) and(c bitset) {
+// And sets b &= c.
+func (b Bitset) And(c Bitset) {
 	for i := range b {
 		b[i] &= c[i]
 	}
 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
+// Clone returns a copy of b.
+func (b Bitset) Clone() Bitset {
+	c := make(Bitset, len(b))
 	copy(c, b)
 	return c
 }
 
-func (b bitset) count() int {
+// Count returns the number of members.
+func (b Bitset) Count() int {
 	n := 0
 	for _, w := range b {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
+		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// Next returns the smallest member >= i, or -1 when there is none. Members
+// are visited in ascending order with
+//
+//	for i := b.Next(0); i >= 0; i = b.Next(i + 1)
+func (b Bitset) Next(i int) int {
+	w := i / 64
+	if w >= len(b) {
+		return -1
+	}
+	word := b[w] >> (uint(i) % 64)
+	if word != 0 {
+		return i + bits.TrailingZeros64(word)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w*64 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
 }
 
 // Precompute forces all lazily-computed analyses (reachability,
@@ -72,19 +102,19 @@ func (g *Graph) ensureReach() {
 		return
 	}
 	n := len(g.Nodes)
-	reach := make([]bitset, n)
+	reach := make([]Bitset, n)
 	// Process in reverse topological order where possible; a simple
 	// worklist fixpoint is robust to cycles and fast at these sizes.
 	for i := range reach {
-		reach[i] = newBitset(n)
-		reach[i].set(i) // Definition 3.2 admits the single-node sequence.
+		reach[i] = NewBitset(n)
+		reach[i].Set(i) // Definition 3.2 admits the single-node sequence.
 	}
 	changed := true
 	for changed {
 		changed = false
 		for _, node := range g.Nodes {
 			for _, e := range node.Succs {
-				if reach[node.ID].or(reach[e.To.ID]) {
+				if reach[node.ID].Or(reach[e.To.ID]) {
 					changed = true
 				}
 			}
@@ -97,13 +127,21 @@ func (g *Graph) ensureReach() {
 // (Definition 3.2). The relation is reflexive: a single node is a path.
 func (g *Graph) IsCFGPath(ni, nj *Node) bool {
 	g.ensureReach()
-	return g.reach[ni.ID].has(nj.ID)
+	return g.reach[ni.ID].Has(nj.ID)
 }
 
 // Reaches is IsCFGPath by node ID.
 func (g *Graph) Reaches(from, to int) bool {
 	g.ensureReach()
-	return g.reach[from].has(to)
+	return g.reach[from].Has(to)
+}
+
+// ReachSet returns the IDs of every node reachable from node `from`, itself
+// included: the row of the IsCFGPath relation. The set is the graph's own
+// and must not be modified.
+func (g *Graph) ReachSet(from int) Bitset {
+	g.ensureReach()
+	return g.reach[from]
 }
 
 // ensureDist computes all-pairs hop distances with one BFS per node. The
@@ -155,17 +193,17 @@ func (g *Graph) ensurePostDom() {
 		return
 	}
 	n := len(g.Nodes)
-	full := newBitset(n)
+	full := NewBitset(n)
 	for i := 0; i < n; i++ {
-		full.set(i)
+		full.Set(i)
 	}
-	pdom := make([]bitset, n)
+	pdom := make([]Bitset, n)
 	for i := range pdom {
-		pdom[i] = full.clone()
+		pdom[i] = full.Clone()
 	}
 	end := g.End.ID
-	pdom[end] = newBitset(n)
-	pdom[end].set(end)
+	pdom[end] = NewBitset(n)
+	pdom[end].Set(end)
 	changed := true
 	for changed {
 		changed = false
@@ -174,11 +212,11 @@ func (g *Graph) ensurePostDom() {
 			if node.ID == end || len(node.Succs) == 0 {
 				continue
 			}
-			meet := full.clone()
+			meet := full.Clone()
 			for _, e := range node.Succs {
-				meet.and(pdom[e.To.ID])
+				meet.And(pdom[e.To.ID])
 			}
-			meet.set(node.ID)
+			meet.Set(node.ID)
 			if !equalBits(meet, pdom[node.ID]) {
 				pdom[node.ID] = meet
 				changed = true
@@ -188,7 +226,7 @@ func (g *Graph) ensurePostDom() {
 	g.pdom = pdom
 }
 
-func equalBits(a, b bitset) bool {
+func equalBits(a, b Bitset) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
@@ -201,7 +239,7 @@ func equalBits(a, b bitset) bool {
 // path from ni to end passes through nj. The relation is reflexive.
 func (g *Graph) PostDom(ni, nj *Node) bool {
 	g.ensurePostDom()
-	return g.pdom[ni.ID].has(nj.ID)
+	return g.pdom[ni.ID].Has(nj.ID)
 }
 
 // ControlD reports whether nj is control dependent on ni (Definition 3.9):
@@ -215,7 +253,7 @@ func (g *Graph) ControlD(ni, nj *Node) bool {
 	postDominatesSome := false
 	missesSome := false
 	for _, e := range ni.Succs {
-		if g.pdom[e.To.ID].has(nj.ID) {
+		if g.pdom[e.To.ID].Has(nj.ID) {
 			postDominatesSome = true
 		} else {
 			missesSome = true

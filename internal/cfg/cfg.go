@@ -157,8 +157,8 @@ type Graph struct {
 	stmtNode map[ast.Stmt]*Node
 
 	// Lazily computed analyses; see analysis.go.
-	reach      []bitset
-	pdom       []bitset
+	reach      []Bitset
+	pdom       []Bitset
 	sccID      []int
 	sccList    [][]*Node
 	dist       [][]int32

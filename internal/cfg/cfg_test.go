@@ -1,6 +1,7 @@
 package cfg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -440,31 +441,43 @@ func TestDotOutput(t *testing.T) {
 }
 
 func TestBitsetOps(t *testing.T) {
-	b := newBitset(130)
-	b.set(0)
-	b.set(64)
-	b.set(129)
-	if !b.has(0) || !b.has(64) || !b.has(129) || b.has(1) {
+	b := NewBitset(130)
+	b.Set(0)
+	b.Set(64)
+	b.Set(129)
+	if !b.Has(0) || !b.Has(64) || !b.Has(129) || b.Has(1) {
 		t.Error("bitset set/has broken")
 	}
-	if b.count() != 3 {
-		t.Errorf("count = %d, want 3", b.count())
+	if b.Count() != 3 {
+		t.Errorf("count = %d, want 3", b.Count())
 	}
-	c := newBitset(130)
-	c.set(5)
-	if changed := c.or(b); !changed {
+	c := NewBitset(130)
+	c.Set(5)
+	if changed := c.Or(b); !changed {
 		t.Error("or should report change")
 	}
-	if !c.has(0) || !c.has(5) {
+	if !c.Has(0) || !c.Has(5) {
 		t.Error("or result wrong")
 	}
-	if changed := c.or(b); changed {
+	if changed := c.Or(b); changed {
 		t.Error("second or should be a no-op")
 	}
-	d := b.clone()
-	d.and(c)
-	if d.count() != 3 {
-		t.Errorf("and result count = %d, want 3", d.count())
+	d := b.Clone()
+	d.And(c)
+	if d.Count() != 3 {
+		t.Errorf("and result count = %d, want 3", d.Count())
+	}
+	var members []int
+	for i := c.Next(0); i >= 0; i = c.Next(i + 1) {
+		members = append(members, i)
+	}
+	if !reflect.DeepEqual(members, []int{0, 5, 64, 129}) {
+		t.Errorf("Next walk = %v, want [0 5 64 129]", members)
+	}
+	c.Clear(64)
+	c.Clear(1)
+	if c.Has(64) || c.Count() != 3 || c.Next(6) != 129 || c.Next(130) != -1 {
+		t.Errorf("after Clear(64): count %d, Next(6) = %d, Next(130) = %d", c.Count(), c.Next(6), c.Next(130))
 	}
 }
 

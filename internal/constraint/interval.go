@@ -69,7 +69,7 @@ func newIntervalBackend(opts Options, reuse bool) *intervalBackend {
 		name = BackendIntervalNoReuse
 	}
 	b := &intervalBackend{
-		inner:   solver.New(solver.Options{NodeBudget: opts.NodeBudget, Interrupt: opts.Interrupt}),
+		inner:   solver.NewIndexed(solver.Options{NodeBudget: opts.NodeBudget, Interrupt: opts.Interrupt}, domains),
 		domains: domains,
 		cache:   cache,
 		reuse:   reuse,

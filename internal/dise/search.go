@@ -1,6 +1,7 @@
 package dise
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -46,22 +47,23 @@ type Runner struct {
 	// the streaming hook behind the facade's AnalyzeStream.
 	OnPath func(symexec.Path) bool
 
-	// setsMu guards the four affected-node sets. Only the committed walk
-	// mutates them (single goroutine, so its own reads are unsynchronized);
-	// the directed strategy's score function reads them from worker
-	// goroutines under RLock.
+	// setsMu guards the four affected-node sets, bitsets over the modified
+	// CFG's node IDs. Only the committed walk mutates them (single
+	// goroutine, so its own reads are unsynchronized); the directed
+	// strategy's score function reads them from worker goroutines under
+	// RLock.
 	setsMu    sync.RWMutex
-	exCond    map[int]bool
-	exWrite   map[int]bool
-	unExCond  map[int]bool
-	unExWrite map[int]bool
+	exCond    cfg.Bitset
+	exWrite   cfg.Bitset
+	unExCond  cfg.Bitset
+	unExWrite cfg.Bitset
 	stopped   bool
 
-	// unScratch/exScratch back the set snapshots of
-	// affectedLocIsReachable, reused across calls. Safe without locking:
-	// every Pruner hook runs on the committed walk's goroutine.
-	unScratch []int
-	exScratch []int
+	// targets and resets are affectedLocIsReachable's working sets, reused
+	// across calls. Safe without locking: every Pruner hook runs on the
+	// committed walk's goroutine.
+	targets cfg.Bitset
+	resets  cfg.Bitset
 
 	summary *symexec.Summary
 
@@ -85,19 +87,22 @@ type PruneStats struct {
 // NewRunner prepares a directed search. The engine must execute the modified
 // version of the procedure whose CFG the affected sets were computed on.
 func NewRunner(engine *symexec.Engine, affected *Affected) *Runner {
+	n := len(engine.Graph.Nodes)
 	r := &Runner{
 		Engine:    engine,
 		Affected:  affected,
-		exCond:    map[int]bool{},
-		exWrite:   map[int]bool{},
-		unExCond:  map[int]bool{},
-		unExWrite: map[int]bool{},
+		exCond:    cfg.NewBitset(n),
+		exWrite:   cfg.NewBitset(n),
+		unExCond:  cfg.NewBitset(n),
+		unExWrite: cfg.NewBitset(n),
+		targets:   cfg.NewBitset(n),
+		resets:    cfg.NewBitset(n),
 	}
 	for id := range affected.ACN {
-		r.unExCond[id] = true
+		r.unExCond.Set(id)
 	}
 	for id := range affected.AWN {
-		r.unExWrite[id] = true
+		r.unExWrite.Set(id)
 	}
 	return r
 }
@@ -204,8 +209,8 @@ func (r *Runner) distanceToUnexplored(s *symexec.State) int {
 	best := int(^uint(0) >> 1)
 	r.setsMu.RLock()
 	defer r.setsMu.RUnlock()
-	for _, set := range []map[int]bool{r.unExCond, r.unExWrite} {
-		for id := range set {
+	for _, set := range [...]cfg.Bitset{r.unExCond, r.unExWrite} {
+		for id := set.Next(0); id >= 0; id = set.Next(id + 1) {
 			if d := g.Dist(s.Node.ID, id); d >= 0 && d < best {
 				best = d
 			}
@@ -263,13 +268,13 @@ func (r *Runner) collect(s *symexec.State) {
 func (r *Runner) updateExploredSet(id int) {
 	r.setsMu.Lock()
 	defer r.setsMu.Unlock()
-	if r.unExWrite[id] {
-		delete(r.unExWrite, id)
-		r.exWrite[id] = true
+	if r.unExWrite.Has(id) {
+		r.unExWrite.Clear(id)
+		r.exWrite.Set(id)
 	}
-	if r.unExCond[id] {
-		delete(r.unExCond, id)
-		r.exCond[id] = true
+	if r.unExCond.Has(id) {
+		r.unExCond.Clear(id)
+		r.exCond.Set(id)
 	}
 }
 
@@ -277,14 +282,14 @@ func (r *Runner) updateExploredSet(id int) {
 func (r *Runner) resetUnExploredSet(id int) {
 	r.setsMu.Lock()
 	defer r.setsMu.Unlock()
-	if r.exWrite[id] {
-		delete(r.exWrite, id)
-		r.unExWrite[id] = true
+	if r.exWrite.Has(id) {
+		r.exWrite.Clear(id)
+		r.unExWrite.Set(id)
 		r.PruneStats.Resets++
 	}
-	if r.exCond[id] {
-		delete(r.exCond, id)
-		r.unExCond[id] = true
+	if r.exCond.Has(id) {
+		r.exCond.Clear(id)
+		r.unExCond.Set(id)
 		r.PruneStats.Resets++
 	}
 }
@@ -293,32 +298,45 @@ func (r *Runner) resetUnExploredSet(id int) {
 // it reports whether some unexplored affected node is reachable from the
 // state's CFG node, resetting explored nodes that are reachable from such an
 // unexplored node so that new sequences of affected nodes get explored.
+//
+// The paper loops over snapshots of the sets taken before any reset, and a
+// reset is idempotent, so the loop is whole-set algebra over the CFG's
+// reachability rows: the targets are reach[ni] ∧ UnEx, and the resets are
+// Ex ∧ ⋃ reach[nj] over the targets nj.
 func (r *Runner) affectedLocIsReachable(si *symexec.State) bool {
 	g := r.Engine.Graph
 	ni := si.Node
 	r.checkLoops(ni)
-	// Snapshot the sets (lines 16–17): the reset loop mutates them. The
-	// snapshots reuse the runner's scratch buffers — this check runs for
-	// every generated successor, and a fresh pair of slices per call was
-	// the single largest allocation site of a directed search.
-	r.unScratch = keysInto(r.unScratch[:0], r.unExWrite, r.unExCond)
-	r.exScratch = keysInto(r.exScratch[:0], r.exWrite, r.exCond)
-	unExplored := r.unScratch
-	explored := r.exScratch
-	isReachable := false
-	for _, nj := range unExplored {
-		if !g.Reaches(ni.ID, nj) {
-			continue
-		}
-		isReachable = true
-		for _, nk := range explored {
-			if !g.Reaches(nj, nk) {
-				continue
-			}
-			r.resetUnExploredSet(nk)
-		}
+	targets := r.targets
+	copy(targets, r.unExCond)
+	targets.Or(r.unExWrite)
+	targets.And(g.ReachSet(ni.ID))
+	nj := targets.Next(0)
+	if nj < 0 {
+		return false
 	}
-	return isReachable
+	resets := r.resets
+	clear(resets)
+	for ; nj >= 0; nj = targets.Next(nj + 1) {
+		resets.Or(g.ReachSet(nj))
+	}
+	r.setsMu.Lock()
+	r.PruneStats.Resets += transfer(r.exWrite, r.unExWrite, resets) + transfer(r.exCond, r.unExCond, resets)
+	r.setsMu.Unlock()
+	return true
+}
+
+// transfer moves the members of from that are in mask over to to, and
+// returns how many moved.
+func transfer(from, to, mask cfg.Bitset) int {
+	moved := 0
+	for w := range from {
+		m := from[w] & mask[w]
+		from[w] &^= m
+		to[w] |= m
+		moved += bits.OnesCount64(m)
+	}
+	return moved
 }
 
 // checkLoops is CheckLoops of Fig. 6 (lines 26–28): entering a loop resets
@@ -332,18 +350,4 @@ func (r *Runner) checkLoops(n *cfg.Node) {
 	for _, m := range g.GetSCC(n) {
 		r.resetUnExploredSet(m.ID)
 	}
-}
-
-func keysInto(out []int, sets ...map[int]bool) []int {
-	for _, set := range sets {
-		// The snapshot is consumed as a set: affectedLocIsReachable reduces
-		// it with a plain disjunction and idempotent resets, so element
-		// order cannot leak into results, and a sort here would put an
-		// O(n log n) pass on the per-successor hot path.
-		//diselint:ignore maporder consumed order-insensitively (OR-reduction and idempotent resets); sorting would slow the hot path
-		for id := range set {
-			out = append(out, id)
-		}
-	}
-	return out
 }

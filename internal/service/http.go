@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"dise"
@@ -238,17 +239,23 @@ func requireFields(fields map[string]string) error {
 }
 
 // admit takes a deadline-bounded context and an admission slot for one
-// analysis. The returned cancel releases both; errors are already
-// classified for statusOf.
+// analysis. The returned release frees both and is idempotent: handlers
+// call it as soon as the analysis returns, before encoding the response, so
+// the in-flight gauge counts running analyses only and a client that has
+// its response never sees its own request in flight; a deferred call covers
+// the panic path. Errors are already classified for statusOf.
 func (s *Service) admit(r *http.Request, deadlineMillis int64) (context.Context, func(), error) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(deadlineMillis))
 	if err := s.adm.acquire(ctx); err != nil {
 		cancel()
 		return nil, nil, err
 	}
+	var once sync.Once
 	release := func() {
-		s.adm.release()
-		cancel()
+		once.Do(func() {
+			s.adm.release()
+			cancel()
+		})
 	}
 	return ctx, release, nil
 }
@@ -290,6 +297,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		Interprocedural: req.Interprocedural,
 		MergeBound:      mergeBound,
 	})
+	release()
 	if err != nil {
 		s.fail(w, "analyze", start, err)
 		return
@@ -330,6 +338,7 @@ func (s *Service) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Interprocedural: req.Interprocedural,
 		SkipSeed:        req.SkipSeed,
 	})
+	release()
 	if err != nil {
 		s.store.unreserve(req.Tenant)
 		s.fail(w, "create", start, err)
@@ -366,6 +375,7 @@ func (s *Service) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	// evict the entry while this runs (the session object stays valid, the
 	// ID just stops resolving afterwards).
 	res, err := entry.sess.Advance(ctx, req.NextSrc)
+	release()
 	if err != nil {
 		s.fail(w, "advance", start, err)
 		return

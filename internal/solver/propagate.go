@@ -26,13 +26,12 @@ func (t truth) not() truth {
 }
 
 // solve runs propagation + splitting search and returns the final result.
+// The search tightens p.domains in place: a problem is solved once.
 func (p *problem) solve(stats *Stats, budget *int) Result {
 	if p.trivialUnsat {
 		return Result{}
 	}
-	domains := make([]Interval, len(p.domains))
-	copy(domains, p.domains)
-	sat, unknown, model := p.search(domains, stats, budget)
+	sat, unknown, model := p.search(p.domains, stats, budget)
 	return Result{Sat: sat, Unknown: unknown, Model: model}
 }
 
@@ -92,12 +91,16 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 	}
 	stats.SearchNodes++
 
+	// The children of this node are searched one after another, and a
+	// search keeps nothing of its box once it returns (a model is a fresh
+	// map), so they share one buffer, refilled from this node's box.
 	d := domains[v]
+	child := make([]Interval, len(domains))
 	if d.Size() <= 8 {
 		// Enumerate ascending for deterministic, small models.
 		sawUnknown := false
 		for val := d.Lo; val <= d.Hi; val++ {
-			child := cloneDomains(domains)
+			copy(child, domains)
 			child[v] = Singleton(val)
 			sat, unknown, model := p.search(child, stats, budget)
 			if sat {
@@ -108,15 +111,15 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 		return false, sawUnknown, nil
 	}
 	mid := d.Lo + (d.Hi-d.Lo)/2
-	left := cloneDomains(domains)
-	left[v] = Interval{Lo: d.Lo, Hi: mid}
-	sat, unknownL, model := p.search(left, stats, budget)
+	copy(child, domains)
+	child[v] = Interval{Lo: d.Lo, Hi: mid}
+	sat, unknownL, model := p.search(child, stats, budget)
 	if sat {
 		return true, false, model
 	}
-	right := cloneDomains(domains)
-	right[v] = Interval{Lo: mid + 1, Hi: d.Hi}
-	sat, unknownR, model := p.search(right, stats, budget)
+	copy(child, domains)
+	child[v] = Interval{Lo: mid + 1, Hi: d.Hi}
+	sat, unknownR, model := p.search(child, stats, budget)
 	if sat {
 		return true, false, model
 	}
@@ -133,12 +136,6 @@ func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Sta
 		}
 	}
 	return sub.search(domains, stats, budget)
-}
-
-func cloneDomains(domains []Interval) []Interval {
-	out := make([]Interval, len(domains))
-	copy(out, domains)
-	return out
 }
 
 func (p *problem) modelFrom(domains []Interval) map[string]int64 {

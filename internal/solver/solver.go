@@ -69,6 +69,13 @@ type Solver struct {
 	// branch constraints against many boxes as the exploration revisits
 	// sibling subtrees.
 	propTpl map[sym.Expr]*propTemplate
+	// inputs holds the input domains' names in ascending order and inputIdx
+	// each name's position, built once at construction (NewIndexed). A
+	// Check over exactly these inputs takes its variable order from them
+	// instead of re-hashing and re-sorting every name into fresh maps, and
+	// its constraints' resolved views from the constraints themselves.
+	inputs   []string
+	inputIdx map[string]int
 }
 
 // propTemplate is the reusable, read-only part of a PropagateDelta problem.
@@ -79,15 +86,34 @@ type propTemplate struct {
 	trivialUnsat bool
 }
 
-// New returns a Solver.
-func New(opts Options) *Solver {
+// New returns a Solver with an empty input index: every Check indexes its
+// own variables.
+func New(opts Options) *Solver { return NewIndexed(opts, nil) }
+
+// NewIndexed returns a Solver that indexes the names of the given input
+// domains once, for all of its Checks. A Check whose box has exactly these
+// names, and whose constraints mention no other, reuses the index; any
+// other Check indexes its own variables as under New. The index never
+// changes a result: both ways order the variables by name.
+func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 	if opts.NodeBudget == 0 {
 		opts.NodeBudget = 1 << 16
+	}
+	names := make([]string, 0, len(inputs))
+	for n := range inputs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	idx := make(map[string]int, len(names))
+	for i, n := range names {
+		idx[n] = i
 	}
 	return &Solver{
 		opts:     opts,
 		compiled: map[sym.Expr][]*constraint{},
 		propTpl:  map[sym.Expr]*propTemplate{},
+		inputs:   names,
+		inputIdx: idx,
 	}
 }
 
@@ -102,11 +128,14 @@ func (s *Solver) ResetStats() { s.stats = Stats{} }
 // constraints but not in domains get DefaultDomain.
 func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Result {
 	s.stats.Calls++
-	var compiled []*constraint
+	compiled := make([]*constraint, 0, len(constraints))
 	for _, e := range constraints {
 		compiled = append(compiled, s.compile(e)...)
 	}
-	p := newProblem(compiled, domains)
+	p := s.indexedProblem(compiled, domains)
+	if p == nil {
+		p = newProblem(compiled, domains)
+	}
 	p.interrupt = s.opts.Interrupt
 	budget := s.opts.NodeBudget
 	res := p.solve(&s.stats, &budget)
@@ -119,6 +148,52 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 		s.stats.Unsat++
 	}
 	return res
+}
+
+// indexedProblem builds a Check's problem over the input index: it copies
+// the box's intervals into index order and the constraints' cached views.
+// It returns nil when the box's names are not exactly the index's, or a
+// constraint mentions a name outside it (a local read before it is
+// assigned, or a box that propagation widened with such a name); newProblem
+// then indexes the problem's own names, sorted by name.
+func (s *Solver) indexedProblem(compiled []*constraint, box map[string]Interval) *problem {
+	names := s.inputs
+	if len(box) != len(names) {
+		return nil
+	}
+	views := make([]conView, len(compiled))
+	for i, c := range compiled {
+		v := s.indexedView(c)
+		if v == nil {
+			return nil
+		}
+		views[i] = *v
+	}
+	domains := make([]Interval, len(names))
+	for i, name := range names {
+		d, ok := box[name]
+		if !ok {
+			return nil
+		}
+		domains[i] = d
+	}
+	p := &problem{varNames: names, varIdx: s.inputIdx, domains: domains, views: views}
+	p.intersectForms()
+	return p
+}
+
+// indexedView resolves c against the input index on first use and keeps
+// the result on c: both the index and the solver's compiled constraints
+// live as long as the solver. It returns nil when c mentions a name
+// outside the index.
+func (s *Solver) indexedView(c *constraint) *conView {
+	if !c.resolved {
+		c.resolved = true
+		if v, ok := viewOf(c, s.inputIdx); ok {
+			c.view = &v
+		}
+	}
+	return c.view
 }
 
 // PropagateDelta tightens the domains of the variables mentioned by the
@@ -220,6 +295,11 @@ type constraint struct {
 	lin  sym.Linear // linear form, conLinear only
 	op   sym.Op     // OpLE, OpEQ or OpNE, conLinear only
 	vars []string   // sorted variable names mentioned
+	// view is the constraint resolved against its solver's input index,
+	// nil when it mentions a name outside the index; valid once resolved
+	// is set (Solver.indexedView).
+	view     *conView
+	resolved bool
 }
 
 // compile normalizes e into linear/opaque constraints, flattening top-level
@@ -339,6 +419,12 @@ type conView struct {
 	terms []term // conLinear only
 	konst int64  // conLinear only
 	vars  []int  // variable indices, all kinds
+	// form and sign key the same-form analysis (intersectForms), for a
+	// linear constraint with terms: the term vector scaled by sign so that
+	// its first coefficient is positive, so a form and its negation share
+	// a key.
+	form string
+	sign int64
 }
 
 // problem is one Check instance.
@@ -386,20 +472,44 @@ func newProblem(constraints []*constraint, domains map[string]Interval) *problem
 		p.domains = append(p.domains, d)
 	}
 	for _, c := range constraints {
-		v := conView{c: c, konst: c.lin.Const}
-		for _, name := range c.vars {
-			v.vars = append(v.vars, p.varIdx[name])
-		}
-		if c.kind == conLinear {
-			for name, coeff := range c.lin.Coeffs {
-				v.terms = append(v.terms, term{idx: p.varIdx[name], coeff: coeff})
-			}
-			sort.Slice(v.terms, func(i, j int) bool { return v.terms[i].idx < v.terms[j].idx })
-		}
+		v, _ := viewOf(c, p.varIdx)
 		p.views = append(p.views, v)
 	}
 	p.intersectForms()
 	return p
+}
+
+// viewOf resolves c against a name-sorted variable indexing; ok is false
+// when c mentions a name the indexing lacks. Because both c.vars and the
+// indexing are sorted by name, the terms come out in index order.
+func viewOf(c *constraint, varIdx map[string]int) (v conView, ok bool) {
+	v = conView{c: c, konst: c.lin.Const, vars: make([]int, len(c.vars))}
+	for i, name := range c.vars {
+		idx, found := varIdx[name]
+		if !found {
+			return conView{}, false
+		}
+		v.vars[i] = idx
+	}
+	if c.kind == conLinear && len(c.vars) > 0 {
+		v.terms = make([]term, len(c.vars))
+		for i, name := range c.vars {
+			v.terms[i] = term{idx: v.vars[i], coeff: c.lin.Coeffs[name]}
+		}
+		v.sign = 1
+		if v.terms[0].coeff < 0 {
+			v.sign = -1
+		}
+		key := make([]byte, 0, len(v.terms)*8)
+		for _, t := range v.terms {
+			key = strconv.AppendInt(key, int64(t.idx), 10)
+			key = append(key, ':')
+			key = strconv.AppendInt(key, v.sign*t.coeff, 10)
+			key = append(key, ';')
+		}
+		v.form = string(key)
+	}
+	return v, true
 }
 
 // intersectForms groups linear constraints by their (sign-normalized) term
@@ -407,41 +517,27 @@ func newProblem(constraints []*constraint, domains map[string]Interval) *problem
 // intersection proves unsatisfiability without any propagation.
 func (p *problem) intersectForms() {
 	type rng struct{ lo, hi int64 }
-	forms := map[string]*rng{}
+	forms := map[string]rng{}
 	for i := range p.views {
 		v := &p.views[i]
 		if v.c.kind != conLinear || len(v.terms) == 0 {
 			continue
 		}
-		// Sign-normalize: make the first coefficient positive so that a
-		// form and its negation share a key.
-		sign := int64(1)
-		if v.terms[0].coeff < 0 {
-			sign = -1
-		}
-		key := make([]byte, 0, len(v.terms)*8)
-		for _, t := range v.terms {
-			key = strconv.AppendInt(key, int64(t.idx), 10)
-			key = append(key, ':')
-			key = strconv.AppendInt(key, sign*t.coeff, 10)
-			key = append(key, ';')
-		}
-		r, ok := forms[string(key)]
+		r, ok := forms[v.form]
 		if !ok {
-			r = &rng{lo: -satBound, hi: satBound}
-			forms[string(key)] = r
+			r = rng{lo: -satBound, hi: satBound}
 		}
 		// Constraint: Σ terms + konst ⋈ 0, i.e. sign*Σ' + konst ⋈ 0 where
 		// Σ' is the normalized form.
 		switch v.c.op {
 		case sym.OpLE: // sign*Σ' <= -konst
-			if sign > 0 {
+			if v.sign > 0 {
 				r.hi = min2(r.hi, -v.konst)
 			} else {
 				r.lo = max2(r.lo, v.konst)
 			}
 		case sym.OpEQ: // sign*Σ' == -konst
-			val := -v.konst * sign
+			val := -v.konst * v.sign
 			r.lo = max2(r.lo, val)
 			r.hi = min2(r.hi, val)
 		}
@@ -449,5 +545,6 @@ func (p *problem) intersectForms() {
 			p.trivialUnsat = true
 			return
 		}
+		forms[v.form] = r
 	}
 }
