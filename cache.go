@@ -56,12 +56,12 @@ type CacheStats struct {
 // applies; an approximate byte budget (maxBytes > 0) additionally evicts
 // least-recently-used entries when the estimated retained size overflows.
 type programCache struct {
-	mu       sync.Mutex
-	capacity int
-	maxBytes int64
-	bytes    int64
-	entries  map[[sha256.Size]byte]*list.Element
-	lru      *list.List // of *cacheSlot, front = most recent
+	mu        sync.Mutex
+	capacity  int
+	maxBytes  int64
+	bytes     int64
+	entries   map[[sha256.Size]byte]*list.Element
+	lru       *list.List // of *cacheSlot, front = most recent
 	hits      int64
 	misses    int64
 	evictions int64

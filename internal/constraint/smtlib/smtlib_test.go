@@ -534,10 +534,10 @@ func TestParseValues(t *testing.T) {
 		t.Fatalf("model %v", m)
 	}
 	for _, bad := range []string{
-		"((X 3))",             // Y missing
-		"((X 3) (Y whoops))",  // non-numeric
+		"((X 3))",              // Y missing
+		"((X 3) (Y whoops))",   // non-numeric
 		"(error \"no model\")", // solver error form
-		"((X 3) (X 4) (Y 0))", // duplicate
+		"((X 3) (X 4) (Y 0))",  // duplicate
 	} {
 		if _, err := parseValues(bad, []string{"X", "Y"}); err == nil {
 			t.Errorf("parseValues(%q) accepted", bad)

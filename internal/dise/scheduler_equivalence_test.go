@@ -101,13 +101,13 @@ func (o *oracleRunner) dise(s *symexec.State, summary *symexec.Summary) {
 }
 
 func (o *oracleRunner) collect(s *symexec.State, summary *symexec.Summary) {
-	trace := s.Trace
+	adjusted := *s
 	switch s.Node.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		trace = append(append([]int{}, s.Trace...), s.Node.ID)
+		adjusted.Trace = s.Trace.Append(s.Node.ID)
 	}
 	affected := false
-	for _, id := range trace {
+	for _, id := range adjusted.Trace.Slice() {
 		if o.affected.Contains(id) {
 			affected = true
 			break
@@ -117,8 +117,6 @@ func (o *oracleRunner) collect(s *symexec.State, summary *symexec.Summary) {
 		o.stats.UnaffectedPaths++
 		return
 	}
-	adjusted := *s
-	adjusted.Trace = trace
 	summary.Paths = append(summary.Paths, o.engine.Collect(&adjusted))
 }
 

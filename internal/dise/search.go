@@ -228,18 +228,12 @@ func (r *Runner) distanceToUnexplored(s *symexec.State) int {
 // node of s itself was visited (UpdateExploredSet ran on it), so it is part
 // of the emitted trace even though it has not produced successors.
 func (r *Runner) collect(s *symexec.State) {
-	trace := s.Trace
+	adjusted := *s
 	switch s.Node.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		trace = append(append([]int{}, s.Trace...), s.Node.ID)
+		adjusted.Trace = s.Trace.Append(s.Node.ID)
 	}
-	affected := false
-	for _, id := range trace {
-		if r.Affected.Contains(id) {
-			affected = true
-			break
-		}
-	}
+	affected := adjusted.Trace.Any(r.Affected.Contains)
 	// A merged state's trace continues one representative sibling; the other
 	// constituents' footprints live in Cover (state merging,
 	// internal/symexec/merge.go) and count toward affectedness the same way.
@@ -255,8 +249,6 @@ func (r *Runner) collect(s *symexec.State) {
 		r.PruneStats.UnaffectedPaths++
 		return
 	}
-	adjusted := *s
-	adjusted.Trace = trace
 	path := r.Engine.Collect(&adjusted)
 	if r.OnPath != nil && !r.OnPath(path) {
 		r.stopped = true

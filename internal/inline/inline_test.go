@@ -94,7 +94,7 @@ proc run(int a, bool e) {
 	}
 	// Path 1 (enable): Acc = Acc + a + (a+1) = Acc + 2a + 1... check the
 	// final symbolic value mentions Acc and A.
-	got := summary.Paths[0].Env["Acc"].String()
+	got := summary.Paths[0].Env.Map()["Acc"].String()
 	if !strings.Contains(got, "Acc") || !strings.Contains(got, "A") {
 		t.Errorf("final Acc = %q, want expression over Acc and A", got)
 	}
@@ -197,7 +197,7 @@ proc main(int n) {
 	}
 	// On the n > 0 path, Count ends at Count + 3 (one branch bump, two
 	// loop bumps).
-	if got := summary.Paths[0].Env["Count"].String(); got != "Count + 3" {
+	if got := summary.Paths[0].Env.Map()["Count"].String(); got != "Count + 3" {
 		t.Errorf("final Count = %q, want Count + 3", got)
 	}
 }

@@ -231,18 +231,8 @@ func (t *Tree) Root(key string) *Node {
 
 // Size returns the number of nodes in the trie.
 func (t *Tree) Size() int {
-	return size(t.root)
-}
-
-func size(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	total := 1
-	for _, c := range n.Succs {
-		total += size(c)
-	}
-	return total
+	nodes, _ := t.Usage()
+	return nodes
 }
 
 // Invalidate drops the whole trie — the session calls it when a version edit
@@ -288,27 +278,36 @@ const (
 	succPtrBytes    = 8
 )
 
-// Bytes estimates the trie's retained heap footprint. It is an O(n) walk
-// with the same cost as Size, intended to be sampled once per session step;
-// the service store sums it across tenants to enforce a global trie-byte
-// ceiling. An estimate for capacity accounting, not an exact meter.
+// Bytes estimates the trie's retained heap footprint. An estimate for
+// capacity accounting, not an exact meter; see Usage.
 func (t *Tree) Bytes() int64 {
-	return nodeBytes(t.root)
+	_, bytes := t.Usage()
+	return bytes
 }
 
-func nodeBytes(n *Node) int64 {
+// Usage returns the trie's node count (Size) and estimated retained bytes
+// (Bytes) from one O(n) walk, intended to be sampled once per session step;
+// the service store sums the bytes across tenants to enforce a global
+// trie-byte ceiling.
+func (t *Tree) Usage() (nodes int, bytes int64) {
+	return usage(t.root)
+}
+
+func usage(n *Node) (nodes int, bytes int64) {
 	if n == nil {
-		return 0
+		return 0, 0
 	}
-	b := int64(nodeBaseBytes + len(n.Key))
+	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key))
 	for _, v := range n.Verdicts {
-		b += verdictBytes + int64(len(v.Model))*modelEntryBytes
+		bytes += verdictBytes + int64(len(v.Model))*modelEntryBytes
 	}
-	b += int64(cap(n.Succs)) * succPtrBytes
+	bytes += int64(cap(n.Succs)) * succPtrBytes
 	for _, c := range n.Succs {
-		b += nodeBytes(c)
+		cn, cb := usage(c)
+		nodes += cn
+		bytes += cb
 	}
-	return b
+	return nodes, bytes
 }
 
 // Enforce evicts whole subtrees until the trie fits the node budget,
@@ -330,7 +329,7 @@ func (t *Tree) Enforce() int {
 	if t.maxNodes <= 0 || t.root == nil {
 		return 0
 	}
-	total := size(t.root)
+	total := t.Size()
 	if total <= t.maxNodes {
 		return 0
 	}

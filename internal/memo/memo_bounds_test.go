@@ -165,3 +165,56 @@ func TestBytesEstimatorSanity(t *testing.T) {
 		t.Fatalf("Bytes did not shrink after eviction: %d -> %d", grown, after)
 	}
 }
+
+// refUsage is the reference accounting Usage must reproduce in its single
+// walk: the node count and the per-node byte estimate, summed separately.
+func refUsage(n *Node) (nodes int, bytes int64) {
+	if n == nil {
+		return 0, 0
+	}
+	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key)+cap(n.Succs)*succPtrBytes)
+	for _, v := range n.Verdicts {
+		bytes += verdictBytes + int64(len(v.Model)*modelEntryBytes)
+	}
+	for _, c := range n.Succs {
+		cn, cb := refUsage(c)
+		nodes += cn
+		bytes += cb
+	}
+	return nodes, bytes
+}
+
+// TestUsageMatchesSizeAndBytes pins that Usage's one walk equals Size and
+// Bytes, and the reference accounting, on a recorded trie before and after
+// budget enforcement.
+func TestUsageMatchesSizeAndBytes(t *testing.T) {
+	var tr Tree
+	tr.BeginStep()
+	root := tr.Root("root")
+	a := sym.Cmp(sym.OpLT, sym.V("a"), sym.Int(3))
+	root.Record(a, true, map[string]int64{"a": 0, "b": 1})
+	root.Record(sym.NotE(a), true, map[string]int64{"a": 3})
+	cold := buildChain(root, 6, 1, 0, ViaTrue, a)
+	cold.Record(sym.Cmp(sym.OpEQ, sym.V("b"), sym.Int(1)), false, nil)
+	tr.BeginStep()
+	hot := buildChain(root, 4, 2, 3, ViaFalse, sym.NotE(a))
+	hot.Record(sym.Cmp(sym.OpGT, sym.V("b"), sym.Zero), true, map[string]int64{"a": 3, "b": 1})
+
+	check := func(when string, wantNodes int) {
+		t.Helper()
+		nodes, bytes := tr.Usage()
+		refNodes, refBytes := refUsage(tr.root)
+		if nodes != wantNodes || nodes != refNodes || bytes != refBytes {
+			t.Fatalf("%s: Usage = (%d, %d), want (%d, %d)", when, nodes, bytes, wantNodes, refBytes)
+		}
+		if nodes != tr.Size() || bytes != tr.Bytes() {
+			t.Fatalf("%s: Usage = (%d, %d), Size/Bytes = (%d, %d)", when, nodes, bytes, tr.Size(), tr.Bytes())
+		}
+	}
+	check("recorded", 11)
+	tr.SetNodeBudget(5)
+	if n := tr.Enforce(); n != 6 {
+		t.Fatalf("Enforce evicted %d nodes, want the 6-node cold chain", n)
+	}
+	check("after Enforce", 5)
+}

@@ -119,7 +119,7 @@ func TestSoakBoundedMemoryChurn(t *testing.T) {
 	// shared single-core host).
 	base := windows[0]
 	for i, w := range windows[1:] {
-		if limit := base+base/2+16<<20; w > limit {
+		if limit := base + base/2 + 16<<20; w > limit {
 			t.Fatalf("heap grew across windows instead of plateauing: windows=%v (window %d: %d > limit %d)",
 				windows, i+2, w, limit)
 		}

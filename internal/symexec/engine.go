@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -140,8 +141,8 @@ type Stats struct {
 	// keeps exploring. A sound backend never panics; this counter is the
 	// audit trail for a faulty one.
 	CheckPanics int
-	Time         time.Duration
-	Solver       constraint.Stats
+	Time        time.Duration
+	Solver      constraint.Stats
 
 	// Memo counters of a version-chain session run (zero without Config.Memo).
 	// Like the solver counters they include speculative work, so their split
@@ -618,9 +619,11 @@ func (e *Engine) Step(s *State) Step {
 	rec := e.memoEnter(s)
 	var out Step
 	// Branch arms and path-condition contributions of out.Feasible, tracked
-	// only when rec != nil (the chain invariant's induction data).
-	var vias []int8
-	var viaConds []sym.Expr
+	// only when rec != nil (the chain invariant's induction data). A node has
+	// at most two successors, so they fit the stack arrays.
+	var viaBuf [2]int8
+	var viaCondBuf [2]sym.Expr
+	vias, viaConds := viaBuf[:0], viaCondBuf[:0]
 	switch n.Kind {
 	case cfg.KindBegin, cfg.KindNop:
 		succ := s.fork(n.Succs[0].To)
@@ -641,6 +644,7 @@ func (e *Engine) Step(s *State) Step {
 		}
 	case cfg.KindCond:
 		cond := e.evalExpr(n.Cond, s.Env)
+		out.Feasible = make([]*State, 0, 2)
 		for arm, branch := range []struct {
 			c  sym.Expr
 			to *cfg.Node
@@ -777,19 +781,18 @@ func (e *Engine) memoEnter(s *State) *memo.Node {
 // reverted, the dominant pattern of a version chain revisiting behaviors.
 func (e *Engine) memoLink(rec *memo.Node, feasible []*State, vias []int8, viaConds []sym.Expr) {
 	succs := make([]*memo.Node, 0, len(feasible)+len(rec.Succs))
-	attached := make(map[*memo.Node]bool, len(feasible))
 	for i, st := range feasible {
 		c := rec.Child(vias[i], viaConds[i])
 		if c == nil {
 			c = &memo.Node{Key: e.memoKeys[st.Node.ID], Via: vias[i], ViaCond: viaConds[i]}
 		}
 		c.Touch(e.memoGen)
-		attached[c] = true
 		succs = append(succs, c)
 		st.memo = c
 	}
+	attached := succs[:len(feasible)] // at most two: a conditional's arms
 	for _, c := range rec.Succs {
-		if c != nil && !attached[c] {
+		if c != nil && !slices.Contains(attached, c) {
 			succs = append(succs, c)
 		}
 	}
@@ -798,16 +801,12 @@ func (e *Engine) memoLink(rec *memo.Node, feasible []*State, vias []int8, viaCon
 }
 
 // appendTraceIfStmt records the executed node in the successor's trace when
-// it corresponds to a source statement. The successor shares the parent's
-// trace slice after fork, so the append always copies — sized exactly, with
-// no spare capacity a sibling could race on.
+// it corresponds to a source statement: one list cell on top of the trace
+// the successor shares with its parent and siblings.
 func (s *State) appendTraceIfStmt(n *cfg.Node) {
 	switch n.Kind {
 	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		t := make([]int, len(s.Trace)+1)
-		copy(t, s.Trace)
-		t[len(s.Trace)] = n.ID
-		s.Trace = t
+		s.Trace = s.Trace.Append(n.ID)
 	}
 }
 
@@ -816,17 +815,17 @@ func (e *Engine) Terminal(s *State) bool {
 	return s.Node.Kind == cfg.KindEnd || s.Node.Kind == cfg.KindError
 }
 
-// Collect converts a terminal state into a Path record, materializing the
-// copy-on-write path condition and environment — this is the one place the
-// shared-tail PC list and the layered Env become plain slices and maps.
+// Collect converts a terminal state into a Path record — the one place the
+// shared-tail path-condition and trace lists become exact-size slices. The
+// persistent environment is shared as it is.
 func (e *Engine) Collect(s *State) Path {
 	e.stats.PathsExplored++
 	pc := s.PC.Slice()
 	return Path{
 		PC:       pc,
 		PCString: sym.Conjoin(pc),
-		Env:      s.Env.Map(),
-		Trace:    s.Trace,
+		Env:      s.Env,
+		Trace:    s.Trace.Slice(),
 		Cover:    s.Cover,
 		Err:      s.Err || s.Node.Kind == cfg.KindError,
 	}

@@ -76,13 +76,13 @@ func TestFig1TestXPaths(t *testing.T) {
 	if p0.PCString != "X > 0" {
 		t.Errorf("path 0 PC = %q, want X > 0", p0.PCString)
 	}
-	if got := p0.Env["y"].String(); got != "Y + X" {
+	if got := p0.Env.Map()["y"].String(); got != "Y + X" {
 		t.Errorf("path 0 y = %q, want Y + X", got)
 	}
 	if p1.PCString != "X <= 0" {
 		t.Errorf("path 1 PC = %q, want X <= 0", p1.PCString)
 	}
-	if got := p1.Env["y"].String(); got != "Y - X" {
+	if got := p1.Env.Map()["y"].String(); got != "Y - X" {
 		t.Errorf("path 1 y = %q, want Y - X", got)
 	}
 }
@@ -264,10 +264,10 @@ func TestConcreteGlobals(t *testing.T) {
 		t.Fatalf("paths = %d, want 2", len(summary.Paths))
 	}
 	// Global y starts at its initializer 0, so final y is +X / -X.
-	if got := summary.Paths[0].Env["y"].String(); got != "X" {
+	if got := summary.Paths[0].Env.Map()["y"].String(); got != "X" {
 		t.Errorf("path 0 y = %q, want X", got)
 	}
-	if got := summary.Paths[1].Env["y"].String(); got != "-X" {
+	if got := summary.Paths[1].Env.Map()["y"].String(); got != "-X" {
 		t.Errorf("path 1 y = %q, want -X", got)
 	}
 	// Concrete globals are not symbolic inputs.

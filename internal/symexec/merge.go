@@ -191,9 +191,9 @@ func (x *Explorer) expandMerged(s *State, e *Engine, rpo []int, q *mergeQueue) {
 	}
 	before := coreOf(e.stats)
 	step := e.Step(s)
-	delta := coreDelta(coreOf(e.stats), before)
+	delta := coreOf(e.stats).sub(before)
 	x.mu.Lock()
-	x.coreStats.addCore(delta)
+	x.coreStats.add(delta)
 	x.created += len(step.Feasible)
 	x.mu.Unlock()
 	if e.interruptErr != nil {
@@ -317,25 +317,29 @@ func (x *Explorer) mergeStates(group []*State) *State {
 	}
 
 	// Merged environment: ite-fuse differing bindings, guarded by the path
-	// suffixes. The groups share one name-set (envShapeKey), so the sorted
-	// entry slices align index by index.
+	// suffixes. The groups share one name-set (envShapeKey), so the
+	// flattened, name-sorted entry slices align index by index.
 	rep := group[0]
-	entries := make([]envEntry, rep.Env.Len())
-	for i := range rep.Env.entries {
-		acc := group[len(group)-1].Env.entries[i].val
-		for j := len(group) - 2; j >= 0; j-- {
-			acc = sym.ITE(deltas[j], group[j].Env.entries[i].val, acc)
-		}
-		entries[i] = envEntry{name: rep.Env.entries[i].name, val: acc}
+	bindings := make([][]envEntry, len(group))
+	for i, s := range group {
+		bindings[i] = s.Env.flat()
 	}
-	env := Env{entries: entries}
+	entries := make([]envEntry, len(bindings[0]))
+	for i := range entries {
+		acc := bindings[len(group)-1][i].val
+		for j := len(group) - 2; j >= 0; j-- {
+			acc = sym.ITE(deltas[j], bindings[j][i].val, acc)
+		}
+		entries[i] = envEntry{name: bindings[0][i].name, val: acc}
+	}
+	env := Env{base: entries}
 
 	// Coverage: the merged state's Trace continues the representative's
 	// history; Cover retains every constituent's footprint for affected-node
 	// accounting.
 	cover := map[int]bool{}
 	for _, s := range group {
-		for _, id := range s.Trace {
+		for _, id := range s.Trace.Slice() {
 			cover[id] = true
 		}
 		for _, id := range s.Cover {

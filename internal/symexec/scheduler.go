@@ -92,6 +92,12 @@ type ExploreOptions struct {
 	// back to the CFG hop distance to the procedure's end node — a
 	// shortest-path-first order for full symbolic execution.
 	Score func(*State) int
+	// CountOnly makes a free exploration count its terminal paths
+	// (Stats.PathsExplored) without collecting them: Summary.Paths stays
+	// empty. A session's seeding run explores only to record the memo trie
+	// and reads none of the paths. Merged explorations (Config.MergeBound)
+	// ignore it; sessions reject merging.
+	CountOnly bool
 }
 
 // task is one node of the exploration task tree.
@@ -107,8 +113,8 @@ type task struct {
 	// Result fields, written by the claiming expander and published with
 	// status = taskDone (under the Explorer mutex).
 	step     Step
-	delta    Stats // engine core-counter delta attributable to this expansion
-	aborted  bool  // expansion was interrupted mid-step; step is not trustworthy
+	delta    core // engine core-counter delta attributable to this expansion
+	aborted  bool // expansion was interrupted mid-step; step is not trustworthy
 	children []*task
 	path     *Path // free exploration: the collected path of a terminal task
 }
@@ -136,7 +142,7 @@ type Explorer struct {
 	intErr       error
 	created      int // states created: initial state + feasible successors
 	maxStatesHit bool
-	coreStats    Stats // committed core counters (see coreDelta)
+	coreStats    core // committed core counters (see coreOf)
 
 	// State-merging counters (merge.go); zero without Config.MergeBound.
 	merges      int
@@ -206,7 +212,7 @@ func (x *Explorer) Run() *Summary {
 	primary := x.engines[0]
 	before := coreOf(primary.stats)
 	s0 := primary.InitialState()
-	x.coreStats = coreDelta(coreOf(primary.stats), before)
+	x.coreStats = coreOf(primary.stats).sub(before)
 	x.created = 1
 	x.root = &task{state: s0}
 
@@ -294,6 +300,11 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 		return
 	}
 	if e.Terminal(t.state) {
+		if x.opts.CountOnly {
+			e.stats.PathsExplored++
+			t.state = nil // nothing to assemble under parallelism either
+			return
+		}
 		p := e.Collect(t.state)
 		if x.parallelism == 1 {
 			// Sequential emission follows the strategy's pop order (for the
@@ -307,7 +318,7 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 	}
 	before := coreOf(e.stats)
 	step := e.Step(t.state)
-	delta := coreDelta(coreOf(e.stats), before)
+	delta := coreOf(e.stats).sub(before)
 	if e.interruptErr != nil {
 		x.fail(e.interruptErr)
 		return
@@ -315,7 +326,7 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 	kids := make([]*task, len(step.Feasible))
 	items := make([]*Item, len(step.Feasible))
 	x.mu.Lock()
-	x.coreStats.addCore(delta)
+	x.coreStats.add(delta)
 	x.created += len(step.Feasible)
 	for i, s := range step.Feasible {
 		kids[i] = &task{state: s}
@@ -425,7 +436,7 @@ func (x *Explorer) await(t *task) (Step, bool) {
 		x.mu.Unlock()
 	}
 	x.mu.Lock()
-	x.coreStats.addCore(t.delta) // only committed expansions count
+	x.coreStats.add(t.delta) // only committed expansions count
 	x.mu.Unlock()
 	return t.step, !t.aborted
 }
@@ -466,7 +477,7 @@ func (x *Explorer) specWorker(e *Engine) {
 func (x *Explorer) expandTask(t *task, e *Engine) {
 	before := coreOf(e.stats)
 	step := e.Step(t.state)
-	t.delta = coreDelta(coreOf(e.stats), before)
+	t.delta = coreOf(e.stats).sub(before)
 	t.step = step
 	if e.interruptErr != nil {
 		t.aborted = true
@@ -570,7 +581,12 @@ func (x *Explorer) fail(err error) {
 // backends; their split between cache hits, model reuses and full solves
 // legitimately varies with speculation and interleaving.
 func (x *Explorer) mergedStats() Stats {
-	st := x.coreStats
+	st := Stats{
+		StatesExplored:     x.coreStats.states,
+		InfeasibleBranches: x.coreStats.infeasible,
+		DepthBoundHits:     x.coreStats.depthHits,
+		ModelHits:          x.coreStats.modelHits,
+	}
 	st.MaxStatesHit = x.maxStatesHit
 	st.Merges = x.merges
 	st.MergedStatesSaved = x.mergedSaved
@@ -588,29 +604,25 @@ func (x *Explorer) mergedStats() Stats {
 	return st
 }
 
-// coreOf projects the deterministic exploration counters of s.
-func coreOf(s Stats) Stats {
-	return Stats{
-		StatesExplored:     s.StatesExplored,
-		InfeasibleBranches: s.InfeasibleBranches,
-		DepthBoundHits:     s.DepthBoundHits,
-		ModelHits:          s.ModelHits,
-	}
+// core holds the deterministic exploration counters of Stats: the ones a
+// committed exploration attributes to individual expansions.
+type core struct {
+	states, infeasible, depthHits, modelHits int
 }
 
-// coreDelta subtracts two core projections.
-func coreDelta(after, before Stats) Stats {
-	return Stats{
-		StatesExplored:     after.StatesExplored - before.StatesExplored,
-		InfeasibleBranches: after.InfeasibleBranches - before.InfeasibleBranches,
-		DepthBoundHits:     after.DepthBoundHits - before.DepthBoundHits,
-		ModelHits:          after.ModelHits - before.ModelHits,
-	}
+// coreOf projects the core counters of s.
+func coreOf(s Stats) core {
+	return core{s.StatesExplored, s.InfeasibleBranches, s.DepthBoundHits, s.ModelHits}
 }
 
-func (s *Stats) addCore(d Stats) {
-	s.StatesExplored += d.StatesExplored
-	s.InfeasibleBranches += d.InfeasibleBranches
-	s.DepthBoundHits += d.DepthBoundHits
-	s.ModelHits += d.ModelHits
+// sub returns c - d, counter by counter.
+func (c core) sub(d core) core {
+	return core{c.states - d.states, c.infeasible - d.infeasible, c.depthHits - d.depthHits, c.modelHits - d.modelHits}
+}
+
+func (c *core) add(d core) {
+	c.states += d.states
+	c.infeasible += d.infeasible
+	c.depthHits += d.depthHits
+	c.modelHits += d.modelHits
 }

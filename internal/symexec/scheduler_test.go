@@ -162,6 +162,8 @@ func TestSchedulerDFSMatchesRecursiveOracle(t *testing.T) {
 // scheduler-equivalence property: every strategy at every parallelism level
 // produces the same path set; parallel runs additionally emit in canonical
 // tree order (= the DFS sequential order), so their output is deterministic.
+// Count-only runs (ExploreOptions.CountOnly) keep the counters and collect
+// no paths.
 func TestSchedulerStrategyAndParallelismEquivalence(t *testing.T) {
 	for _, subject := range schedulerSubjects {
 		t.Run(subject.name, func(t *testing.T) {
@@ -194,6 +196,15 @@ func TestSchedulerStrategyAndParallelismEquivalence(t *testing.T) {
 					if sum.Stats.PathsExplored != reference.Stats.PathsExplored {
 						t.Errorf("%s: paths explored %d, want %d",
 							name, sum.Stats.PathsExplored, reference.Stats.PathsExplored)
+					}
+					// A count-only exploration does the same work and
+					// collects nothing.
+					counted := NewExplorer(newEngine(t, subject.src, subject.proc, config), ExploreOptions{CountOnly: true}).Run()
+					if len(counted.Paths) != 0 || coreOf(counted.Stats) != coreOf(reference.Stats) ||
+						counted.Stats.PathsExplored != reference.Stats.PathsExplored {
+						t.Errorf("%s: count-only run: %d paths, core %+v, %d explored; want 0, %+v, %d", name,
+							len(counted.Paths), coreOf(counted.Stats), counted.Stats.PathsExplored,
+							coreOf(reference.Stats), reference.Stats.PathsExplored)
 					}
 				}
 			}

@@ -12,11 +12,15 @@
 // paper's evaluation (§4.2.2). The directed search of DiSE plugs into the
 // same scheduler as a Pruner (see internal/dise).
 //
-// States are copy-on-write: forking a state at a branch shares the parent's
-// environment, path condition and trace outright — Env layers are immutable
-// sorted slices replaced only on write, the path condition is a shared-tail
-// list extended by one cell per branch and materialized only when a path is
-// emitted — so the engine's inner loop allocates per *change*, not per fork.
+// States are persistent: a successor shares everything with its parent and
+// pays only for what its step changed. The path condition and the statement
+// trace are shared-tail lists extended by one cell per branch or statement;
+// the environment is a shared sorted base shadowed by a small sorted write
+// log, so a write copies at most envLogMax bindings and the whole
+// environment is rebuilt only when the log folds. The lists become fresh
+// slices only when a path is emitted (Engine.Collect); syncing the solver
+// stack reads the path condition into a reusable buffer. The engine's inner
+// loop therefore allocates per change, not per fork or per path length.
 package symexec
 
 import (
@@ -29,14 +33,23 @@ import (
 	"dise/internal/sym"
 )
 
-// Env is a persistent symbolic environment: an immutable, name-sorted slice
-// of variable bindings. The zero value is the empty environment. Set returns
-// a new environment sharing nothing mutable with the receiver, so forked
-// states share one Env value (a slice header copy) and pay for a write
-// exactly when they write — one exact-size slice allocation — instead of
-// deep-copying a map on every fork.
+// envLogMax is the capacity of an Env's write log. A write copies the log
+// (at most this many bindings) instead of the environment; a write of a name
+// the full log does not hold folds the log into a new base first. Small
+// enough that the copy stays a few cache lines, large enough that a fold —
+// one copy of every binding — is amortized over several writes.
+const envLogMax = 8
+
+// Env is a persistent symbolic environment: a name-sorted base of variable
+// bindings shared between states, shadowed by a name-sorted write log of at
+// most envLogMax bindings. The zero value is the empty environment. Both
+// slices are immutable once published, so forked states share one Env value
+// (two slice headers) and a write allocates only a new log — a copy of at
+// most envLogMax entries — except when a new name meets a full log, which
+// folds base and log into a fresh base.
 type Env struct {
-	entries []envEntry // sorted by name; immutable once published
+	base []envEntry // sorted by name
+	log  []envEntry // sorted by name; entries shadow base entries of the same name
 }
 
 type envEntry struct {
@@ -44,69 +57,101 @@ type envEntry struct {
 	val  sym.Expr
 }
 
-// search returns the index of name, or the insertion point with found=false.
-func (e Env) search(name string) (int, bool) {
-	lo, hi := 0, len(e.entries)
+// searchEntries returns the index of name in the sorted entries, or the
+// insertion point with found=false.
+func searchEntries(entries []envEntry, name string) (int, bool) {
+	lo, hi := 0, len(entries)
 	//diselint:ignore interruptloop bounded: binary search halves the window each iteration
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if e.entries[mid].name < name {
+		if entries[mid].name < name {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(e.entries) && e.entries[lo].name == name
+	return lo, lo < len(entries) && entries[lo].name == name
 }
 
 // Get returns the symbolic expression bound to name.
 func (e Env) Get(name string) (sym.Expr, bool) {
-	i, ok := e.search(name)
-	if !ok {
-		return nil, false
+	if i, ok := searchEntries(e.log, name); ok {
+		return e.log[i].val, true
 	}
-	return e.entries[i].val, true
+	if i, ok := searchEntries(e.base, name); ok {
+		return e.base[i].val, true
+	}
+	return nil, false
 }
 
 // Set returns a new environment with name bound to val. The receiver is
-// unchanged; unrelated bindings are shared by value (the entries hold
-// interned, immutable expressions).
+// unchanged and shares its base with the result; a no-op write (the same
+// interned expression) returns the receiver itself.
 func (e Env) Set(name string, val sym.Expr) Env {
-	i, ok := e.search(name)
-	if ok {
-		if e.entries[i].val == val {
-			return e // no-op write: share the whole environment
+	i, inLog := searchEntries(e.log, name)
+	if inLog {
+		if e.log[i].val == val {
+			return e
 		}
-		entries := make([]envEntry, len(e.entries))
-		copy(entries, e.entries)
-		entries[i].val = val
-		return Env{entries: entries}
+		log := make([]envEntry, len(e.log))
+		copy(log, e.log)
+		log[i].val = val
+		return Env{base: e.base, log: log}
 	}
-	entries := make([]envEntry, len(e.entries)+1)
-	copy(entries, e.entries[:i])
-	entries[i] = envEntry{name: name, val: val}
-	copy(entries[i+1:], e.entries[i:])
-	return Env{entries: entries}
-}
-
-// Len returns the number of bindings.
-func (e Env) Len() int { return len(e.entries) }
-
-// Map materializes the environment as a map, for path emission and external
-// consumers (Path.Env).
-func (e Env) Map() map[string]sym.Expr {
-	out := make(map[string]sym.Expr, len(e.entries))
-	for _, ent := range e.entries {
-		out[ent.name] = ent.val
+	if j, ok := searchEntries(e.base, name); ok && e.base[j].val == val {
+		return e
 	}
-	return out
+	if len(e.log) == envLogMax {
+		return Env{base: e.flat()}.Set(name, val)
+	}
+	log := make([]envEntry, len(e.log)+1)
+	copy(log, e.log[:i])
+	log[i] = envEntry{name: name, val: val}
+	copy(log[i+1:], e.log[i:])
+	return Env{base: e.base, log: log}
 }
 
 // Each calls fn for every binding in name order.
 func (e Env) Each(fn func(name string, val sym.Expr)) {
-	for _, ent := range e.entries {
-		fn(ent.name, ent.val)
+	b, l := e.base, e.log
+	//diselint:ignore interruptloop bounded: consumes an entry of base or log per iteration
+	for len(b) > 0 || len(l) > 0 {
+		if len(l) == 0 || (len(b) > 0 && b[0].name < l[0].name) {
+			fn(b[0].name, b[0].val)
+			b = b[1:]
+			continue
+		}
+		if len(b) > 0 && b[0].name == l[0].name {
+			b = b[1:] // shadowed by the log
+		}
+		fn(l[0].name, l[0].val)
+		l = l[1:]
 	}
+}
+
+// flat returns the bindings as one name-sorted slice: the base itself when
+// the log is empty, a fresh merge of base and log otherwise.
+func (e Env) flat() []envEntry {
+	if len(e.log) == 0 {
+		return e.base
+	}
+	out := make([]envEntry, 0, len(e.base)+len(e.log))
+	e.Each(func(name string, val sym.Expr) { out = append(out, envEntry{name: name, val: val}) })
+	return out
+}
+
+// Len returns the number of bindings.
+func (e Env) Len() int {
+	n := 0
+	e.Each(func(string, sym.Expr) { n++ })
+	return n
+}
+
+// Map materializes the environment as a map.
+func (e Env) Map() map[string]sym.Expr {
+	out := make(map[string]sym.Expr, len(e.base)+len(e.log))
+	e.Each(func(name string, val sym.Expr) { out[name] = val })
+	return out
 }
 
 // NewEnv builds an environment from a map (order-independent; entries are
@@ -117,7 +162,7 @@ func NewEnv(m map[string]sym.Expr) Env {
 		entries = append(entries, envEntry{name: name, val: val})
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
-	return Env{entries: entries}
+	return Env{base: entries}
 }
 
 // PathCond is a persistent path condition: a singly linked list growing at
@@ -173,23 +218,74 @@ func (p *PathCond) Slice() []sym.Expr {
 	return p.AppendTo(make([]sym.Expr, 0, p.n))
 }
 
+// Trace is a persistent statement trace: the IDs of the statement nodes a
+// path executed, as a list growing at the tail end like PathCond, so sibling
+// states share their common history and recording a statement is one 16-byte
+// cell. nil is the empty trace. Slice materializes it, root first, when a
+// path is emitted.
+type Trace struct {
+	parent *Trace
+	id     int32
+	n      int32 // statement count including id
+}
+
+// Len returns the number of statements.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	return int(t.n)
+}
+
+// Append returns the trace extended by one statement. The receiver is
+// shared, not copied.
+func (t *Trace) Append(id int) *Trace {
+	return &Trace{parent: t, id: int32(id), n: int32(t.Len() + 1)}
+}
+
+// Any reports whether pred holds for some statement of the trace, walking
+// from the most recent one back to the root.
+func (t *Trace) Any(pred func(id int) bool) bool {
+	for q := t; q != nil; q = q.parent {
+		if pred(int(q.id)) {
+			return true
+		}
+	}
+	return false
+}
+
+// Slice materializes the trace in execution order as a fresh exact-size
+// slice; the empty trace yields nil.
+func (t *Trace) Slice() []int {
+	if t == nil {
+		return nil
+	}
+	out := make([]int, t.n)
+	for q := t; q != nil; q = q.parent {
+		out[q.n-1] = int(q.id)
+	}
+	return out
+}
+
 // State is a symbolic program state: a program location (CFG node), symbolic
 // expressions for the program variables, and a path condition (paper §2.1).
 type State struct {
 	// Node is the next CFG node to execute.
 	Node *cfg.Node
 	// Env maps every program variable to its current symbolic expression.
-	// It is copy-on-write: forked states share it until one of them writes.
+	// It is persistent: forked states share it, and a write replaces only
+	// the writer's write log.
 	Env Env
 	// PC is the path condition: the conjunction of branch constraints
 	// accumulated along the path to this state, as a prefix-sharing list.
 	PC *PathCond
 	// Depth is the number of CFG nodes executed before reaching this state.
 	Depth int
-	// Trace is the sequence of statement-node IDs executed so far. Traces
-	// power the affected-node-sequence analysis and the Table 1 rendering.
-	// Forked states share the parent's slice; appends copy (exact size).
-	Trace []int
+	// Trace is the sequence of statement-node IDs executed so far, as a
+	// shared-tail list: forked states share the parent's cells and each
+	// executed statement appends one. Traces power the affected-node-sequence
+	// analysis and the Table 1 rendering.
+	Trace *Trace
 	// Cover is the set of statement-node IDs (sorted, deduplicated) covered
 	// by sibling states this state absorbed through merging (merge.go):
 	// Trace continues the representative sibling's history, Cover keeps the
@@ -221,9 +317,9 @@ func (s *State) MarkMemoPruned() {
 }
 
 // fork returns a successor of s at node. Everything is shared with the
-// parent: Env and PC are copy-on-write (the caller extends them only for
-// writes and branch constraints), Trace is copied at the append site
-// (appendTraceIfStmt), and the witness model is immutable.
+// parent: Env, PC and Trace are persistent (the caller extends them only for
+// writes, branch constraints and executed statements), and the witness model
+// is immutable.
 func (s *State) fork(node *cfg.Node) *State {
 	return &State{
 		Node:  node,
@@ -269,8 +365,9 @@ type Path struct {
 	// conditions across techniques and versions).
 	PCString string
 	// Env is the final symbolic environment (the symbolic summary of the
-	// path's effect).
-	Env map[string]sym.Expr
+	// path's effect): the terminal state's persistent Env, shared with it
+	// rather than copied into a map.
+	Env Env
 	// Trace is the sequence of statement CFG node IDs executed.
 	Trace []int
 	// Cover is the sorted set of statement CFG node IDs covered by sibling

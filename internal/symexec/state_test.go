@@ -1,6 +1,10 @@
 package symexec
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"dise/internal/sym"
@@ -24,24 +28,190 @@ func TestEnvCopyOnWrite(t *testing.T) {
 	if v, _ := mod.Get("b"); v != sym.V("B") {
 		t.Fatalf("mod lost unrelated binding: b = %s", v)
 	}
-	// Inserting a new name grows by exactly one and keeps sorted order.
-	grown := mod.Set("ab", sym.Zero)
-	if grown.Len() != 3 || mod.Len() != 2 {
-		t.Fatalf("lengths after insert: grown %d (want 3), mod %d (want 2)", grown.Len(), mod.Len())
-	}
-	var names []string
-	grown.Each(func(name string, _ sym.Expr) { names = append(names, name) })
-	if names[0] != "a" || names[1] != "ab" || names[2] != "b" {
-		t.Fatalf("iteration order = %v, want [a ab b]", names)
-	}
-	// No-op write: binding the same canonical node shares the whole Env.
-	same := mod.Set("a", sym.Add(sym.V("A"), sym.One))
-	if len(same.entries) != len(mod.entries) || &same.entries[0] != &mod.entries[0] {
-		t.Fatalf("no-op write did not share the environment")
-	}
 	if _, ok := base.Get("missing"); ok {
 		t.Fatalf("Get of absent name reported present")
 	}
+}
+
+// sameEntries reports whether two entry slices are the same slice: equal
+// length over the same backing array.
+func sameEntries(a, b []envEntry) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// envNames lists an environment's names in Each order.
+func envNames(e Env) []string {
+	var names []string
+	e.Each(func(name string, _ sym.Expr) { names = append(names, name) })
+	return names
+}
+
+// TestEnvWriteLogShadowsBase pins that a write to a base binding lands in
+// the write log, shadows the base entry for Get, Each and Map, and leaves
+// the shared base untouched.
+func TestEnvWriteLogShadowsBase(t *testing.T) {
+	base := NewEnv(map[string]sym.Expr{"a": sym.V("A"), "b": sym.V("B")})
+	mod := base.Set("b", sym.Int(7))
+	if !sameEntries(mod.base, base.base) || len(mod.log) != 1 {
+		t.Fatalf("write copied the base (shared %v) or logged %d entries, want shared base and 1", sameEntries(mod.base, base.base), len(mod.log))
+	}
+	if v, _ := mod.Get("b"); v != sym.Int(7) {
+		t.Fatalf("Get(b) = %s, want the logged 7", v)
+	}
+	if v, _ := base.Get("b"); v != sym.V("B") {
+		t.Fatalf("base b = %s after the write, want B", v)
+	}
+	if got := envNames(mod); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Fatalf("Each names = %v, want [a b] (shadowed entry once)", got)
+	}
+	if mod.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", mod.Len())
+	}
+	if m := mod.Map(); len(m) != 2 || m["b"] != sym.Int(7) || m["a"] != sym.V("A") {
+		t.Fatalf("Map = %v", m)
+	}
+}
+
+// TestEnvWriteLogInsertAndFold pins the two insert paths: a new name joins
+// the log while it has room (base still shared), and a new name meeting a
+// full log folds base and log into a fresh base.
+func TestEnvWriteLogInsertAndFold(t *testing.T) {
+	base := NewEnv(map[string]sym.Expr{"m": sym.V("M")})
+	env := base
+	for i := 0; i < envLogMax; i++ {
+		env = env.Set(fmt.Sprintf("v%d", i), sym.Int(int64(i)))
+		if !sameEntries(env.base, base.base) || len(env.log) != i+1 {
+			t.Fatalf("insert %d: base shared %v, log %d entries, want shared and %d", i, sameEntries(env.base, base.base), len(env.log), i+1)
+		}
+	}
+	full := env
+	// Rewriting a logged name keeps the log's size: no fold.
+	if re := full.Set("v3", sym.Int(30)); len(re.log) != envLogMax || !sameEntries(re.base, base.base) {
+		t.Fatalf("rewrite of a logged name folded: log %d", len(re.log))
+	}
+	folded := full.Set("a", sym.Int(-1))
+	if len(folded.base) != 1+envLogMax || len(folded.log) != 1 {
+		t.Fatalf("fold: base %d entries, log %d, want %d and 1", len(folded.base), len(folded.log), 1+envLogMax)
+	}
+	want := []string{"a", "m", "v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"}
+	if got := envNames(folded); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Each names after fold = %v, want %v", got, want)
+	}
+	if folded.Len() != len(want) || full.Len() != len(want)-1 {
+		t.Fatalf("Len: folded %d, full %d", folded.Len(), full.Len())
+	}
+	if v, _ := folded.Get("v5"); v != sym.Int(5) {
+		t.Fatalf("folded v5 = %s, want 5", v)
+	}
+	if _, ok := full.Get("a"); ok || len(full.log) != envLogMax {
+		t.Fatalf("fold mutated the receiver")
+	}
+}
+
+// TestEnvNoOpWrite pins that rebinding a name to the expression it already
+// has returns the receiver itself, whether the binding lives in the base or
+// in the log.
+func TestEnvNoOpWrite(t *testing.T) {
+	env := NewEnv(map[string]sym.Expr{"a": sym.V("A"), "b": sym.V("B")}).Set("b", sym.Add(sym.V("B"), sym.One))
+	for _, w := range []struct {
+		name string
+		val  sym.Expr
+	}{{"a", sym.V("A")}, {"b", sym.Add(sym.V("B"), sym.One)}} {
+		same := env.Set(w.name, w.val)
+		if !sameEntries(same.base, env.base) || !sameEntries(same.log, env.log) {
+			t.Fatalf("no-op write of %s did not return the receiver", w.name)
+		}
+	}
+}
+
+// TestEnvMatchesMapModel replays a long deterministic write sequence —
+// rewrites, inserts, no-op writes, folds — against a plain map and checks
+// Get, Len, Each order and Map after every write.
+func TestEnvMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	model := map[string]sym.Expr{"p": sym.V("P"), "q": sym.V("Q")}
+	env := NewEnv(model)
+	for step := 0; step < 2000; step++ {
+		name := fmt.Sprintf("x%02d", rng.Intn(24))
+		val := sym.Int(int64(rng.Intn(4)))
+		prev := env
+		env = env.Set(name, val)
+		model[name] = val
+		if v, _ := prev.Get(name); v == val && (!sameEntries(env.base, prev.base) || !sameEntries(env.log, prev.log)) {
+			t.Fatalf("step %d: no-op write of %s allocated", step, name)
+		}
+		if len(env.log) > envLogMax {
+			t.Fatalf("step %d: log holds %d entries", step, len(env.log))
+		}
+		if env.Len() != len(model) {
+			t.Fatalf("step %d: Len = %d, want %d", step, env.Len(), len(model))
+		}
+		names := envNames(env)
+		if !sort.StringsAreSorted(names) || len(names) != len(model) {
+			t.Fatalf("step %d: Each names %v not sorted or wrong count", step, names)
+		}
+		for n, v := range model {
+			if got, ok := env.Get(n); !ok || got != v {
+				t.Fatalf("step %d: Get(%s) = %v, want %v", step, n, got, v)
+			}
+		}
+		if m := env.Map(); len(m) != len(model) {
+			t.Fatalf("step %d: Map has %d entries, want %d", step, len(m), len(model))
+		}
+	}
+}
+
+// TestTraceSharedTail pins the trace list: appends share the tail, Slice
+// restores execution order at exact size, Any sees every statement.
+func TestTraceSharedTail(t *testing.T) {
+	var root *Trace
+	a := root.Append(3)
+	b := a.Append(5)
+	sibling := a.Append(7)
+	if root.Len() != 0 || a.Len() != 1 || b.Len() != 2 || sibling.Len() != 2 {
+		t.Fatalf("lengths = %d/%d/%d/%d", root.Len(), a.Len(), b.Len(), sibling.Len())
+	}
+	if got := b.Slice(); len(got) != 2 || cap(got) != 2 || got[0] != 3 || got[1] != 5 {
+		t.Fatalf("b.Slice() = %v (cap %d)", got, cap(got))
+	}
+	if got := sibling.Slice(); got[0] != 3 || got[1] != 7 {
+		t.Fatalf("sibling.Slice() = %v", got)
+	}
+	if root.Slice() != nil {
+		t.Fatalf("empty trace materialized non-nil")
+	}
+	if !b.Any(func(id int) bool { return id == 3 }) || b.Any(func(id int) bool { return id == 7 }) {
+		t.Fatalf("Any disagrees with the trace's members")
+	}
+}
+
+// TestExploreBytesLinearInPathLength pins that a path costs memory linear in
+// its length: full symbolic execution of a straight-line procedure of N
+// statements may allocate at most 10x as much per run at N=400 as at N=50
+// (8x the statements). Copying the whole trace on every statement step made
+// the cost quadratic.
+func TestExploreBytesLinearInPathLength(t *testing.T) {
+	bytesPerRun := func(n int) int64 {
+		var src strings.Builder
+		src.WriteString("int g = 0;\nproc p(int x) {\n")
+		for i := 0; i < n; i++ {
+			src.WriteString("  g = g + x;\n")
+		}
+		src.WriteString("}\n")
+		e := newEngine(t, src.String(), "p", Config{})
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := len(e.RunFull().Paths); got != 1 {
+					b.Fatalf("paths = %d, want 1", got)
+				}
+			}
+		}).AllocedBytesPerOp()
+	}
+	short, long := bytesPerRun(50), bytesPerRun(400)
+	if short <= 0 || long > 10*short {
+		t.Fatalf("bytes per run: %d at 50 statements, %d at 400 (%.1fx), want at most 10x", short, long, float64(long)/float64(short))
+	}
+	t.Logf("bytes per run: %d at 50 statements, %d at 400 (%.1fx)", short, long, float64(long)/float64(short))
 }
 
 // TestPathCondSharedTail pins the path-condition list: appends share the
@@ -82,10 +252,10 @@ func TestPathCondSharedTail(t *testing.T) {
 	}
 }
 
-// TestForkSharesUntilWrite pins the copy-on-write fork: successor states
-// share the parent's environment backing and trace slice until a write or a
-// statement append replaces them, and sibling branch states never see each
-// other's extensions.
+// TestForkSharesUntilWrite pins the persistent fork: successor states share
+// the parent's environment and trace until a write or a statement append
+// extends them, and sibling branch states never see each other's
+// extensions.
 func TestForkSharesUntilWrite(t *testing.T) {
 	src := `proc p(int x) {
 		if (x > 0) {

@@ -128,7 +128,9 @@ func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session
 		if err != nil {
 			return nil, errKind(InvalidConfig, "", err)
 		}
-		engine.RunFull()
+		// Seeding records the trie; nobody reads its paths, so count them
+		// instead of collecting them.
+		symexec.NewExplorer(engine, symexec.ExploreOptions{CountOnly: true}).Run()
 		if err := engine.InterruptErr(); err != nil {
 			return nil, &Error{Kind: Cancelled, Err: err}
 		}
@@ -142,12 +144,12 @@ func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session
 }
 
 // MemoUsage reports the session trie's current size: node count and the
-// approximate retained bytes (memo.Tree.Bytes). The service store sums it
+// approximate retained bytes (memo.Tree.Usage). The service store sums it
 // across sessions to enforce a global trie-byte ceiling.
 func (s *Session) MemoUsage() (nodes int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.tree.Size(), s.tree.Bytes()
+	return s.tree.Usage()
 }
 
 // Step returns how many Advance calls have completed successfully.
@@ -223,6 +225,7 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 	// engine holds trie pointers; evicted subtrees re-solve cold if a later
 	// version needs them again.
 	evicted := s.tree.Enforce()
+	nodes, bytes := s.tree.Usage()
 	st := res.internal.Summary.Stats
 	res.Stats.Memo = MemoStats{
 		Enabled:            true,
@@ -233,8 +236,8 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 		NodesKept:          kept,
 		NodesInvalidated:   dropped,
 		NodesEvicted:       evicted,
-		TrieNodes:          s.tree.Size(),
-		TrieBytes:          s.tree.Bytes(),
+		TrieNodes:          nodes,
+		TrieBytes:          bytes,
 	}
 	s.prev = next
 	s.prevSig = sig
