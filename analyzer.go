@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dise/internal/artifacts"
 	"dise/internal/cfg"
 	"dise/internal/constraint"
 	idise "dise/internal/dise"
@@ -31,8 +32,7 @@ import (
 // internally synchronized — so a single Analyzer may be shared freely across
 // goroutines.
 //
-// Compared with the package-level functions (now deprecated wrappers), an
-// Analyzer adds:
+// An Analyzer provides:
 //
 //   - context support: every entry point takes a context.Context, and
 //     cancellation is polled inside the symbolic-execution step loop and the
@@ -104,7 +104,8 @@ func WithSolverNodeBudget(n int) Option {
 }
 
 // WithTransitiveWrites enables the write→write dataflow extension to the
-// paper's affected-set rules (DESIGN.md §6.4).
+// paper's affected-set rules: a change to "x = ..." also affects a later
+// "y = x" (internal/dise extensions_test.go pins the difference).
 func WithTransitiveWrites(on bool) Option {
 	return func(c *analyzerConfig) { c.transitiveWrites = on }
 }
@@ -255,20 +256,8 @@ func WithExploreParallelism(n int) Option {
 }
 
 // SearchStrategies lists the names accepted by WithSearchStrategy (and by
-// the -strategy flag of cmd/dise and cmd/symexec), default first.
+// the -strategy flag of dise, dise exec and dised), default first.
 func SearchStrategies() []string { return symexec.Strategies() }
-
-// WithOptions applies a legacy Options struct, for callers migrating from
-// the package-level API.
-func WithOptions(o Options) Option {
-	return func(c *analyzerConfig) {
-		c.depthBound = o.DepthBound
-		c.intDomain = o.IntDomain
-		c.concreteGlobals = o.ConcreteGlobals
-		c.solverNodeBudget = o.SolverNodeBudget
-		c.transitiveWrites = o.TransitiveWrites
-	}
-}
 
 // NewAnalyzer builds an Analyzer from functional options.
 func NewAnalyzer(opts ...Option) *Analyzer {
@@ -503,13 +492,6 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 	}, resultCfg, mod.prog, req.Proc)
 }
 
-// AnalyzeInterprocedural runs DiSE over a whole multi-procedure program:
-// both versions are inlined from the entry procedure and the
-// intra-procedural pipeline analyzes the result (paper §7).
-func (a *Analyzer) AnalyzeInterprocedural(ctx context.Context, baseSrc, modSrc, entryProc string) (*Result, error) {
-	return a.Analyze(ctx, Request{BaseSrc: baseSrc, ModSrc: modSrc, Proc: entryProc, Interprocedural: true})
-}
-
 // BatchResult pairs one request of an AnalyzeBatch call with its outcome.
 // Exactly one of Result and Err is non-nil.
 type BatchResult struct {
@@ -650,10 +632,10 @@ func (a *Analyzer) AffectedCFGDot(ctx context.Context, baseSrc, modSrc, procName
 }
 
 // EvaluationTables regenerates Table 2 and Table 3 of the paper for the
-// named artifact ("ASW", "WBS" or "OAE"). The context cancels the underlying
-// symbolic execution runs.
+// named artifact ("ASW", "WBS" or "OAE", in any letter case). The context
+// cancels the underlying symbolic execution runs.
 func (a *Analyzer) EvaluationTables(ctx context.Context, artifact string) (table2, table3 string, err error) {
-	art, ok := artifactByName(artifact)
+	art, ok := artifacts.ByName(artifact)
 	if !ok {
 		return "", "", errUnknownArtifact(artifact)
 	}

@@ -28,24 +28,6 @@ func wideArtifact(t testing.TB) (base string, mod string, proc string) {
 	return a.Base, a.SourceFor(v), a.Proc
 }
 
-func TestAnalyzerMatchesDeprecatedAPI(t *testing.T) {
-	a := NewAnalyzer()
-	got, err := a.Analyze(context.Background(), Request{BaseSrc: baseUpdate, ModSrc: modUpdate, Proc: "update"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Analyze(baseUpdate, modUpdate, "update", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs, ws := strings.Join(got.PathConditions(), "\n"), strings.Join(want.PathConditions(), "\n"); gs != ws {
-		t.Errorf("Analyzer paths:\n%s\nwrapper paths:\n%s", gs, ws)
-	}
-	if got.ChangedNodes != want.ChangedNodes {
-		t.Errorf("changed nodes: %d vs %d", got.ChangedNodes, want.ChangedNodes)
-	}
-}
-
 func TestAnalyzerErrorKinds(t *testing.T) {
 	a := NewAnalyzer()
 	ctx := context.Background()
@@ -349,31 +331,14 @@ func TestAnalyzeStreamEarlyStop(t *testing.T) {
 func TestAnalyzerInterprocedural(t *testing.T) {
 	mod := strings.Replace(interprocBase, "Total = Total + v;", "Total = Total + v + v;", 1)
 	a := NewAnalyzer()
-	res, err := a.AnalyzeInterprocedural(context.Background(), interprocBase, mod, "main")
+	res, err := a.Analyze(context.Background(), Request{BaseSrc: interprocBase, ModSrc: mod, Proc: "main", Interprocedural: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Paths) != 2 {
 		t.Fatalf("interprocedural paths = %d, want 2", len(res.Paths))
 	}
-	if _, err := a.AnalyzeInterprocedural(context.Background(), interprocBase, mod, "ghost"); !errors.Is(err, &Error{Kind: UnknownProc}) {
+	if _, err := a.Analyze(context.Background(), Request{BaseSrc: interprocBase, ModSrc: mod, Proc: "ghost", Interprocedural: true}); !errors.Is(err, &Error{Kind: UnknownProc}) {
 		t.Errorf("unknown entry: %v", err)
-	}
-}
-
-func TestWithOptionsShim(t *testing.T) {
-	domain := [2]int64{-1_000_000, 1_000_000}
-	a := NewAnalyzer(WithOptions(Options{IntDomain: &domain}))
-	sum, err := a.Execute(context.Background(), modUpdate, "update")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewAnalyzer(WithIntDomain(-1_000_000, 1_000_000))
-	sum2, err := b.Execute(context.Background(), modUpdate, "update")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum.Paths) != 24 || len(sum2.Paths) != 24 {
-		t.Fatalf("full-range paths = %d/%d, want 24 (both option styles)", len(sum.Paths), len(sum2.Paths))
 	}
 }

@@ -1,7 +1,7 @@
 package dise
 
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablation and component benchmarks. Mapping (see DESIGN.md §4):
+// plus ablation and component benchmarks. Mapping:
 //
 //	BenchmarkFig1TestXTree        — Fig. 1 symbolic execution tree
 //	BenchmarkFig2MotivatingFull   — §2.2: 21 path conditions (full SE)
@@ -9,10 +9,10 @@ package dise
 //	BenchmarkTable2aASW           — Table 2(a): all 15 ASW versions
 //	BenchmarkTable2bWBS           — Table 2(b): all 16 WBS versions
 //	BenchmarkTable2cOAE           — Table 2(c): OAE v1 (the full 9-version
-//	                                table is regenerated by cmd/evaltables;
+//	                                table is regenerated by dise tables;
 //	                                one wide version keeps bench time sane)
 //	BenchmarkTable3a/b/cSelection — Table 3: test selection + augmentation
-//	BenchmarkAblation*            — design-choice ablations (DESIGN.md §5)
+//	BenchmarkAblation*            — design-choice ablations
 //	Benchmark<component>          — parser, CFG analyses, solver, engines
 
 import (
@@ -45,7 +45,7 @@ proc testX(int x) {
 
 func BenchmarkFig1TestXTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ExecutionTree(benchTestX, "testX", Options{}); err != nil {
+		if _, err := NewAnalyzer().ExecutionTree(context.Background(), benchTestX, "testX"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func BenchmarkFig1TestXTree(b *testing.B) {
 
 func BenchmarkFig2MotivatingFull(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sum, err := Execute(modUpdate, "update", Options{})
+		sum, err := NewAnalyzer().Execute(context.Background(), modUpdate, "update")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +65,8 @@ func BenchmarkFig2MotivatingFull(b *testing.B) {
 
 func BenchmarkFig2MotivatingDiSE(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := Analyze(baseUpdate, modUpdate, "update", Options{})
+		res, err := NewAnalyzer().Analyze(context.Background(),
+			Request{BaseSrc: baseUpdate, ModSrc: modUpdate, Proc: "update"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func BenchmarkTable2aASW(b *testing.B) { benchTable2(b, "ASW") }
 func BenchmarkTable2bWBS(b *testing.B) { benchTable2(b, "WBS") }
 
 // BenchmarkTable2cOAE benchmarks one wide OAE version (v1) — full SE vs
-// DiSE — rather than the whole 9-version table, which cmd/evaltables
+// DiSE — rather than the whole 9-version table, which dise tables
 // regenerates in about half a minute.
 func BenchmarkTable2cOAE(b *testing.B) {
 	a, _ := artifacts.ByName("OAE")
@@ -168,7 +169,7 @@ func BenchmarkTable3aASWSelection(b *testing.B) { benchTable3(b, "ASW", "v6") }
 func BenchmarkTable3bWBSSelection(b *testing.B) { benchTable3(b, "WBS", "v6") }
 func BenchmarkTable3cOAESelection(b *testing.B) { benchTable3(b, "OAE", "v4") }
 
-// --- ablations (DESIGN.md §5) -------------------------------------------------
+// --- ablations ---------------------------------------------------------------
 
 // BenchmarkAblationDomain compares the Choco-like non-negative input domain
 // against a full signed range on the motivating example: the domain choice
@@ -176,7 +177,7 @@ func BenchmarkTable3cOAESelection(b *testing.B) { benchTable3(b, "OAE", "v4") }
 func BenchmarkAblationDomain(b *testing.B) {
 	b.Run("NonNegativeDefault", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sum, err := Execute(modUpdate, "update", Options{})
+			sum, err := NewAnalyzer().Execute(context.Background(), modUpdate, "update")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,9 +187,9 @@ func BenchmarkAblationDomain(b *testing.B) {
 		}
 	})
 	b.Run("FullRange", func(b *testing.B) {
-		domain := [2]int64{-1_000_000, 1_000_000}
 		for i := 0; i < b.N; i++ {
-			sum, err := Execute(modUpdate, "update", Options{IntDomain: &domain})
+			a := NewAnalyzer(WithIntDomain(-1_000_000, 1_000_000))
+			sum, err := a.Execute(context.Background(), modUpdate, "update")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -560,7 +561,7 @@ func BenchmarkDiSENarrowChangeASW(b *testing.B) {
 }
 
 func BenchmarkTestGeneration(b *testing.B) {
-	sum, err := Execute(modUpdate, "update", Options{})
+	sum, err := NewAnalyzer().Execute(context.Background(), modUpdate, "update")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -661,7 +662,8 @@ func BenchmarkDiffWBS(b *testing.B) {
 	v, _ := a.Find("v15")
 	baseSrc, modSrc := a.Base, a.SourceFor(v)
 	for i := 0; i < b.N; i++ {
-		res, err := Analyze(baseSrc, modSrc, a.Proc, Options{})
+		res, err := NewAnalyzer().Analyze(context.Background(),
+			Request{BaseSrc: baseSrc, ModSrc: modSrc, Proc: a.Proc})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 // Command dise runs Directed Incremental Symbolic Execution on two versions
 // of a procedure and prints the affected locations, the affected path
-// conditions, and (optionally) regression tests. Ctrl-C cancels the
-// analysis cleanly through the Analyzer's context plumbing.
+// conditions, and (optionally) regression tests. Its subcommands run full
+// symbolic execution, render CFGs and regenerate the paper's evaluation
+// tables. Ctrl-C cancels every mode cleanly through the Analyzer's context
+// plumbing.
 //
 // Usage:
 //
@@ -32,6 +34,21 @@
 //
 //	dise -chain v1.mini,v2.mini,v3.mini [-proc update] [-json]
 //	dise -artifact asw|wbs|oae [-json]
+//
+// Subcommands:
+//
+//	dise exec -src prog.mini [-proc update] [-tree] [-tests] [-depth N]
+//	          [-strategy dfs|bfs|directed] [-explore-parallelism N]
+//	dise cfg -src new.mini [-base old.mini] [-proc update]
+//	dise tables [-artifact asw|wbs|oae] [-depth N]
+//
+// exec runs full (traditional) symbolic execution — the control technique
+// of the paper's evaluation — and prints its path conditions, or with -tree
+// the symbolic execution tree of Fig. 1. cfg prints a procedure's control
+// flow graph in Graphviz DOT (Fig. 2(b)); with -base, the modified version's
+// CFG with affected conditionals in light red and affected writes in light
+// blue. tables regenerates Tables 2 and 3 on the built-in artifacts (all
+// three by default).
 package main
 
 import (
@@ -60,6 +77,15 @@ type jsonResult struct {
 }
 
 func main() {
+	ctx0, stop0 := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop0()
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			sub(ctx0, os.Args[2:])
+			return
+		}
+	}
+
 	basePath := flag.String("base", "", "path to the base (original) version source")
 	modPath := flag.String("mod", "", "path to the modified version source")
 	proc := flag.String("proc", "", "procedure under analysis (default: the only procedure)")
@@ -77,13 +103,20 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the analysis after this long, reporting the Cancelled kind (0 = no timeout)")
 	flag.Parse()
 
-	ctx0, stop0 := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop0()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx0, cancel = context.WithTimeout(ctx0, *timeout)
 		defer cancel()
 	}
+	a := dise.NewAnalyzer(
+		dise.WithDepthBound(*depth),
+		dise.WithSolverBackend(*solverName),
+		dise.WithSMTSolver(*smtSolver),
+		dise.WithPortfolioMembers(splitMembers(*portfolio)...),
+		dise.WithSearchStrategy(*strategy),
+		dise.WithExploreParallelism(*exploreParallelism),
+		dise.WithStateMerging(*mergeBound),
+	)
 
 	if *chain != "" || *artifact != "" {
 		// Reject pairwise-only flags instead of silently ignoring them.
@@ -98,24 +131,14 @@ func main() {
 			// flag-level message instead of a session error.
 			exitOn(fmt.Errorf("-merge-bound is not supported in chain mode: state merging is incompatible with memoized sessions"))
 		}
-		runChain(ctx0, chainConfig{
-			chain:              *chain,
-			artifact:           *artifact,
-			proc:               *proc,
-			depth:              *depth,
-			asJSON:             *asJSON,
-			solver:             *solverName,
-			smtSolver:          *smtSolver,
-			portfolio:          *portfolio,
-			strategy:           *strategy,
-			exploreParallelism: *exploreParallelism,
-		})
+		runChain(ctx0, a, chainConfig{chain: *chain, artifact: *artifact, proc: *proc, asJSON: *asJSON})
 		return
 	}
 
 	if *basePath == "" || *modPath == "" {
 		fmt.Fprintln(os.Stderr, "usage: dise -base OLD -mod NEW [-proc NAME] [-tests] [-depth N] [-json] [-solver NAME] [-smt-solver PATH] [-portfolio NAMES] [-strategy NAME] [-explore-parallelism N]")
 		fmt.Fprintln(os.Stderr, "       dise -chain V1,V2,... | -artifact asw|wbs|oae  [-proc NAME] [-json]")
+		fmt.Fprintln(os.Stderr, "       dise exec|cfg|tables -h")
 		os.Exit(2)
 	}
 	baseSrc, err := os.ReadFile(*basePath)
@@ -130,15 +153,6 @@ func main() {
 		procName = inferProc(string(modSrc))
 	}
 
-	a := dise.NewAnalyzer(
-		dise.WithDepthBound(*depth),
-		dise.WithSolverBackend(*solverName),
-		dise.WithSMTSolver(*smtSolver),
-		dise.WithPortfolioMembers(splitMembers(*portfolio)...),
-		dise.WithSearchStrategy(*strategy),
-		dise.WithExploreParallelism(*exploreParallelism),
-		dise.WithStateMerging(*mergeBound),
-	)
 	res, err := a.Analyze(ctx, dise.Request{
 		BaseSrc: string(baseSrc),
 		ModSrc:  string(modSrc),
@@ -152,15 +166,8 @@ func main() {
 			ts, err = res.Tests()
 			exitAnalysisOn(*asJSON, err)
 		}
-		out := jsonResult{
-			Procedure:                procName,
-			ChangedNodes:             res.ChangedNodes,
-			AffectedConditionalLines: res.AffectedConditionalLines,
-			AffectedWriteLines:       res.AffectedWriteLines,
-			Stats:                    res.Stats,
-			Paths:                    res.Paths,
-			Tests:                    ts,
-		}
+		out := resultJSON(procName, res)
+		out.Tests = ts
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		exitOn(enc.Encode(out))
@@ -183,38 +190,56 @@ func main() {
 			ms.Bound, ms.Merges, ms.MergedStatesSaved, ms.IteNodes)
 	}
 	fmt.Printf("time:                 %dms\n", res.Stats.TimeMilliseconds)
-	fmt.Printf("affected path conditions: %d\n", len(res.Paths))
-	for i, p := range res.Paths {
+	printPaths("affected path conditions", res.Paths)
+	if *tests {
+		// Solved after the report so a test-generation failure never eats
+		// the analysis output.
+		ts, err := res.Tests()
+		exitAnalysisOn(false, err)
+		printTests(ts)
+	}
+}
+
+// printPaths lists path conditions under a counted heading, marking the
+// paths that end in an assertion failure.
+func printPaths(heading string, paths []dise.PathInfo) {
+	fmt.Printf("%s: %d\n", heading, len(paths))
+	for i, p := range paths {
 		marker := ""
 		if p.AssertViolated {
 			marker = "  [ASSERTION VIOLATION]"
 		}
 		fmt.Printf("  PC%-3d %s%s\n", i+1, p.PathCondition, marker)
 	}
-	if *tests {
-		// Solved after the report so a test-generation failure never eats
-		// the analysis output.
-		ts, err := res.Tests()
-		exitAnalysisOn(false, err)
-		fmt.Printf("test inputs: %d\n", len(ts))
-		for _, tc := range ts {
-			fmt.Printf("  %s\n", tc.Call)
-		}
+}
+
+// printTests lists generated test inputs as calls.
+func printTests(ts []dise.TestCase) {
+	fmt.Printf("test inputs: %d\n", len(ts))
+	for _, tc := range ts {
+		fmt.Printf("  %s\n", tc.Call)
 	}
 }
 
-// chainConfig carries the flags of chain mode.
+// resultJSON projects an analysis result onto the -json output shape.
+func resultJSON(procName string, res *dise.Result) jsonResult {
+	return jsonResult{
+		Procedure:                procName,
+		ChangedNodes:             res.ChangedNodes,
+		AffectedConditionalLines: res.AffectedConditionalLines,
+		AffectedWriteLines:       res.AffectedWriteLines,
+		Stats:                    res.Stats,
+		Paths:                    res.Paths,
+	}
+}
+
+// chainConfig carries the mode flags of chain mode; the Analyzer flags are
+// applied by main.
 type chainConfig struct {
-	chain              string
-	artifact           string
-	proc               string
-	depth              int
-	asJSON             bool
-	solver             string
-	smtSolver          string
-	portfolio          string
-	strategy           string
-	exploreParallelism int
+	chain    string
+	artifact string
+	proc     string
+	asJSON   bool
 }
 
 // splitMembers parses the comma-separated -portfolio flag value.
@@ -248,10 +273,10 @@ type chainOutput struct {
 	Steps     []chainStep `json:"steps"`
 }
 
-// runChain drives a version-chain session over the given version files (or a
-// built-in artifact's evolution chain), printing per-step timing and memo
-// statistics.
-func runChain(ctx context.Context, cfg chainConfig) {
+// runChain drives a version-chain session on a over the given version files
+// (or a built-in artifact's evolution chain), printing per-step timing and
+// memo statistics.
+func runChain(ctx context.Context, a *dise.Analyzer, cfg chainConfig) {
 	var (
 		names    []string
 		sources  []string
@@ -261,7 +286,7 @@ func runChain(ctx context.Context, cfg chainConfig) {
 	case cfg.artifact != "" && cfg.chain != "":
 		exitOn(fmt.Errorf("-chain and -artifact are mutually exclusive"))
 	case cfg.artifact != "":
-		art, ok := artifacts.ByName(strings.ToUpper(cfg.artifact))
+		art, ok := artifacts.ByName(cfg.artifact)
 		if !ok {
 			exitOn(fmt.Errorf("unknown artifact %q (have asw, wbs, oae)", cfg.artifact))
 		}
@@ -291,14 +316,6 @@ func runChain(ctx context.Context, cfg chainConfig) {
 		procName = inferProc(sources[0])
 	}
 
-	a := dise.NewAnalyzer(
-		dise.WithDepthBound(cfg.depth),
-		dise.WithSolverBackend(cfg.solver),
-		dise.WithSMTSolver(cfg.smtSolver),
-		dise.WithPortfolioMembers(splitMembers(cfg.portfolio)...),
-		dise.WithSearchStrategy(cfg.strategy),
-		dise.WithExploreParallelism(cfg.exploreParallelism),
-	)
 	seedStart := time.Now()
 	sess, err := a.NewSession(ctx, dise.SessionRequest{InitialSrc: sources[0], Proc: procName})
 	exitAnalysisOn(cfg.asJSON, err)
@@ -320,14 +337,7 @@ func runChain(ctx context.Context, cfg chainConfig) {
 			out.Steps = append(out.Steps, chainStep{
 				Version:             names[i],
 				AdvanceMilliseconds: elapsed,
-				jsonResult: jsonResult{
-					Procedure:                procName,
-					ChangedNodes:             res.ChangedNodes,
-					AffectedConditionalLines: res.AffectedConditionalLines,
-					AffectedWriteLines:       res.AffectedWriteLines,
-					Stats:                    res.Stats,
-					Paths:                    res.Paths,
-				},
+				jsonResult:          resultJSON(procName, res),
 			})
 			continue
 		}

@@ -19,17 +19,14 @@
 //	a := dise.NewAnalyzer()
 //	res, err := a.Analyze(ctx, dise.Request{BaseSrc: baseSrc, ModSrc: modSrc, Proc: "update"})
 //	for _, pc := range res.PathConditions() { fmt.Println(pc) }
-//
-// The package-level functions (Analyze, Execute, ...) are deprecated thin
-// wrappers over a throwaway Analyzer, kept for compatibility.
 package dise
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
 	"dise/internal/artifacts"
+	"dise/internal/constraint"
 	idise "dise/internal/dise"
 	"dise/internal/inline"
 	"dise/internal/lang/ast"
@@ -38,35 +35,6 @@ import (
 	"dise/internal/symexec"
 	"dise/internal/testgen"
 )
-
-// Options configures an analysis.
-//
-// Deprecated: Options is the configuration struct of the legacy
-// package-level API. New code should construct an Analyzer with functional
-// options (WithDepthBound, WithIntDomain, ...); WithOptions adapts an
-// existing Options value.
-type Options struct {
-	// DepthBound limits the number of CFG nodes executed on one path
-	// (loop/recursion bound, paper §2.1). Zero selects the default of 1000.
-	DepthBound int
-	// IntDomain overrides the solver domain of integer symbolic inputs.
-	// The zero value selects the Choco-like non-negative default
-	// [0, 1e6] (see DESIGN.md).
-	IntDomain *[2]int64
-	// ConcreteGlobals makes globals take their declared initializers
-	// instead of fresh symbolic values.
-	ConcreteGlobals bool
-	// SolverNodeBudget caps constraint-solver search nodes per
-	// satisfiability check (0 = default). Exhausted budgets are treated as
-	// unsatisfiable, as SPF does (paper §4.1).
-	SolverNodeBudget int
-	// TransitiveWrites enables the write→write dataflow extension to the
-	// paper's affected-set rules (DESIGN.md §6.4).
-	TransitiveWrites bool
-}
-
-// analyzer builds a single-use Analyzer mirroring the legacy options.
-func (o Options) analyzer() *Analyzer { return NewAnalyzer(WithOptions(o)) }
 
 // Program is a parsed and type-checked program.
 type Program struct {
@@ -226,69 +194,9 @@ func (m *MergeStats) Add(o MergeStats) {
 // SolverStats is the observability block of the constraint subsystem: how
 // many satisfiability checks ran, how the assertion stack moved with the
 // exploration tree, and how many checks the prefix-reuse machinery (cache,
-// witness models, propagation snapshots) answered without a full solve.
-type SolverStats struct {
-	Backend       string `json:"backend"`
-	Checks        int    `json:"checks"`
-	Sat           int    `json:"sat"`
-	Unsat         int    `json:"unsat"`
-	Unknown       int    `json:"unknown"`
-	PushedFrames  int    `json:"pushed_frames"`
-	PoppedFrames  int    `json:"popped_frames"`
-	CacheHits     int    `json:"cache_hits"`
-	CacheMisses   int    `json:"cache_misses"`
-	ModelReuses   int    `json:"model_reuses"`
-	BoxConflicts  int    `json:"box_conflicts"`
-	FullSolves    int    `json:"full_solves"`
-	FrameMemoHits int    `json:"frame_memo_hits"`
-
-	// Resilience counters of the external-solver path ("smtlib" backend,
-	// alone or inside a portfolio). All zero — and omitted from JSON — for
-	// purely in-process backends. Every rung of the degradation ladder
-	// moves one of these; none of them ever moves a verdict.
-	ExtSolves       int `json:"ext_solves,omitempty"`
-	ExtAnswers      int `json:"ext_answers,omitempty"`
-	ExtUnknowns     int `json:"ext_unknowns,omitempty"`
-	ExtTimeouts     int `json:"ext_timeouts,omitempty"`
-	ExtRestarts     int `json:"ext_restarts,omitempty"`
-	ExtBreakerTrips int `json:"ext_breaker_trips,omitempty"`
-	FallbackSolves  int `json:"fallback_solves,omitempty"`
-	MemberFailures  int `json:"member_failures,omitempty"`
-	// CheckPanics counts Backend.Check panics the engine contained
-	// (recovered, reported Unknown, kept exploring).
-	CheckPanics int `json:"check_panics,omitempty"`
-}
-
-// Add accumulates one run's solver counters into an aggregate — the
-// facade-level mirror of constraint.Stats.Add, for services that sum
-// per-request Stats into cumulative totals. The backend name is kept from
-// the first non-empty sample.
-func (s *SolverStats) Add(o SolverStats) {
-	if s.Backend == "" {
-		s.Backend = o.Backend
-	}
-	s.Checks += o.Checks
-	s.Sat += o.Sat
-	s.Unsat += o.Unsat
-	s.Unknown += o.Unknown
-	s.PushedFrames += o.PushedFrames
-	s.PoppedFrames += o.PoppedFrames
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.ModelReuses += o.ModelReuses
-	s.BoxConflicts += o.BoxConflicts
-	s.FullSolves += o.FullSolves
-	s.FrameMemoHits += o.FrameMemoHits
-	s.ExtSolves += o.ExtSolves
-	s.ExtAnswers += o.ExtAnswers
-	s.ExtUnknowns += o.ExtUnknowns
-	s.ExtTimeouts += o.ExtTimeouts
-	s.ExtRestarts += o.ExtRestarts
-	s.ExtBreakerTrips += o.ExtBreakerTrips
-	s.FallbackSolves += o.FallbackSolves
-	s.MemberFailures += o.MemberFailures
-	s.CheckPanics += o.CheckPanics
-}
+// witness models, propagation snapshots) answered without a full solve. It
+// is the constraint package's counter set itself, JSON tags included.
+type SolverStats = constraint.Stats
 
 // Add accumulates one session step's memo counters into an aggregate. In the
 // aggregate, Step counts the enabled (session-step) samples added, and
@@ -356,32 +264,8 @@ func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
 		SolverCalls:        s.Solver.Checks,
 		SearchStrategy:     strategy,
 		ExploreParallelism: workers,
-		Solver: SolverStats{
-			Backend:       s.Solver.Backend,
-			Checks:        s.Solver.Checks,
-			Sat:           s.Solver.Sat,
-			Unsat:         s.Solver.Unsat,
-			Unknown:       s.Solver.Unknown,
-			PushedFrames:  s.Solver.PushedFrames,
-			PoppedFrames:  s.Solver.PoppedFrames,
-			CacheHits:     s.Solver.CacheHits,
-			CacheMisses:   s.Solver.CacheMisses,
-			ModelReuses:   s.Solver.ModelReuses,
-			BoxConflicts:  s.Solver.BoxConflicts,
-			FullSolves:    s.Solver.FullSolves,
-			FrameMemoHits: s.Solver.FrameMemoHits,
-
-			ExtSolves:       s.Solver.ExtSolves,
-			ExtAnswers:      s.Solver.ExtAnswers,
-			ExtUnknowns:     s.Solver.ExtUnknowns,
-			ExtTimeouts:     s.Solver.ExtTimeouts,
-			ExtRestarts:     s.Solver.ExtRestarts,
-			ExtBreakerTrips: s.Solver.ExtBreakerTrips,
-			FallbackSolves:  s.Solver.FallbackSolves,
-			MemberFailures:  s.Solver.MemberFailures,
-			CheckPanics:     s.CheckPanics,
-		},
-		Merge: merge,
+		Solver:             s.Solver,
+		Merge:              merge,
 	}
 }
 
@@ -414,26 +298,6 @@ func (r *Result) PathConditions() []string {
 	return out
 }
 
-// Analyze runs the full DiSE pipeline on two versions of procedure procName
-// given as source text.
-//
-// Deprecated: use Analyzer.Analyze, which accepts a context and reuses a
-// parse/CFG cache across calls.
-func Analyze(baseSrc, modSrc, procName string, opts Options) (*Result, error) {
-	return opts.analyzer().Analyze(context.Background(),
-		Request{BaseSrc: baseSrc, ModSrc: modSrc, Proc: procName})
-}
-
-// AnalyzeInterprocedural runs DiSE over a whole multi-procedure program:
-// both versions are inlined from the entry procedure (expanding every call,
-// see internal/inline) and the intra-procedural pipeline analyzes the
-// result. Requires an acyclic call graph and single-exit callees.
-//
-// Deprecated: use Analyzer.AnalyzeInterprocedural.
-func AnalyzeInterprocedural(baseSrc, modSrc, entryProc string, opts Options) (*Result, error) {
-	return opts.analyzer().AnalyzeInterprocedural(context.Background(), baseSrc, modSrc, entryProc)
-}
-
 // InlineProgram expands every call reachable from entryProc and returns the
 // single-procedure program as pretty-printed source.
 func InlineProgram(src, entryProc string) (string, error) {
@@ -464,22 +328,6 @@ func (s *Summary) PathConditions() []string {
 		out[i] = p.PathCondition
 	}
 	return out
-}
-
-// Execute runs full symbolic execution of procedure procName — the paper's
-// control technique ("Full Symbc").
-//
-// Deprecated: use Analyzer.Execute.
-func Execute(src, procName string, opts Options) (*Summary, error) {
-	return opts.analyzer().Execute(context.Background(), src, procName)
-}
-
-// ExecutionTree renders the symbolic execution tree (paper Fig. 1) of
-// procedure procName.
-//
-// Deprecated: use Analyzer.ExecutionTree.
-func ExecutionTree(src, procName string, opts Options) (string, error) {
-	return opts.analyzer().ExecutionTree(context.Background(), src, procName)
 }
 
 // TestCase is a concrete invocation of the procedure under analysis,
@@ -537,22 +385,6 @@ func SelectAugment(baseSuite, diseTests []TestCase) Selection {
 	}
 }
 
-// CFGDot renders the control flow graph of procedure procName in Graphviz
-// DOT format (paper Fig. 2(b)).
-//
-// Deprecated: use Analyzer.CFGDot.
-func CFGDot(src, procName string) (string, error) {
-	return NewAnalyzer().CFGDot(src, procName)
-}
-
-// AffectedCFGDot renders the modified version's CFG with affected nodes
-// highlighted.
-//
-// Deprecated: use Analyzer.AffectedCFGDot.
-func AffectedCFGDot(baseSrc, modSrc, procName string, opts Options) (string, error) {
-	return opts.analyzer().AffectedCFGDot(context.Background(), baseSrc, modSrc, procName)
-}
-
 // EvaluationArtifacts lists the names of the built-in evaluation artifacts
 // (the paper's WBS, ASW and OAE re-creations).
 func EvaluationArtifacts() []string {
@@ -562,17 +394,6 @@ func EvaluationArtifacts() []string {
 	}
 	return out
 }
-
-// EvaluationTables regenerates Table 2 and Table 3 of the paper for the
-// named artifact ("ASW", "WBS" or "OAE") and returns their rendered forms.
-//
-// Deprecated: use Analyzer.EvaluationTables.
-func EvaluationTables(artifact string, opts Options) (table2, table3 string, err error) {
-	return opts.analyzer().EvaluationTables(context.Background(), artifact)
-}
-
-// artifactByName resolves an evaluation artifact for Analyzer.EvaluationTables.
-func artifactByName(name string) (artifacts.Artifact, bool) { return artifacts.ByName(name) }
 
 func errUnknownArtifact(name string) error {
 	return fmt.Errorf("unknown artifact %q (have %v)", name, EvaluationArtifacts())

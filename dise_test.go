@@ -1,6 +1,7 @@
 package dise
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,8 @@ proc update(int PedalPos, int BSwitch, int PedalCmd) {
 var modUpdate = strings.Replace(baseUpdate, "PedalPos == 0", "PedalPos <= 0", 1)
 
 func TestAnalyzeMotivatingExample(t *testing.T) {
-	res, err := Analyze(baseUpdate, modUpdate, "update", Options{})
+	res, err := NewAnalyzer().Analyze(context.Background(),
+		Request{BaseSrc: baseUpdate, ModSrc: modUpdate, Proc: "update"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestAnalyzeMotivatingExample(t *testing.T) {
 }
 
 func TestExecuteMotivatingExample(t *testing.T) {
-	sum, err := Execute(modUpdate, "update", Options{})
+	sum, err := NewAnalyzer().Execute(context.Background(), modUpdate, "update")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,22 +85,25 @@ func TestExecuteMotivatingExample(t *testing.T) {
 }
 
 func TestFullRangeDomainOption(t *testing.T) {
-	domain := [2]int64{-1_000_000, 1_000_000}
-	sum, err := Execute(modUpdate, "update", Options{IntDomain: &domain})
+	a := NewAnalyzer(WithIntDomain(-1_000_000, 1_000_000))
+	sum, err := a.Execute(context.Background(), modUpdate, "update")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Over a full-range domain the PedalCmd == 2 branch becomes feasible in
+	// every arm of the first conditional: 24 paths instead of 21.
 	if len(sum.Paths) != 24 {
-		t.Fatalf("full-range path conditions = %d, want 24 (ablation, DESIGN.md)", len(sum.Paths))
+		t.Fatalf("full-range path conditions = %d, want 24", len(sum.Paths))
 	}
 }
 
 func TestSelectAugmentWorkflow(t *testing.T) {
-	baseSum, err := Execute(baseUpdate, "update", Options{})
+	a, ctx := NewAnalyzer(), context.Background()
+	baseSum, err := a.Execute(ctx, baseUpdate, "update")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(baseUpdate, modUpdate, "update", Options{})
+	res, err := a.Analyze(ctx, Request{BaseSrc: baseUpdate, ModSrc: modUpdate, Proc: "update"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ proc testX(int x) {
   }
 }
 `
-	tree, err := ExecutionTree(src, "testX", Options{})
+	tree, err := NewAnalyzer().ExecutionTree(context.Background(), src, "testX")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,14 +140,15 @@ proc testX(int x) {
 }
 
 func TestCFGDotOutputs(t *testing.T) {
-	dot, err := CFGDot(modUpdate, "update")
+	a := NewAnalyzer()
+	dot, err := a.CFGDot(modUpdate, "update")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(dot, "digraph cfg") || !strings.Contains(dot, "diamond") {
 		t.Errorf("CFG dot output malformed:\n%s", dot)
 	}
-	affected, err := AffectedCFGDot(baseUpdate, modUpdate, "update", Options{})
+	affected, err := a.AffectedCFGDot(context.Background(), baseUpdate, modUpdate, "update")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +164,14 @@ func TestParseProgramErrors(t *testing.T) {
 	if _, err := ParseProgram("proc p() { x = y; }"); err == nil {
 		t.Error("expected type error (undefined variable)")
 	}
-	if _, err := Analyze("proc a() { skip; }", "proc a() { skip; }", "zzz", Options{}); err == nil {
+	a, ctx := NewAnalyzer(), context.Background()
+	if _, err := a.Analyze(ctx, Request{BaseSrc: "proc a() { skip; }", ModSrc: "proc a() { skip; }", Proc: "zzz"}); err == nil {
 		t.Error("expected missing-procedure error")
 	}
-	if _, err := Execute("proc a() { skip; }", "zzz", Options{}); err == nil {
+	if _, err := a.Execute(ctx, "proc a() { skip; }", "zzz"); err == nil {
 		t.Error("expected missing-procedure error")
 	}
-	if _, _, err := EvaluationTables("nope", Options{}); err == nil {
+	if _, _, err := a.EvaluationTables(ctx, "nope"); err == nil {
 		t.Error("expected unknown-artifact error")
 	}
 }
@@ -196,7 +203,7 @@ func TestEvaluationArtifactNames(t *testing.T) {
 }
 
 func TestEvaluationTablesWBS(t *testing.T) {
-	t2, t3, err := EvaluationTables("WBS", Options{})
+	t2, t3, err := NewAnalyzer().EvaluationTables(context.Background(), "WBS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +226,7 @@ proc p(int a) {
   assert x <= 100;
 }`
 	mod := strings.Replace(base, "x = 100;", "x = a;", 1)
-	res, err := Analyze(base, mod, "p", Options{})
+	res, err := NewAnalyzer().Analyze(context.Background(), Request{BaseSrc: base, ModSrc: mod, Proc: "p"})
 	if err != nil {
 		t.Fatal(err)
 	}

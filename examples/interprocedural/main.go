@@ -75,7 +75,12 @@ func main() {
 	fmt.Println("inlined system under analysis:")
 	fmt.Println(flat)
 
-	res, err := analyzer.AnalyzeInterprocedural(ctx, baseSystem, modSystem, "cycle")
+	res, err := analyzer.Analyze(ctx, dise.Request{
+		BaseSrc:         baseSystem,
+		ModSrc:          modSystem,
+		Proc:            "cycle",
+		Interprocedural: true,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,10 +80,11 @@ func (a Artifact) ProgramFor(v Version) *ast.Program { return parser.MustParse(a
 // All returns the artifact catalog in the paper's order.
 func All() []Artifact { return []Artifact{asw, wbs, oae} }
 
-// ByName looks an artifact up by its table name ("ASW", "WBS" or "OAE").
+// ByName looks an artifact up by its table name ("ASW", "WBS" or "OAE"),
+// in any letter case.
 func ByName(name string) (Artifact, bool) {
 	for _, a := range All() {
-		if a.Name == name {
+		if strings.EqualFold(a.Name, name) {
 			return a, true
 		}
 	}

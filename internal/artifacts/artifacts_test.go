@@ -1,6 +1,7 @@
 package artifacts
 
 import (
+	"strings"
 	"testing"
 
 	"dise/internal/diff"
@@ -64,6 +65,11 @@ func TestByName(t *testing.T) {
 		}
 		if _, ok := a.Find("ghost"); ok {
 			t.Errorf("%s: Find(ghost) should fail", name)
+		}
+	}
+	for _, name := range []string{"wbs", "Oae", "asW"} {
+		if a, ok := ByName(name); !ok || !strings.EqualFold(a.Name, name) {
+			t.Errorf("ByName(%q) = %v, %v; want a case-insensitive match", name, a.Name, ok)
 		}
 	}
 	if _, ok := ByName("nope"); ok {

@@ -118,49 +118,58 @@ type Caps struct {
 	Bitwise bool
 }
 
-// Stats counts backend work across Checks. The frame counters expose the
-// push/pop traffic of the exploration tree; the cache and reuse counters
-// quantify how much solving the incremental machinery avoided.
+// Stats counts backend work across Checks. It is also the solver_stats block
+// of the dise facade's JSON and of the service's /metrics, so the JSON tags
+// are part of the wire format. The frame counters expose the push/pop
+// traffic of the exploration tree; the cache and reuse counters quantify how
+// much solving the incremental machinery avoided.
 type Stats struct {
-	Backend string // registry name of the backend that produced the stats
+	Backend string `json:"backend"` // registry name of the backend that produced the stats
 
-	Checks  int // Check invocations
-	Sat     int
-	Unsat   int
-	Unknown int // budget exhausted or interrupted
+	Checks  int `json:"checks"` // Check invocations
+	Sat     int `json:"sat"`
+	Unsat   int `json:"unsat"`
+	Unknown int `json:"unknown"` // budget exhausted or interrupted
 
-	Asserts       int // constraints asserted
-	PushedFrames  int
-	PoppedFrames  int
-	CacheHits     int // full stack verdict answered by the prefix cache
-	CacheMisses   int
-	ModelReuses   int // sat decided by the parent prefix's cached witness
-	BoxConflicts  int // unsat decided by propagating only the new conjunct
-	FullSolves    int // Checks that fell through to a full solver search
-	SearchNodes   int // inner-solver branching nodes
-	Propagations  int // inner-solver domain-tightening passes
-	BoxSnapshots  int // propagation-state snapshots taken (interval)
-	FrameMemoHits int // verdict answered by the top frame's memo
+	Asserts       int `json:"asserts"` // constraints asserted
+	PushedFrames  int `json:"pushed_frames"`
+	PoppedFrames  int `json:"popped_frames"`
+	CacheHits     int `json:"cache_hits"` // full stack verdict answered by the prefix cache
+	CacheMisses   int `json:"cache_misses"`
+	ModelReuses   int `json:"model_reuses"`    // sat decided by the parent prefix's cached witness
+	BoxConflicts  int `json:"box_conflicts"`   // unsat decided by propagating only the new conjunct
+	FullSolves    int `json:"full_solves"`     // Checks that fell through to a full solver search
+	SearchNodes   int `json:"search_nodes"`    // inner-solver branching nodes
+	Propagations  int `json:"propagations"`    // inner-solver domain-tightening passes
+	BoxSnapshots  int `json:"box_snapshots"`   // propagation-state snapshots taken (interval)
+	FrameMemoHits int `json:"frame_memo_hits"` // verdict answered by the top frame's memo
 
 	// Resilience counters of the external-process machinery (the smtlib
 	// backend's supervision ladder and the portfolio's member isolation).
 	// They are cost/health observability only: every degradation step ends
 	// in a verdict from the in-process fallback, so these counters moving
-	// never changes an exploration's outcome.
-	ExtSolves       int // check-sat conversations attempted with an external solver
-	ExtAnswers      int // definitive external verdicts adopted (sat ones model-validated)
-	ExtUnknowns     int // Checks the external layer could not decide (absent binary, crash, timeout, garbage, breaker open, "unknown" reply)
-	ExtTimeouts     int // per-check deadlines that expired, killing the process
-	ExtRestarts     int // external solver processes spawned (first launch included)
-	ExtBreakerTrips int // circuit-breaker opens after consecutive failures
-	FallbackSolves  int // verdicts supplied by the in-process fallback backend
-	MemberFailures  int // portfolio members excluded after a panic
+	// never changes an exploration's outcome. All zero — and omitted from
+	// JSON — for purely in-process backends.
+	ExtSolves       int `json:"ext_solves,omitempty"`        // check-sat conversations attempted with an external solver
+	ExtAnswers      int `json:"ext_answers,omitempty"`       // definitive external verdicts adopted (sat ones model-validated)
+	ExtUnknowns     int `json:"ext_unknowns,omitempty"`      // Checks the external layer could not decide (absent binary, crash, timeout, garbage, breaker open, "unknown" reply)
+	ExtTimeouts     int `json:"ext_timeouts,omitempty"`      // per-check deadlines that expired, killing the process
+	ExtRestarts     int `json:"ext_restarts,omitempty"`      // external solver processes spawned (first launch included)
+	ExtBreakerTrips int `json:"ext_breaker_trips,omitempty"` // circuit-breaker opens after consecutive failures
+	FallbackSolves  int `json:"fallback_solves,omitempty"`   // verdicts supplied by the in-process fallback backend
+	MemberFailures  int `json:"member_failures,omitempty"`   // portfolio members excluded after a panic
+
+	// CheckPanics counts Check calls that panicked and were contained by
+	// the symbolic-execution engine (recovered, reported Unknown, kept
+	// exploring). Backends never set it; the engine fills it in when it
+	// snapshots their stats.
+	CheckPanics int `json:"check_panics,omitempty"`
 }
 
 // Add accumulates o into s, field by field. Schedulers running one backend
 // instance per exploration worker use it to merge the per-worker counters at
-// join time. The Backend name is taken from o when s has none (workers of
-// one exploration always share a backend name).
+// join time, and services use it to sum per-request stats into cumulative
+// totals. The Backend name is taken from o when s has none.
 func (s *Stats) Add(o Stats) {
 	if s.Backend == "" {
 		s.Backend = o.Backend
@@ -189,6 +198,7 @@ func (s *Stats) Add(o Stats) {
 	s.ExtBreakerTrips += o.ExtBreakerTrips
 	s.FallbackSolves += o.FallbackSolves
 	s.MemberFailures += o.MemberFailures
+	s.CheckPanics += o.CheckPanics
 }
 
 // Backend is one constraint solver with an assertion stack.

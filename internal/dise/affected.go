@@ -108,10 +108,10 @@ type Options struct {
 	//	if ni ∈ AWN ∧ nj ∈ Write ∧ Def(ni) ∈ Use(nj) ∧ IsCFGPath(ni, nj)
 	//	then AWN := AWN ∪ {nj}
 	//
-	// closing the write→write chain gap of the published Eq. (1)–(4) (see
-	// DESIGN.md §6.4): with it, a change to "x = ..." also affects a later
-	// "y = x" and, through Eq. (3), a conditional on y. Off by default to
-	// stay faithful to the paper.
+	// closing the write→write chain gap of the published Eq. (1)–(4): with
+	// it, a change to "x = ..." also affects a later "y = x" and, through
+	// Eq. (3), a conditional on y. Off by default to stay faithful to the
+	// paper.
 	TransitiveWrites bool
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // TestTransitiveWritesExtension exercises the write→write dataflow rule that
-// extends the published Eq. (1)–(4) (DESIGN.md §6.4): a change to "x = ..."
-// flows through "y = x" into a conditional on y.
+// extends the published Eq. (1)–(4): a change to "x = ..." flows through
+// "y = x" into a conditional on y.
 func TestTransitiveWritesExtension(t *testing.T) {
 	base := `
 proc p(int a) {

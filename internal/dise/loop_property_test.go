@@ -12,7 +12,7 @@ import (
 // TestLoopModeRandomPrograms fuzzes the directed search on random programs
 // WITH bounded loops. The paper's exact guarantees are scoped to loop-free
 // code (its artifacts have no loops, §4.1); for loops the implementation
-// promises the sound direction only (DESIGN.md §6.3):
+// promises the sound direction only:
 //
 //   - every DiSE path is a real feasible path: its affected sequence is a
 //     prefix of some full-SE sequence;

@@ -22,8 +22,8 @@ import (
 //	    presence of context-dependent infeasibility (an affected node can be
 //	    consumed by an infeasible branch in one context and then missed in a
 //	    later feasible context when no unexplored node remains to trigger
-//	    the reset machinery — DESIGN.md §6.5). The theorem idealizes this
-//	    away; this test therefore QUANTIFIES the miss rate and bounds it,
+//	    the reset machinery; see Runner.Expanded). The theorem idealizes
+//	    this away; this test therefore QUANTIFIES the miss rate and bounds it,
 //	    rather than requiring zero misses;
 //	(c) DiSE sequences are pairwise distinct (Case II: one path per
 //	    sequence) — quantified like (b), since the same context-dependent
@@ -146,7 +146,7 @@ func TestTheorem310RandomPrograms(t *testing.T) {
 	}
 	// The incompleteness bounds: across all trials the algorithm must cover
 	// the overwhelming majority of affected sequences, with next to no
-	// duplicates. The measured rates are recorded in DESIGN.md §6.5.
+	// duplicates. The measured rates are logged below (go test -v).
 	if totalFullSeqs == 0 {
 		t.Fatal("property test exercised no affected sequences")
 	}

@@ -155,8 +155,8 @@ func (r *Runner) Enter(s *symexec.State) bool {
 // a node consumed here may be feasible under a different path prefix, and if
 // the search later reaches that prefix with no unexplored affected node in
 // sight (no "beacon" to trigger the reset machinery of lines 21–23), the new
-// sequence is pruned. The paper's Theorem 3.10 idealizes this away; the
-// randomized property test quantifies it (DESIGN.md §6.5).
+// sequence is pruned. The paper's Theorem 3.10 idealizes this away;
+// TestTheorem310RandomPrograms quantifies it.
 func (r *Runner) Expanded(s *symexec.State, step symexec.Step) {
 	for _, t := range step.InfeasibleTargets {
 		r.updateExploredSet(t.ID)

@@ -41,7 +41,7 @@ func TestCheckPanicContained(t *testing.T) {
 	e := newEngine(t, fig2Source, "update", Config{SolverBackend: "test-panic-every-2"})
 	summary := e.RunFull()
 	st := e.Stats()
-	if st.CheckPanics == 0 {
+	if st.Solver.CheckPanics == 0 {
 		t.Fatalf("no panics contained: %+v", st)
 	}
 	// Unknown branches are pruned, so the panicky run explores a subset.
@@ -57,7 +57,7 @@ func TestEveryCheckPanicContained(t *testing.T) {
 	e := newEngine(t, fig2Source, "update", Config{SolverBackend: "test-panic-always"})
 	summary := e.RunFull()
 	st := e.Stats()
-	if st.CheckPanics == 0 {
+	if st.Solver.CheckPanics == 0 {
 		t.Fatalf("no panics contained: %+v", st)
 	}
 	// Branches decided by the parent state's cached model never reach
@@ -77,7 +77,7 @@ func TestCheckPCPanicContained(t *testing.T) {
 	if !res.Unknown {
 		t.Fatalf("want Unknown from contained panic, got %+v", res)
 	}
-	if e.Stats().CheckPanics != 1 {
+	if e.Stats().Solver.CheckPanics != 1 {
 		t.Fatalf("stats: %+v", e.Stats())
 	}
 }
@@ -91,7 +91,7 @@ func TestCheckPanicsMergedAcrossWorkers(t *testing.T) {
 		ExploreParallelism: 4,
 	})
 	summary := NewExplorer(e, ExploreOptions{}).Run()
-	if summary.Stats.CheckPanics == 0 {
+	if summary.Stats.Solver.CheckPanics == 0 {
 		t.Fatalf("merged stats lost CheckPanics: %+v", summary.Stats)
 	}
 }

@@ -136,13 +136,13 @@ type Stats struct {
 	// parent state's cached satisfying model instead of a solver call.
 	ModelHits    int
 	MaxStatesHit bool
-	// CheckPanics counts Backend.Check calls that panicked and were
-	// contained: the engine recovers, reports the check as Unknown, and
-	// keeps exploring. A sound backend never panics; this counter is the
-	// audit trail for a faulty one.
-	CheckPanics int
-	Time        time.Duration
-	Solver      constraint.Stats
+	Time         time.Duration
+	// Solver is the backend's counter snapshot, plus Solver.CheckPanics:
+	// the Backend.Check calls that panicked and were contained (the engine
+	// recovers, reports the check as Unknown, and keeps exploring). A sound
+	// backend never panics; that counter is the audit trail for a faulty
+	// one.
+	Solver constraint.Stats
 
 	// Memo counters of a version-chain session run (zero without Config.Memo).
 	// Like the solver counters they include speculative work, so their split
@@ -427,8 +427,16 @@ func (e *Engine) Domains() map[string]solver.Interval {
 // Stats returns a snapshot of the engine's counters, including solver stats.
 func (e *Engine) Stats() Stats {
 	st := e.stats
-	st.Solver = e.Backend.Stats()
+	st.Solver = e.solverStats()
 	return st
+}
+
+// solverStats snapshots the backend's counters together with the Check
+// panics the engine contained, which the backend cannot count itself.
+func (e *Engine) solverStats() constraint.Stats {
+	s := e.Backend.Stats()
+	s.CheckPanics = e.stats.Solver.CheckPanics
+	return s
 }
 
 // ResetStats zeroes all counters (engine and solver).
@@ -510,8 +518,8 @@ func (e *Engine) checkBranch(c sym.Expr) constraint.Result {
 	return res
 }
 
-// safeCheck contains a panicking Backend.Check: the engine recovers,
-// counts the event (Stats.CheckPanics) and treats the check as Unknown, so
+// safeCheck contains a panicking Backend.Check: the engine recovers, counts
+// the event (Stats.Solver.CheckPanics) and treats the check as Unknown, so
 // a faulty backend degrades an exploration's precision instead of tearing
 // down the whole analysis (or, in the service, the process). Only Check is
 // contained — a panic in Push/Pop/Assert indicates a stack-discipline bug
@@ -519,7 +527,7 @@ func (e *Engine) checkBranch(c sym.Expr) constraint.Result {
 func (e *Engine) safeCheck() (res constraint.Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.stats.CheckPanics++
+			e.stats.Solver.CheckPanics++
 			res = constraint.Result{Unknown: true}
 		}
 	}()

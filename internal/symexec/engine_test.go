@@ -147,8 +147,8 @@ func TestFig2Full21PathConditions(t *testing.T) {
 }
 
 func TestFig2FullRangeDomainGives24(t *testing.T) {
-	// Ablation (DESIGN.md §5.1): over a full-range domain the PedalCmd==2
-	// branches become feasible in every arm — 24 paths instead of 21.
+	// Domain ablation: over a full-range domain the PedalCmd==2 branches
+	// become feasible in every arm — 24 paths instead of 21.
 	e := newEngine(t, fig2Source, "update", Config{IntDomain: solver.Interval{Lo: -1_000_000, Hi: 1_000_000}})
 	summary := e.RunFull()
 	if len(summary.Paths) != 24 {

@@ -11,12 +11,10 @@ package symexec
 import (
 	"container/heap"
 	"fmt"
-	"sort"
-	"sync"
 )
 
-// Built-in strategy names, accepted by Config.Strategy (and surfaced as the
-// -strategy flag of cmd/dise and cmd/symexec).
+// Strategy names accepted by Config.Strategy (and surfaced as the -strategy
+// flag of cmd/dise and cmd/dised).
 const (
 	// StrategyDFS drains the frontier last-in-first-out, reproducing the
 	// classic depth-first exploration of the execution tree. It is the
@@ -63,51 +61,21 @@ type Frontier interface {
 // scoring strategies; it may be nil for order-only strategies.
 type Strategy func(score func(*State) int) Frontier
 
-var (
-	strategyMu  sync.RWMutex
-	strategyReg = map[string]Strategy{
-		StrategyDFS:      func(func(*State) int) Frontier { return &lifoFrontier{} },
-		StrategyBFS:      func(func(*State) int) Frontier { return &fifoFrontier{} },
-		StrategyDirected: newScoredFrontier,
-	}
-)
-
-// RegisterStrategy makes a custom strategy available under the given name,
-// e.g. to plug in a learned search heuristic. Registering a built-in name
-// overrides it process-wide; intended for experiments, not for libraries.
-func RegisterStrategy(name string, s Strategy) {
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	strategyReg[name] = s
-}
-
-// Strategies lists the registered strategy names, sorted, with the default
-// ("dfs") first.
-func Strategies() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	names := make([]string, 0, len(strategyReg))
-	for name := range strategyReg {
-		if name != StrategyDFS {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return append([]string{StrategyDFS}, names...)
-}
+// Strategies lists the strategy names accepted by Config.Strategy, the
+// default ("dfs") first.
+func Strategies() []string { return []string{StrategyDFS, StrategyBFS, StrategyDirected} }
 
 // strategyFor resolves a strategy name; the empty name selects DFS.
 func strategyFor(name string) (Strategy, error) {
-	if name == "" {
-		name = StrategyDFS
+	switch name {
+	case "", StrategyDFS:
+		return func(func(*State) int) Frontier { return &lifoFrontier{} }, nil
+	case StrategyBFS:
+		return func(func(*State) int) Frontier { return &fifoFrontier{} }, nil
+	case StrategyDirected:
+		return newScoredFrontier, nil
 	}
-	strategyMu.RLock()
-	s, ok := strategyReg[name]
-	strategyMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("symexec: unknown search strategy %q (have %v)", name, Strategies())
-	}
-	return s, nil
+	return nil, fmt.Errorf("symexec: unknown search strategy %q (have %v)", name, Strategies())
 }
 
 // lifoFrontier is the depth-first worklist: a stack. Sibling batches are

@@ -594,11 +594,10 @@ func (x *Explorer) mergedStats() Stats {
 	var solver constraint.Stats
 	for _, e := range x.engines {
 		st.PathsExplored += e.stats.PathsExplored
-		st.CheckPanics += e.stats.CheckPanics
 		st.MemoHits += e.stats.MemoHits
 		st.MemoStatesReplayed += e.stats.MemoStatesReplayed
 		st.MemoStatesLive += e.stats.MemoStatesLive
-		solver.Add(e.Backend.Stats())
+		solver.Add(e.solverStats())
 	}
 	st.Solver = solver
 	return st

@@ -1,6 +1,7 @@
 package dise
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,8 @@ proc main(int a, int b) {
 func TestAnalyzeInterprocedural(t *testing.T) {
 	// The change is inside add(): the contribution doubles.
 	mod := strings.Replace(interprocBase, "Total = Total + v;", "Total = Total + v + v;", 1)
-	res, err := AnalyzeInterprocedural(interprocBase, mod, "main", Options{})
+	res, err := NewAnalyzer().Analyze(context.Background(),
+		Request{BaseSrc: interprocBase, ModSrc: mod, Proc: "main", Interprocedural: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,8 @@ func TestAnalyzeInterprocedural(t *testing.T) {
 }
 
 func TestAnalyzeInterproceduralIdenticalVersions(t *testing.T) {
-	res, err := AnalyzeInterprocedural(interprocBase, interprocBase, "main", Options{})
+	res, err := NewAnalyzer().Analyze(context.Background(),
+		Request{BaseSrc: interprocBase, ModSrc: interprocBase, Proc: "main", Interprocedural: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestInlineProgramAPI(t *testing.T) {
 		}
 	}
 	// The output reparses and executes.
-	sum, err := Execute(flat, "main", Options{})
+	sum, err := NewAnalyzer().Execute(context.Background(), flat, "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +93,19 @@ func TestInlineProgramAPI(t *testing.T) {
 }
 
 func TestInterproceduralErrors(t *testing.T) {
-	if _, err := AnalyzeInterprocedural("proc a( {", interprocBase, "main", Options{}); err == nil {
+	a, ctx := NewAnalyzer(), context.Background()
+	inter := func(base, mod, entry string) error {
+		_, err := a.Analyze(ctx, Request{BaseSrc: base, ModSrc: mod, Proc: entry, Interprocedural: true})
+		return err
+	}
+	if err := inter("proc a( {", interprocBase, "main"); err == nil {
 		t.Error("expected base parse error")
 	}
-	if _, err := AnalyzeInterprocedural(interprocBase, interprocBase, "ghost", Options{}); err == nil {
+	if err := inter(interprocBase, interprocBase, "ghost"); err == nil {
 		t.Error("expected unknown-entry error")
 	}
 	recursive := "proc main(int n) { main(n); }"
-	if _, err := AnalyzeInterprocedural(recursive, recursive, "main", Options{}); err == nil {
+	if err := inter(recursive, recursive, "main"); err == nil {
 		t.Error("expected recursion rejection")
 	}
 	if _, err := InlineProgram("proc f() { return; } proc main() { f(); }", "main"); err == nil {
@@ -106,7 +114,7 @@ func TestInterproceduralErrors(t *testing.T) {
 }
 
 func TestExecuteRejectsUninlinedCalls(t *testing.T) {
-	if _, err := Execute(interprocBase, "main", Options{}); err == nil ||
+	if _, err := NewAnalyzer().Execute(context.Background(), interprocBase, "main"); err == nil ||
 		!strings.Contains(err.Error(), "inline") {
 		t.Errorf("Execute on a program with calls must point at inlining, got %v", err)
 	}
@@ -124,11 +132,12 @@ proc p(int a) {
   }
 }`
 	mod := strings.Replace(base, "x = a;", "x = a + 5;", 1)
-	plain, err := Analyze(base, mod, "p", Options{})
+	req := Request{BaseSrc: base, ModSrc: mod, Proc: "p"}
+	plain, err := NewAnalyzer().Analyze(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	extended, err := Analyze(base, mod, "p", Options{TransitiveWrites: true})
+	extended, err := NewAnalyzer(WithTransitiveWrites(true)).Analyze(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dise
 import (
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,40 @@ func TestStatsMarshalOmitsZeroBlocks(t *testing.T) {
 		t.Errorf("merge_stats appears %d times, want 1: %s", n, full)
 	}
 
+	// The solver_stats key set is wire format: every counter with a non-zero
+	// value marshals under exactly these keys, in this order. A renamed
+	// field or a dropped tag fails here.
+	var solver SolverStats
+	sv := reflect.ValueOf(&solver).Elem()
+	for i := 0; i < sv.NumField(); i++ {
+		switch f := sv.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.String:
+			f.SetString("interval")
+		}
+	}
+	always := []string{
+		"backend", "checks", "sat", "unsat", "unknown", "asserts",
+		"pushed_frames", "popped_frames", "cache_hits", "cache_misses",
+		"model_reuses", "box_conflicts", "full_solves", "search_nodes",
+		"propagations", "box_snapshots", "frame_memo_hits",
+	}
+	// The resilience and containment counters are omitted while zero.
+	optional := []string{
+		"ext_solves", "ext_answers", "ext_unknowns", "ext_timeouts",
+		"ext_restarts", "ext_breaker_trips", "fallback_solves",
+		"member_failures", "check_panics",
+	}
+	want := append(append([]string(nil), always...), optional...)
+	if keys := solverStatsKeys(t, Stats{Solver: solver}); !reflect.DeepEqual(keys, want) {
+		t.Errorf("solver_stats keys:\ngot  %v\nwant %v", keys, want)
+	}
+	zeroOptional := Stats{Solver: SolverStats{Backend: "interval", Checks: 1}}
+	if keys := solverStatsKeys(t, zeroOptional); !reflect.DeepEqual(keys, always) {
+		t.Errorf("solver_stats keys with zero optional counters:\ngot  %v\nwant %v", keys, always)
+	}
+
 	// Round trip: the custom marshaler must stay decodable into Stats.
 	var back Stats
 	if err := json.Unmarshal(full, &back); err != nil {
@@ -105,3 +140,26 @@ func TestStatsMarshalOmitsZeroBlocks(t *testing.T) {
 		t.Errorf("round trip lost sub-block data: %+v", back)
 	}
 }
+
+// solverStatsKeys marshals s and returns the keys of its solver_stats block
+// in output order. The block is flat, so every `"name":` in it is a key.
+func solverStatsKeys(t *testing.T, s Stats) []string {
+	t.Helper()
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks struct {
+		Solver json.RawMessage `json:"solver_stats"`
+	}
+	if err := json.Unmarshal(raw, &blocks); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for _, m := range jsonKey.FindAllStringSubmatch(string(blocks.Solver), -1) {
+		keys = append(keys, m[1])
+	}
+	return keys
+}
+
+var jsonKey = regexp.MustCompile(`"([a-z_]+)":`)
