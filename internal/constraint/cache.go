@@ -70,7 +70,7 @@ type prefixEntry struct {
 	// box is the propagation state snapshot: the input domains tightened to
 	// bounds consistency under the prefix. A child Check starts from the
 	// box instead of re-propagating the whole prefix.
-	box map[string]solver.Interval
+	box *solver.Box
 	// residual lists the prefix atoms the box does not entail — the only
 	// constraints a search within the box still has to enforce.
 	residual []sym.Expr
@@ -125,7 +125,7 @@ const (
 // approxEntryBytes estimates one entry's retained footprint.
 func approxEntryBytes(ent prefixEntry) int64 {
 	b := int64(prefixSlotBaseBytes)
-	b += int64(len(ent.box)) * boxEntryBytes
+	b += int64(ent.box.Len()) * boxEntryBytes
 	b += int64(len(ent.residual)) * residualAtomBytes
 	if ent.res != nil {
 		b += 64 + int64(len(ent.res.Model))*40

@@ -344,8 +344,11 @@ func TestPrefixCacheUpgradeOnly(t *testing.T) {
 	key := prefixKey{}.extend("p")
 	cache := NewPrefixCache(4)
 	res := &Result{Sat: true}
-	cache.put(key, prefixEntry{res: res, box: map[string]solver.Interval{"X": {Lo: 0, Hi: 5}}})
-	cache.put(key, prefixEntry{box: map[string]solver.Interval{"X": {Lo: 0, Hi: 9}}})
+	box := func(hi int64) *solver.Box {
+		return solver.NewIndexed(solver.Options{}, map[string]solver.Interval{"X": {Lo: 0, Hi: hi}}).Base()
+	}
+	cache.put(key, prefixEntry{res: res, box: box(5)})
+	cache.put(key, prefixEntry{box: box(9)})
 	ent, ok := cache.get(key)
 	if !ok || ent.res != res {
 		t.Error("verdict must survive a box-only upgrade attempt")

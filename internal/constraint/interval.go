@@ -12,15 +12,19 @@ import (
 // asserted constraints it carries the two pieces of reusable solver state:
 //
 //   - box: the propagation snapshot — the input domains tightened to bounds
-//     consistency under every constraint up to and including this frame.
-//     A child Check propagates only its own new conjunct against the
-//     parent's box instead of re-propagating the whole path condition.
+//     consistency under every constraint up to and including this frame,
+//     one interval per input (solver.Box). A child Check propagates only its
+//     own new conjunct against the parent's box instead of re-propagating
+//     the whole path condition. A frame that tightens nothing shares its
+//     parent's box.
 //   - res: the memoized verdict for the stack prefix ending at this frame,
 //     whose model (when Sat) is the witness that lets most child Checks
 //     succeed without any solving at all.
 //
 // Both are lazily (re)computed and may be adopted from the shared
-// PrefixCache, which stores them under the frame's chained key.
+// PrefixCache, which stores them under the frame's chained key. The frame
+// object itself never leaves the stack: Push reuses the one last popped
+// from the same depth.
 type ivFrame struct {
 	exprs []sym.Expr
 	// expr0 is the inline backing array for exprs: the engine asserts
@@ -28,7 +32,7 @@ type ivFrame struct {
 	// allocation beyond the frame itself.
 	expr0 [1]sym.Expr
 	key   prefixKey
-	box   map[string]solver.Interval // nil until computed; read-only once set
+	box   *solver.Box // nil until computed; shared read-only once set
 	// residual holds the frame's atoms that its box does not entail (valid
 	// once box is set). Boxes shrink monotonically down the stack, so an
 	// atom entailed at its own frame stays entailed at every deeper frame —
@@ -45,19 +49,17 @@ type ivFrame struct {
 // existed (the A/B baseline).
 type intervalBackend struct {
 	inner     *solver.Solver
-	domains   map[string]solver.Interval
 	frames    []*ivFrame
 	cache     *PrefixCache
 	reuse     bool
 	stats     Stats
 	lastModel map[string]int64
+	// exprs is scratch for the constraint list of a full solve, which the
+	// solver does not retain.
+	exprs []sym.Expr
 }
 
 func newIntervalBackend(opts Options, reuse bool) *intervalBackend {
-	domains := make(map[string]solver.Interval, len(opts.Domains))
-	for k, v := range opts.Domains {
-		domains[k] = v
-	}
 	cache := opts.Cache
 	if cache == nil && reuse {
 		// A private cache still pays off: within one engine it preserves
@@ -69,13 +71,12 @@ func newIntervalBackend(opts Options, reuse bool) *intervalBackend {
 		name = BackendIntervalNoReuse
 	}
 	b := &intervalBackend{
-		inner:   solver.NewIndexed(solver.Options{NodeBudget: opts.NodeBudget, Interrupt: opts.Interrupt}, domains),
-		domains: domains,
-		cache:   cache,
-		reuse:   reuse,
-		stats:   Stats{Backend: name},
+		inner: solver.NewIndexed(solver.Options{NodeBudget: opts.NodeBudget, Interrupt: opts.Interrupt}, opts.Domains),
+		cache: cache,
+		reuse: reuse,
+		stats: Stats{Backend: name},
 	}
-	b.frames = []*ivFrame{{key: domainsKey(domains)}}
+	b.frames = []*ivFrame{{key: domainsKey(opts.Domains)}}
 	return b
 }
 
@@ -96,8 +97,16 @@ func domainsKey(domains map[string]solver.Interval) prefixKey {
 }
 
 func (b *intervalBackend) Push() {
-	top := b.frames[len(b.frames)-1]
-	f := &ivFrame{key: top.key}
+	n := len(b.frames)
+	key := b.frames[n-1].key
+	var f *ivFrame
+	if n < cap(b.frames) {
+		f = b.frames[:n+1][n] // popped from this depth, or nil
+	}
+	if f == nil {
+		f = new(ivFrame)
+	}
+	*f = ivFrame{key: key}
 	f.exprs = f.expr0[:0]
 	b.frames = append(b.frames, f)
 	b.stats.PushedFrames++
@@ -159,7 +168,7 @@ func (b *intervalBackend) check() Result {
 		// ignoring every snapshot. (Expression compilation inside the inner
 		// solver is still cached — it always was.)
 		b.stats.FullSolves++
-		r := b.inner.Check(b.stackExprs(), b.domains)
+		r := b.inner.CheckBox(b.stackExprs(), b.inner.Base())
 		return Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	}
 	if top.res != nil {
@@ -214,7 +223,7 @@ func (b *intervalBackend) check() Result {
 	// conjunction is outside it, and inside it the dropped atoms are
 	// vacuous).
 	b.stats.FullSolves++
-	r := b.inner.Check(b.stackResidual(), box)
+	r := b.inner.CheckBox(b.stackResidual(), box)
 	res := Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	if !res.Unknown {
 		// Unknown verdicts are budget- and timing-dependent; never memoize
@@ -233,14 +242,14 @@ func (b *intervalBackend) check() Result {
 // shared cache first). It returns the parent frame's box, the parent
 // prefix's satisfying model when one is known, and whether an ancestor
 // frame was refuted outright.
-func (b *intervalBackend) ensureAncestors() (map[string]solver.Interval, map[string]int64, bool) {
-	parentBox := b.domains
+func (b *intervalBackend) ensureAncestors() (*solver.Box, map[string]int64, bool) {
+	parentBox := b.inner.Base()
 	for i, f := range b.frames[:len(b.frames)-1] {
 		if f.box == nil {
 			if ent, ok := b.cache.get(f.key); ok && ent.box != nil {
 				f.box, f.residual, f.res = ent.box, ent.residual, ent.res
 			} else if len(f.exprs) == 0 && i == 0 {
-				f.box = b.domains
+				f.box = parentBox
 			} else {
 				box, residual, ok := b.propagateFrame(f, parentBox)
 				if !ok {
@@ -267,35 +276,17 @@ func (b *intervalBackend) ensureAncestors() (map[string]solver.Interval, map[str
 }
 
 // propagateFrame tightens the parent box under the frame's own constraints
-// (bounds-consistency fixpoint over just the constraints' variables, no
-// search) and computes the frame's residual atoms. A false return is a
-// sound refutation of the whole stack. When the constraints tighten
-// nothing, the parent box is shared, not copied — long runs of
-// already-satisfied frames cost no memory.
-func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox map[string]solver.Interval) (map[string]solver.Interval, []sym.Expr, bool) {
-	delta, residual, ok := b.inner.PropagateDelta(f.exprs, parentBox)
-	if !ok {
-		return nil, nil, false
+// (solver.Tighten: a bounds-consistency fixpoint over just the
+// constraints' variables, no search) and computes the frame's residual
+// atoms. A false return is a sound refutation of the whole stack. When the
+// constraints tighten nothing, the parent box is shared, not copied — long
+// runs of already-satisfied frames cost no memory.
+func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox *solver.Box) (*solver.Box, []sym.Expr, bool) {
+	box, residual, ok := b.inner.Tighten(parentBox, f.exprs)
+	if ok {
+		b.stats.BoxSnapshots++
 	}
-	b.stats.BoxSnapshots++
-	changed := false
-	for name, d := range delta {
-		if parentBox[name] != d {
-			changed = true
-			break
-		}
-	}
-	if !changed {
-		return parentBox, residual, true
-	}
-	box := make(map[string]solver.Interval, len(parentBox)+len(delta))
-	for name, d := range parentBox {
-		box[name] = d
-	}
-	for name, d := range delta {
-		box[name] = d
-	}
-	return box, residual, true
+	return box, residual, ok
 }
 
 // modelSatisfies reports whether the model satisfies every expression (any
@@ -310,21 +301,25 @@ func (b *intervalBackend) modelSatisfies(model map[string]int64, exprs []sym.Exp
 	return true
 }
 
-// stackExprs concatenates the assertions of every frame, base first.
+// stackExprs concatenates the assertions of every frame, base first, into
+// the backend's scratch list.
 func (b *intervalBackend) stackExprs() []sym.Expr {
-	var out []sym.Expr
+	out := b.exprs[:0]
 	for _, f := range b.frames {
 		out = append(out, f.exprs...)
 	}
+	b.exprs = out
 	return out
 }
 
 // stackResidual concatenates the residual atoms of every frame — the
-// constraints a search within the top frame's box still has to enforce.
+// constraints a search within the top frame's box still has to enforce —
+// into the backend's scratch list.
 func (b *intervalBackend) stackResidual() []sym.Expr {
-	var out []sym.Expr
+	out := b.exprs[:0]
 	for _, f := range b.frames {
 		out = append(out, f.residual...)
 	}
+	b.exprs = out
 	return out
 }

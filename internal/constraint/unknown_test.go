@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -150,10 +151,46 @@ func TestInterruptMidStack(t *testing.T) {
 
 func TestConcurrentBackendsSharedCache(t *testing.T) {
 	// Race check (run under -race in CI): many goroutines, each with its own
-	// backend, hammer one shared PrefixCache with overlapping prefixes.
+	// backend, hammer one shared PrefixCache with overlapping prefixes. Each
+	// stack is four frames deep and checked at every depth; its frames mix
+	// ones that tighten the box (X, Y), one that shares its parent's box
+	// (Y >= 0) and one whose atom stays residual (X + Z != k), so workers
+	// build on boxes, residuals and models other workers put in the cache.
+	// Every verdict and model must equal a single-goroutine run's.
 	cache := NewPrefixCache(128)
-	doms := map[string]solver.Interval{"X": solver.DefaultDomain, "Y": solver.DefaultDomain}
-	x, y := sym.V("X"), sym.V("Y")
+	doms := map[string]solver.Interval{"X": solver.DefaultDomain, "Y": solver.DefaultDomain, "Z": {Lo: 0, Hi: 50}}
+	x, y, z := sym.V("X"), sym.V("Y"), sym.V("Z")
+	const stacks = 50
+	stack := func(i int) []sym.Expr {
+		return []sym.Expr{
+			sym.Cmp(sym.OpGE, x, sym.Int(int64(i%5))),
+			sym.Cmp(sym.OpLE, y, sym.Int(int64(100+i%7))),
+			sym.Cmp(sym.OpGE, y, sym.Zero),
+			sym.Cmp(sym.OpNE, sym.Add(x, z), sym.Int(int64(i%11))),
+		}
+	}
+	run := func(b Backend, i int) []Result {
+		var out []Result
+		for _, c := range stack(i) {
+			b.Push()
+			b.Assert(c)
+			out = append(out, b.Check())
+		}
+		for range out {
+			b.Pop()
+		}
+		return out
+	}
+	ref := mustBackend(t, BackendInterval, Options{Domains: doms, Cache: NewPrefixCache(128)})
+	want := make([][]Result, stacks)
+	for i := range want {
+		want[i] = run(ref, i)
+		for depth, res := range want[i] {
+			if !res.Sat {
+				t.Fatalf("stack %d depth %d: must be sat", i, depth)
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -164,16 +201,11 @@ func TestConcurrentBackendsSharedCache(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := 0; i < 50; i++ {
-				b.Push()
-				b.Assert(sym.Cmp(sym.OpGE, x, sym.Int(int64(i%5))))
-				b.Push()
-				b.Assert(sym.Cmp(sym.OpLE, y, sym.Int(int64(100+i%7))))
-				if !b.Check().Sat {
-					t.Errorf("worker %d iteration %d: must be sat", worker, i)
+			for k := 0; k < stacks; k++ {
+				i := (k + 7*worker) % stacks
+				if got := run(b, i); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d stack %d: %+v, single-goroutine run %+v", worker, i, got, want[i])
 				}
-				b.Pop()
-				b.Pop()
 			}
 		}(w)
 	}

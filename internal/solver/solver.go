@@ -50,7 +50,8 @@ type Result struct {
 }
 
 // Solver checks satisfiability of conjunctions of symbolic constraints over
-// finite integer domains.
+// finite integer domains. A Solver runs one Check or Tighten at a time: its
+// scratch buffers are reused by the next call.
 type Solver struct {
 	opts  Options
 	stats Stats
@@ -62,27 +63,46 @@ type Solver struct {
 	// across the thousands of Check calls a symbolic execution run makes.
 	compiled map[sym.Expr][]*constraint
 	// propTpl caches, per constraint expression, the name-resolved problem
-	// skeleton PropagateDelta needs — variable indexing, constraint views,
-	// the same-form unsat precheck. The skeleton depends only on the
-	// expression (hash-consed, so pointer-keyed), not on the box it is
-	// propagated against, and the interval backend propagates the same
+	// skeleton Tighten needs — variable indexing, input-index positions,
+	// constraint views, the same-form unsat precheck. The skeleton depends
+	// only on the expression (hash-consed, so pointer-keyed), not on the box
+	// it is propagated against, and the interval backend propagates the same
 	// branch constraints against many boxes as the exploration revisits
 	// sibling subtrees.
 	propTpl map[sym.Expr]*propTemplate
 	// inputs holds the input domains' names in ascending order and inputIdx
-	// each name's position, built once at construction (NewIndexed). A
-	// Check over exactly these inputs takes its variable order from them
-	// instead of re-hashing and re-sorting every name into fresh maps, and
-	// its constraints' resolved views from the constraints themselves.
+	// each name's position, built once at construction (NewIndexed); base is
+	// the box of the input domains themselves. A Check over a box without
+	// names outside the index takes its variable order from the index and its
+	// constraints' resolved views from the constraints themselves.
 	inputs   []string
 	inputIdx map[string]int
+	base     *Box
+
+	// Scratch reused across calls: the compiled constraint list, the
+	// indexed problem with its views and domains, the map adapter's box, and
+	// Tighten's variable domains and residual atoms. None of them outlives
+	// the call that fills it.
+	conBuf   []*constraint
+	prob     problem
+	viewBuf  []conView
+	domBuf   []Interval
+	mapBuf   []Interval
+	tightBuf []Interval
+	residBuf []sym.Expr
 }
 
-// propTemplate is the reusable, read-only part of a PropagateDelta problem.
+// propTemplate is the reusable, read-only part of a Tighten problem.
 type propTemplate struct {
-	varNames     []string
-	varIdx       map[string]int
-	views        []conView
+	varNames []string
+	varIdx   map[string]int
+	// pos holds each variable's position in the solver's input index, -1
+	// for a name outside it.
+	pos   []int
+	views []conView
+	// atoms lists the views' expressions in order: the residual of every
+	// frame whose box entails none of them, shared read-only.
+	atoms        []sym.Expr
 	trivialUnsat bool
 }
 
@@ -91,10 +111,11 @@ type propTemplate struct {
 func New(opts Options) *Solver { return NewIndexed(opts, nil) }
 
 // NewIndexed returns a Solver that indexes the names of the given input
-// domains once, for all of its Checks. A Check whose box has exactly these
-// names, and whose constraints mention no other, reuses the index; any
-// other Check indexes its own variables as under New. The index never
-// changes a result: both ways order the variables by name.
+// domains once, for all of its Checks, and whose Base box holds those
+// domains. A Check whose box has exactly these names, and whose constraints
+// mention no other, reuses the index; any other Check indexes its own
+// variables as under New. The index never changes a result: both ways order
+// the variables by name.
 func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 	if opts.NodeBudget == 0 {
 		opts.NodeBudget = 1 << 16
@@ -105,8 +126,10 @@ func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 	}
 	sort.Strings(names)
 	idx := make(map[string]int, len(names))
+	base := &Box{iv: make([]Interval, len(names))}
 	for i, n := range names {
 		idx[n] = i
+		base.iv[i] = inputs[n]
 	}
 	return &Solver{
 		opts:     opts,
@@ -114,6 +137,7 @@ func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 		propTpl:  map[sym.Expr]*propTemplate{},
 		inputs:   names,
 		inputIdx: idx,
+		base:     base,
 	}
 }
 
@@ -125,17 +149,45 @@ func (s *Solver) ResetStats() { s.stats = Stats{} }
 
 // Check decides satisfiability of the conjunction of constraints, with each
 // variable restricted to the domain in domains. Variables that occur in the
-// constraints but not in domains get DefaultDomain.
+// constraints but not in domains get DefaultDomain. A map over exactly the
+// solver's inputs is checked as their box (CheckBox); any other map indexes
+// the problem's own variables, sorted by name.
 func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Result {
+	if len(domains) == len(s.inputs) {
+		iv := s.mapBuf[:0]
+		for _, name := range s.inputs {
+			d, ok := domains[name]
+			if !ok {
+				break
+			}
+			iv = append(iv, d)
+		}
+		s.mapBuf = iv
+		if len(iv) == len(s.inputs) {
+			return s.CheckBox(constraints, &Box{iv: iv})
+		}
+	}
 	s.stats.Calls++
-	compiled := make([]*constraint, 0, len(constraints))
-	for _, e := range constraints {
-		compiled = append(compiled, s.compile(e)...)
-	}
-	p := s.indexedProblem(compiled, domains)
+	return s.solve(newProblem(s.compileAll(constraints), domains))
+}
+
+// CheckBox decides satisfiability of the conjunction of constraints within
+// box, a box over this solver's inputs (Base, or one Tighten derived from
+// it). Variables the box lacks get DefaultDomain. The box is only read: the
+// search tightens the problem's own copy of its intervals.
+func (s *Solver) CheckBox(constraints []sym.Expr, box *Box) Result {
+	s.stats.Calls++
+	compiled := s.compileAll(constraints)
+	p := s.indexedProblem(compiled, box)
 	if p == nil {
-		p = newProblem(compiled, domains)
+		p = newProblem(compiled, s.domainsOf(box))
 	}
+	return s.solve(p)
+}
+
+// solve runs p under the solver's budget and interrupt and tallies the
+// verdict.
+func (s *Solver) solve(p *problem) Result {
 	p.interrupt = s.opts.Interrupt
 	budget := s.opts.NodeBudget
 	res := p.solve(&s.stats, &budget)
@@ -150,36 +202,38 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 	return res
 }
 
-// indexedProblem builds a Check's problem over the input index: it copies
-// the box's intervals into index order and the constraints' cached views.
-// It returns nil when the box's names are not exactly the index's, or a
-// constraint mentions a name outside it (a local read before it is
-// assigned, or a box that propagation widened with such a name); newProblem
-// then indexes the problem's own names, sorted by name.
-func (s *Solver) indexedProblem(compiled []*constraint, box map[string]Interval) *problem {
-	names := s.inputs
-	if len(box) != len(names) {
+// compileAll compiles the constraints into the solver's scratch list.
+func (s *Solver) compileAll(constraints []sym.Expr) []*constraint {
+	out := s.conBuf[:0]
+	for _, e := range constraints {
+		out = append(out, s.compile(e)...)
+	}
+	s.conBuf = out
+	return out
+}
+
+// indexedProblem builds a Check's problem over the input index in the
+// solver's scratch: it copies the box's intervals and the constraints'
+// cached views. It returns nil when the box holds names outside the index,
+// or a constraint mentions one (a local read before it is assigned);
+// newProblem then indexes the problem's own names, sorted by name.
+func (s *Solver) indexedProblem(compiled []*constraint, box *Box) *problem {
+	if box.outside != nil {
 		return nil
 	}
-	views := make([]conView, len(compiled))
-	for i, c := range compiled {
+	views := s.viewBuf[:0]
+	for _, c := range compiled {
 		v := s.indexedView(c)
 		if v == nil {
 			return nil
 		}
-		views[i] = *v
+		views = append(views, *v)
 	}
-	domains := make([]Interval, len(names))
-	for i, name := range names {
-		d, ok := box[name]
-		if !ok {
-			return nil
-		}
-		domains[i] = d
-	}
-	p := &problem{varNames: names, varIdx: s.inputIdx, domains: domains, views: views}
-	p.intersectForms()
-	return p
+	s.viewBuf = views
+	s.domBuf = append(s.domBuf[:0], box.iv...)
+	s.prob = problem{varNames: s.inputs, varIdx: s.inputIdx, domains: s.domBuf, views: views}
+	s.prob.intersectForms()
+	return &s.prob
 }
 
 // indexedView resolves c against the input index on first use and keeps
@@ -196,57 +250,6 @@ func (s *Solver) indexedView(c *constraint) *conView {
 	return c.view
 }
 
-// PropagateDelta tightens the domains of the variables mentioned by the
-// constraints to bounds consistency, without searching. Domains are read
-// from base (falling back to DefaultDomain); the returned delta holds ONLY
-// the mentioned variables' tightened domains, so callers propagating one
-// new conjunct against a large box pay for the conjunct's variables, not
-// the whole box. ok is false when propagation proves the conjunction
-// unsatisfiable over base (some domain became empty, or two constraints
-// over the same linear form have an empty intersection).
-//
-// residual lists the atoms (after conjunction flattening) that the
-// tightened box does NOT entail: an atom missing from it is satisfied by
-// every assignment inside the box, so a later search within the box may
-// drop it. Deep assertion stacks reduce to short residual lists — the
-// second half of what makes per-frame snapshots pay off in
-// internal/constraint.
-//
-// base overlaid with the delta is a sound over-approximation of the
-// solution set: every assignment satisfying the constraints within base
-// lies in it.
-func (s *Solver) PropagateDelta(constraints []sym.Expr, base map[string]Interval) (delta map[string]Interval, residual []sym.Expr, ok bool) {
-	tpl := s.propTemplateFor(constraints)
-	if tpl.trivialUnsat {
-		return nil, nil, false
-	}
-	if len(tpl.views) == 0 {
-		return nil, nil, true
-	}
-	box := make([]Interval, len(tpl.varNames))
-	for i, name := range tpl.varNames {
-		if d, ok := base[name]; ok {
-			box[i] = d
-		} else {
-			box[i] = DefaultDomain
-		}
-	}
-	p := problem{varNames: tpl.varNames, varIdx: tpl.varIdx, views: tpl.views, interrupt: s.opts.Interrupt}
-	if !p.propagate(box, &s.stats) {
-		return nil, nil, false
-	}
-	for i := range p.views {
-		if p.truthOf(&p.views[i], box) != truthTrue {
-			residual = append(residual, p.views[i].c.expr)
-		}
-	}
-	delta = make(map[string]Interval, len(tpl.varNames))
-	for i, name := range tpl.varNames {
-		delta[name] = box[i]
-	}
-	return delta, residual, true
-}
-
 // propTemplateFor resolves the problem skeleton for a constraint list. The
 // single-expression case — the interval backend propagates one frame's one
 // conjunct — is served from the pointer-keyed template cache; multi-expr
@@ -257,20 +260,25 @@ func (s *Solver) propTemplateFor(constraints []sym.Expr) *propTemplate {
 			return tpl
 		}
 	}
-	var compiled []*constraint
-	for _, e := range constraints {
-		compiled = append(compiled, s.compile(e)...)
-	}
-	var tpl *propTemplate
-	if len(compiled) == 0 {
-		tpl = &propTemplate{}
-	} else {
+	tpl := new(propTemplate)
+	if compiled := s.compileAll(constraints); len(compiled) > 0 {
 		p := newProblem(compiled, nil)
-		tpl = &propTemplate{
+		*tpl = propTemplate{
 			varNames:     p.varNames,
 			varIdx:       p.varIdx,
+			pos:          make([]int, len(p.varNames)),
 			views:        p.views,
+			atoms:        make([]sym.Expr, len(p.views)),
 			trivialUnsat: p.trivialUnsat,
+		}
+		for i, name := range p.varNames {
+			tpl.pos[i] = -1
+			if idx, ok := s.inputIdx[name]; ok {
+				tpl.pos[i] = idx
+			}
+		}
+		for i := range p.views {
+			tpl.atoms[i] = p.views[i].c.expr
 		}
 	}
 	if len(constraints) == 1 {

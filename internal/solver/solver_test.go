@@ -527,32 +527,36 @@ func TestSaturatingArithmetic(t *testing.T) {
 	}
 }
 
-// TestPropagateDeltaTemplateReuse exercises the per-constraint problem
-// skeleton cache behind PropagateDelta: the same constraint propagated
-// against different boxes must tighten each box independently and
-// correctly, with the cached skeleton (second call onward) giving the same
-// answers as the first.
-func TestPropagateDeltaTemplateReuse(t *testing.T) {
-	s := New(Options{})
+// TestTightenTemplateReuse exercises the per-constraint problem skeleton
+// cache behind Tighten: the same constraint propagated against different
+// boxes must tighten each box independently and correctly, with the cached
+// skeleton (second call onward) giving the same answers as the first.
+func TestTightenTemplateReuse(t *testing.T) {
+	s := NewIndexed(Options{}, map[string]Interval{"X": {0, 100}})
 	c := sym.Cmp(sym.OpLT, x(), sym.Int(10)) // X < 10
-	boxes := []map[string]Interval{
-		{"X": {0, 100}},
-		{"X": {0, 5}},
-		{"X": {50, 100}},
-		{"X": {0, 100}}, // repeat of the first: must reproduce it exactly
+	boxes := []Interval{
+		{0, 100},
+		{0, 5},
+		{50, 100},
+		{0, 100}, // repeat of the first: must reproduce it exactly
 	}
 	wantHi := []int64{9, 5, 0, 9} // tightened X.Hi; third is a conflict
 	wantOK := []bool{true, true, false, true}
-	for i, base := range boxes {
-		delta, residual, ok := s.PropagateDelta([]sym.Expr{c}, base)
+	for i, d := range boxes {
+		parent := &Box{iv: []Interval{d}}
+		box, residual, ok := s.Tighten(parent, []sym.Expr{c})
 		if ok != wantOK[i] {
 			t.Fatalf("call %d: ok = %v, want %v", i, ok, wantOK[i])
 		}
 		if !ok {
 			continue
 		}
-		if d := delta["X"]; d.Hi != wantHi[i] || d.Lo != base["X"].Lo {
-			t.Fatalf("call %d: delta X = %+v, want Hi %d", i, d, wantHi[i])
+		if got := box.iv[0]; got.Hi != wantHi[i] || got.Lo != d.Lo {
+			t.Fatalf("call %d: X = %+v, want Hi %d", i, got, wantHi[i])
+		}
+		// A box that already entails X < 10 comes back as the parent itself.
+		if shared := box == parent; shared != (d.Hi < 10) {
+			t.Fatalf("call %d: parent shared = %v, want %v", i, shared, d.Hi < 10)
 		}
 		// X < 10 is entailed by every box the propagation produces here, so
 		// nothing is residual.
@@ -570,16 +574,17 @@ func TestPropagateDeltaTemplateReuse(t *testing.T) {
 	}
 }
 
-// TestPropagateDeltaTrivialCases pins the degenerate paths: no constraints,
+// TestTightenTrivialCases pins the degenerate paths: no constraints,
 // trivially-true constraints, and a same-form contradiction refuted during
 // template construction without any propagation.
-func TestPropagateDeltaTrivialCases(t *testing.T) {
-	s := New(Options{})
-	if delta, residual, ok := s.PropagateDelta(nil, dom(0, 10)); !ok || delta != nil || residual != nil {
-		t.Fatalf("empty constraint list: got (%v, %v, %v)", delta, residual, ok)
+func TestTightenTrivialCases(t *testing.T) {
+	s := NewIndexed(Options{}, dom(0, 10))
+	base := s.Base()
+	if box, residual, ok := s.Tighten(base, nil); !ok || box != base || residual != nil {
+		t.Fatalf("empty constraint list: got (%v, %v, %v)", box, residual, ok)
 	}
-	if _, _, ok := s.PropagateDelta([]sym.Expr{sym.True}, dom(0, 10)); !ok {
-		t.Fatalf("trivially-true constraint must propagate ok")
+	if box, _, ok := s.Tighten(base, []sym.Expr{sym.True}); !ok || box != base {
+		t.Fatalf("trivially-true constraint must propagate ok and share the box")
 	}
 	// X - Y == 0 together with X - Y >= 1 in one conjunction: the same-form
 	// intersection inside the template refutes it outright.
@@ -587,7 +592,7 @@ func TestPropagateDeltaTrivialCases(t *testing.T) {
 		sym.Cmp(sym.OpEQ, sym.Sub(x(), y()), sym.Zero),
 		sym.Cmp(sym.OpGE, sym.Sub(x(), y()), sym.One),
 	)
-	if _, _, ok := s.PropagateDelta([]sym.Expr{contradiction}, dom(0, 1000)); ok {
+	if _, _, ok := s.Tighten(s.Base(), []sym.Expr{contradiction}); ok {
 		t.Fatalf("same-form contradiction not refuted")
 	}
 }

@@ -14,9 +14,8 @@
 package testgen
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"dise/internal/constraint"
 	"dise/internal/lang/ast"
@@ -60,6 +59,11 @@ func NewGenerator(engine *symexec.Engine) *Generator {
 func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
 	var out []TestCase
 	seen := map[string]bool{}
+	symbols := make([]string, len(g.Proc.Params))
+	for i, p := range g.Proc.Params {
+		symbols[i] = symexec.SymbolName(p.Name)
+	}
+	var call []byte
 	for _, p := range summary.Paths {
 		res := g.Check(p.PC)
 		if !res.Sat {
@@ -68,39 +72,47 @@ func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
 			// skips unsolvable path conditions during test generation.
 			continue
 		}
-		tc := g.render(res.Model, p.PCString)
-		if seen[tc.Call] {
+		call = g.appendCall(call[:0], res.Model, symbols)
+		if seen[string(call)] {
 			continue
 		}
+		tc := TestCase{Call: string(call), Inputs: g.inputs(res.Model, symbols), PCString: p.PCString}
 		seen[tc.Call] = true
 		out = append(out, tc)
 	}
 	return out
 }
 
-// render builds the call string for a model, following the paper's partial
-// state convention: only procedure arguments appear.
-func (g *Generator) render(model map[string]int64, pcString string) TestCase {
-	inputs := map[string]int64{}
-	args := make([]string, len(g.Proc.Params))
+// appendCall appends the call rendering of a model to dst, following the
+// paper's partial state convention: only procedure arguments appear.
+// symbols[i] is the symbol of parameter i.
+func (g *Generator) appendCall(dst []byte, model map[string]int64, symbols []string) []byte {
+	dst = append(dst, g.Proc.Name...)
+	dst = append(dst, '(')
 	for i, p := range g.Proc.Params {
-		v := model[symexec.SymbolName(p.Name)]
-		inputs[p.Name] = v
-		if p.Type == ast.TypeBool {
-			if v != 0 {
-				args[i] = "true"
-			} else {
-				args[i] = "false"
-			}
-		} else {
-			args[i] = fmt.Sprintf("%d", v)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		v := model[symbols[i]]
+		switch {
+		case p.Type != ast.TypeBool:
+			dst = strconv.AppendInt(dst, v, 10)
+		case v != 0:
+			dst = append(dst, "true"...)
+		default:
+			dst = append(dst, "false"...)
 		}
 	}
-	return TestCase{
-		Call:     fmt.Sprintf("%s(%s)", g.Proc.Name, strings.Join(args, ", ")),
-		Inputs:   inputs,
-		PCString: pcString,
+	return append(dst, ')')
+}
+
+// inputs returns the model's values of the procedure parameters.
+func (g *Generator) inputs(model map[string]int64, symbols []string) map[string]int64 {
+	out := make(map[string]int64, len(g.Proc.Params))
+	for i, p := range g.Proc.Params {
+		out[p.Name] = model[symbols[i]]
 	}
+	return out
 }
 
 // Selection is the outcome of test case selection and augmentation.
