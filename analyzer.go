@@ -330,8 +330,8 @@ func (a *Analyzer) engineConfig(ctx context.Context) symexec.Config {
 	return cfg
 }
 
-// resultConfig is the engine configuration stored on results for later test
-// generation — identical to the request's, minus its context hooks.
+// resultConfig is the engine configuration a result's stats echo —
+// identical to the request's, minus its context hooks.
 func (a *Analyzer) resultConfig() symexec.Config { return a.engineConfig(context.Background()) }
 
 // Request describes one differential analysis.
@@ -424,8 +424,8 @@ func (a *Analyzer) resolveVersion(src, procName, stage string, interprocedural, 
 // into the public Result, classifying interrupts and budget trips.
 // resultCfg is the context-free engine configuration the run actually used
 // (per-request overrides like Request.MergeBound included); it feeds the
-// stats echo and later test generation.
-func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config, modProg *ast.Program, procName string) (*Result, error) {
+// stats echo.
+func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config) (*Result, error) {
 	defer a.noteRunDone()
 	res := idise.Run(job)
 	if err := job.Engine.InterruptErr(); err != nil {
@@ -440,9 +440,7 @@ func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config, modProg *ast.
 		AffectedConditionalLines: res.Affected.ACNLines(),
 		AffectedWriteLines:       res.Affected.AWNLines(),
 		internal:                 res,
-		config:                   resultCfg,
-		modProg:                  modProg,
-		procName:                 procName,
+		proc:                     job.Engine.Proc,
 	}
 	for _, p := range res.Summary.Paths {
 		out.Paths = append(out.Paths, PathInfo{PathCondition: p.PCString, AssertViolated: p.Err})
@@ -489,7 +487,7 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 		Engine:    engine,
 		Opts:      idise.Options{TransitiveWrites: a.conf.transitiveWrites},
 		OnPath:    onPath,
-	}, resultCfg, mod.prog, req.Proc)
+	}, resultCfg)
 }
 
 // BatchResult pairs one request of an AnalyzeBatch call with its outcome.
@@ -555,7 +553,7 @@ func (a *Analyzer) Execute(ctx context.Context, src, procName string) (*Summary,
 	if summary.Stats.MaxStatesHit && a.conf.maxStates > 0 {
 		return nil, &Error{Kind: BudgetExhausted}
 	}
-	out := &Summary{engine: engine, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths), a.resultConfig())}
+	out := &Summary{proc: engine.Proc, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths), a.resultConfig())}
 	for _, p := range summary.Paths {
 		out.Paths = append(out.Paths, PathInfo{PathCondition: p.PCString, AssertViolated: p.Err})
 	}

@@ -90,7 +90,7 @@ func main() {
 	modPath := flag.String("mod", "", "path to the modified version source")
 	proc := flag.String("proc", "", "procedure under analysis (default: the only procedure)")
 	depth := flag.Int("depth", 0, "symbolic execution depth bound (0 = default)")
-	tests := flag.Bool("tests", false, "also solve affected path conditions into test inputs")
+	tests := flag.Bool("tests", false, "also render test inputs for the affected path conditions")
 	asJSON := flag.Bool("json", false, "emit the result as machine-readable JSON")
 	solverName := flag.String("solver", "", fmt.Sprintf("constraint-solving backend %v (default %q)", dise.SolverBackends(), "interval"))
 	smtSolver := flag.String("smt-solver", "", "path to an SMT-LIB2 solver binary for the smtlib backend (default: discover z3/cvc5/... on PATH; absent binary degrades to the in-process fallback)")

@@ -36,7 +36,7 @@ func runExec(ctx context.Context, args []string) {
 	proc := fs.String("proc", "", "procedure to execute (default: the only procedure)")
 	depth := fs.Int("depth", 0, "depth bound (0 = default)")
 	tree := fs.Bool("tree", false, "print the symbolic execution tree instead of the summary")
-	tests := fs.Bool("tests", false, "also solve path conditions into test inputs")
+	tests := fs.Bool("tests", false, "also render test inputs for the path conditions")
 	strategy := fs.String("strategy", "", fmt.Sprintf("search strategy %v (default %q)", dise.SearchStrategies(), "dfs"))
 	exploreParallelism := fs.Int("explore-parallelism", 0, "exploration workers (0 or 1 = sequential)")
 	fs.Parse(args)

@@ -284,9 +284,7 @@ type Result struct {
 	AffectedWriteLines       []int
 
 	internal *idise.Result
-	config   symexec.Config
-	modProg  *ast.Program
-	procName string
+	proc     *ast.Procedure // the analyzed procedure of the modified version
 }
 
 // PathConditions returns the rendered affected path conditions.
@@ -317,7 +315,7 @@ type Summary struct {
 	Paths []PathInfo
 	Stats Stats
 
-	engine  *symexec.Engine
+	proc    *ast.Procedure
 	summary *symexec.Summary
 }
 
@@ -337,19 +335,18 @@ type TestCase struct {
 	PathCondition string `json:"path_condition"`
 }
 
-// Tests solves the summary's path conditions into concrete test inputs.
+// Tests renders the concrete test inputs of the summary's paths: each
+// path's witness, the model exploration found for its path condition.
 func (s *Summary) Tests() []TestCase {
-	return convertTests(testgen.NewGenerator(s.engine).Generate(s.summary))
+	return convertTests((&testgen.Generator{Proc: s.proc}).Generate(s.summary))
 }
 
-// Tests solves the DiSE result's affected path conditions into concrete
-// test inputs for the modified version.
+// Tests renders the concrete test inputs of the DiSE result's affected
+// paths for the modified version: each path's witness, the model the
+// directed search found for its path condition. The error is always nil;
+// no path condition is solved again.
 func (r *Result) Tests() ([]TestCase, error) {
-	engine, err := symexec.New(r.modProg, r.procName, r.config)
-	if err != nil {
-		return nil, err
-	}
-	return convertTests(testgen.NewGenerator(engine).Generate(r.internal.Summary)), nil
+	return convertTests((&testgen.Generator{Proc: r.proc}).Generate(r.internal.Summary)), nil
 }
 
 func convertTests(ts []testgen.TestCase) []TestCase {

@@ -83,7 +83,7 @@ func main() {
 		fmt.Printf("  PC%d: %s\n", i+1, pc)
 	}
 
-	// Solve the affected path conditions into concrete test inputs.
+	// Render each affected path's witness as concrete test inputs.
 	tests, err := res.Tests()
 	if err != nil {
 		log.Fatal(err)

@@ -75,7 +75,7 @@ func main() {
 	fmt.Printf("\nDiSE: %d affected path conditions (full run has %d paths)\n",
 		len(res.Paths), len(baseSum.Paths))
 
-	// 3. Solve affected path conditions into tests; select + augment.
+	// 3. Render the affected paths' witnesses as tests; select + augment.
 	diseTests, err := res.Tests()
 	if err != nil {
 		log.Fatal(err)

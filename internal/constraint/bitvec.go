@@ -24,14 +24,16 @@ import (
 // interval backend there are no propagation snapshots to reuse (the
 // abstract state is recomputed per solve).
 type bitvecBackend struct {
-	bld       *Builder
-	domains   map[string]solver.Interval // clamped to the signed W-bit range
+	bld     *Builder
+	domains map[string]solver.Interval // clamped to the signed W-bit range
+	// index is the input index Result models are laid out over; the search
+	// itself binds values to names.
+	index     *solver.Index
 	frames    []*bvFrame
 	budget    int
 	interrupt func() error
 	cache     *PrefixCache
 	stats     Stats
-	lastModel map[string]int64
 
 	transBoolMemo map[sym.Expr][]*BVExpr
 	transBVMemo   map[sym.Expr]*BVExpr
@@ -70,6 +72,7 @@ func newBitvecBackend(opts Options) (*bitvecBackend, error) {
 	b := &bitvecBackend{
 		bld:           bld,
 		domains:       domains,
+		index:         solver.NewIndex(domains),
 		budget:        budget,
 		interrupt:     opts.Interrupt,
 		cache:         cache,
@@ -124,8 +127,6 @@ func (b *bitvecBackend) AssertBV(c *BVExpr) {
 	b.stats.Asserts++
 }
 
-func (b *bitvecBackend) Model() map[string]int64 { return b.lastModel }
-
 func (b *bitvecBackend) Caps() Caps {
 	return Caps{Name: BackendBitvec, PrefixReuse: true, Wraparound: true, Bitwise: true}
 }
@@ -137,10 +138,6 @@ func (b *bitvecBackend) Check() Result {
 	b.stats.Checks++
 	res := b.check()
 	b.stats.Tally(res)
-	b.lastModel = nil
-	if res.Sat {
-		b.lastModel = res.Model
-	}
 	return res
 }
 
@@ -186,7 +183,7 @@ func (b *bitvecBackend) check() Result {
 // ancestor whose verdict (memo or cache) is known. A Sat ancestor yields
 // its model and the constraints asserted above it (which the model must
 // still pass); an unsat ancestor refutes the whole stack (refuted=true).
-func (b *bitvecBackend) ancestorModel() (model map[string]int64, below []*BVExpr, refuted bool) {
+func (b *bitvecBackend) ancestorModel() (model *solver.Model, below []*BVExpr, refuted bool) {
 	for i := len(b.frames) - 1; i > 0; i-- {
 		f := b.frames[i]
 		below = append(below, f.cons...)
@@ -206,11 +203,9 @@ func (b *bitvecBackend) ancestorModel() (model map[string]int64, below []*BVExpr
 	return nil, nil, false
 }
 
-func (b *bitvecBackend) modelSatisfies(model map[string]int64, cons []*BVExpr) bool {
-	env := make(map[string]uint64, len(model))
-	for k, v := range model {
-		env[k] = b.bld.FromSigned(v)
-	}
+func (b *bitvecBackend) modelSatisfies(model *solver.Model, cons []*BVExpr) bool {
+	env := make(map[string]uint64, model.Len())
+	model.Each(func(name string, v int64) { env[name] = b.bld.FromSigned(v) })
 	for _, c := range cons {
 		v, err := b.bld.Eval(c, env)
 		if err != nil || v == 0 {
@@ -379,7 +374,11 @@ func (b *bitvecBackend) solve(cons []*BVExpr) Result {
 	}
 	budget := b.budget
 	sat, unknown, model := p.search(dom, cons, &budget)
-	return Result{Sat: sat, Unknown: unknown, Model: model}
+	res := Result{Sat: sat, Unknown: unknown}
+	if sat {
+		res.Model = solver.NewModel(b.index, model)
+	}
+	return res
 }
 
 // search explores the current box: refine → classify → split, with exact

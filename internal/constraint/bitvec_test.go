@@ -106,7 +106,7 @@ func TestBitvecWraparoundScenario(t *testing.T) {
 	if !res.Sat {
 		t.Fatalf("X+1 < X must be sat under wraparound (result %+v, stats %+v)", res, b.Stats())
 	}
-	if got := res.Model["X"]; got != 32767 {
+	if got := res.Model.Map()["X"]; got != 32767 {
 		t.Errorf("model X = %d, want 32767 (MaxS)", got)
 	}
 
@@ -135,18 +135,18 @@ func TestBitvecBitwiseScenario(t *testing.T) {
 	if !res.Sat {
 		t.Fatalf("must be sat, stats %+v", b.Stats())
 	}
-	if got := res.Model["X"]; got&0xFF != 0x80 {
+	if got := res.Model.Map()["X"]; got&0xFF != 0x80 {
 		t.Errorf("model X = %d (0x%x), want low byte 0x80", got, got)
 	}
 	// Forbid the found solution and ask for another.
 	b.Push()
-	b.AssertBV(bld.Ne(x, bld.Const(res.Model["X"])))
+	b.AssertBV(bld.Ne(x, bld.Const(res.Model.Map()["X"])))
 	res2 := b.Check()
 	if !res2.Sat {
 		t.Fatal("a second solution exists (e.g. 0x180)")
 	}
-	if res2.Model["X"] == res.Model["X"] || res2.Model["X"]&0xFF != 0x80 {
-		t.Errorf("second model X = %d invalid", res2.Model["X"])
+	if res2.Model.Map()["X"] == res.Model.Map()["X"] || res2.Model.Map()["X"]&0xFF != 0x80 {
+		t.Errorf("second model X = %d invalid", res2.Model.Map()["X"])
 	}
 }
 
@@ -188,7 +188,7 @@ func TestBitvecDivisionSemantics(t *testing.T) {
 	b2.Push()
 	b2.Assert(sym.Cmp(sym.OpEQ, sym.Div(x, sym.Int(2)), sym.Int(3)))
 	res := b2.Check()
-	if !res.Sat || res.Model["X"]/2 != 3 {
+	if !res.Sat || res.Model.Map()["X"]/2 != 3 {
 		t.Errorf("X/2 == 3 must be sat with a valid model, got %+v", res)
 	}
 }

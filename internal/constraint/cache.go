@@ -128,7 +128,7 @@ func approxEntryBytes(ent prefixEntry) int64 {
 	b += int64(ent.box.Len()) * boxEntryBytes
 	b += int64(len(ent.residual)) * residualAtomBytes
 	if ent.res != nil {
-		b += 64 + int64(len(ent.res.Model))*40
+		b += 64 + int64(ent.res.Model.Len())*40
 	}
 	return b
 }

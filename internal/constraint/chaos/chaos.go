@@ -225,7 +225,6 @@ func (w *wrapped) Check() constraint.Result {
 	return w.inner.Check()
 }
 
-func (w *wrapped) Model() map[string]int64 { return w.inner.Model() }
 func (w *wrapped) Caps() constraint.Caps   { return w.inner.Caps() }
 func (w *wrapped) Stats() constraint.Stats { return w.inner.Stats() }
 func (w *wrapped) ResetStats()             { w.inner.ResetStats() }

@@ -97,9 +97,14 @@ type Options struct {
 type Result struct {
 	Sat     bool
 	Unknown bool // budget exhausted or interrupted before a verdict
-	// Model maps every domain variable to a value when Sat. Models are
-	// deterministic for a given backend and assertion stack.
-	Model map[string]int64
+	// Model is the witness when Sat, and nil otherwise: it binds every
+	// domain variable, plus any other name the constraints mention, to a
+	// value, laid out over the input index of the domains. Every Sat result
+	// carries one. Models are deterministic for a given backend and
+	// assertion stack, and shared read-only: the prefix cache, memo
+	// verdicts, exploration states and the paths they end as all hold the
+	// same model, so nothing may write into one.
+	Model *solver.Model
 }
 
 // Caps describes what a backend can do, so callers can select or reject
@@ -205,9 +210,9 @@ func (s *Stats) Add(o Stats) {
 //
 // The stack discipline mirrors the execution tree: Push opens a frame,
 // Assert adds constraints to the top frame, Check decides the conjunction
-// of all frames, Pop discards the top frame. Model returns the witness of
-// the last satisfiable Check. Backends are not safe for concurrent use;
-// each engine owns one instance.
+// of all frames, Pop discards the top frame; a satisfiable Check's Result
+// carries its witness. Backends are not safe for concurrent use; each
+// engine owns one instance.
 type Backend interface {
 	// Push opens a new assertion frame.
 	Push()
@@ -219,8 +224,6 @@ type Backend interface {
 	// Check decides satisfiability of the conjunction of every asserted
 	// constraint under the input domains.
 	Check() Result
-	// Model returns the model of the most recent satisfiable Check, or nil.
-	Model() map[string]int64
 	// Caps reports the backend's capabilities.
 	Caps() Caps
 	// Stats returns accumulated counters.

@@ -50,7 +50,7 @@ func TestPushPopAssertCheck(t *testing.T) {
 			t.Fatal("empty stack must be sat")
 		}
 		for _, v := range []string{"X", "Y"} {
-			if _, ok := res.Model[v]; !ok {
+			if _, ok := res.Model.Value(v); !ok {
 				t.Errorf("model missing domain variable %s", v)
 			}
 		}
@@ -63,11 +63,11 @@ func TestPushPopAssertCheck(t *testing.T) {
 		if !res.Sat {
 			t.Fatal("5 <= X <= 10 must be sat")
 		}
-		if got := res.Model["X"]; got < 5 || got > 10 {
+		if got := res.Model.Map()["X"]; got < 5 || got > 10 {
 			t.Errorf("model X = %d, want within [5, 10]", got)
 		}
-		if m := b.Model(); m == nil || m["X"] != res.Model["X"] {
-			t.Error("Model() must return the last sat model")
+		if res.Model.Index() == nil {
+			t.Error("a sat result's model must be laid out over the input index")
 		}
 
 		// Deepen: X > Y ∧ Y >= 8 narrows X to [9, 10].
@@ -78,7 +78,7 @@ func TestPushPopAssertCheck(t *testing.T) {
 		if !res.Sat {
 			t.Fatal("X in [5,10], X > Y >= 8 must be sat")
 		}
-		if got := res.Model["X"]; got < 9 || got > 10 {
+		if got := res.Model.Map()["X"]; got < 9 || got > 10 {
 			t.Errorf("model X = %d, want within [9, 10]", got)
 		}
 

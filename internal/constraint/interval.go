@@ -48,12 +48,11 @@ type ivFrame struct {
 // which is exactly what the execution engine did before this subsystem
 // existed (the A/B baseline).
 type intervalBackend struct {
-	inner     *solver.Solver
-	frames    []*ivFrame
-	cache     *PrefixCache
-	reuse     bool
-	stats     Stats
-	lastModel map[string]int64
+	inner  *solver.Solver
+	frames []*ivFrame
+	cache  *PrefixCache
+	reuse  bool
+	stats  Stats
 	// exprs is scratch for the constraint list of a full solve, which the
 	// solver does not retain.
 	exprs []sym.Expr
@@ -131,8 +130,6 @@ func (b *intervalBackend) Assert(c sym.Expr) {
 	b.stats.Asserts++
 }
 
-func (b *intervalBackend) Model() map[string]int64 { return b.lastModel }
-
 func (b *intervalBackend) Caps() Caps {
 	return Caps{Name: b.stats.Backend, PrefixReuse: b.reuse}
 }
@@ -154,10 +151,6 @@ func (b *intervalBackend) Check() Result {
 	b.stats.Checks++
 	res := b.check()
 	b.stats.Tally(res)
-	b.lastModel = nil
-	if res.Sat {
-		b.lastModel = res.Model
-	}
 	return res
 }
 
@@ -242,7 +235,7 @@ func (b *intervalBackend) check() Result {
 // shared cache first). It returns the parent frame's box, the parent
 // prefix's satisfying model when one is known, and whether an ancestor
 // frame was refuted outright.
-func (b *intervalBackend) ensureAncestors() (*solver.Box, map[string]int64, bool) {
+func (b *intervalBackend) ensureAncestors() (*solver.Box, *solver.Model, bool) {
 	parentBox := b.inner.Base()
 	for i, f := range b.frames[:len(b.frames)-1] {
 		if f.box == nil {
@@ -266,7 +259,7 @@ func (b *intervalBackend) ensureAncestors() (*solver.Box, map[string]int64, bool
 		}
 		parentBox = f.box
 	}
-	var parentModel map[string]int64
+	var parentModel *solver.Model
 	if len(b.frames) > 1 {
 		if parent := b.frames[len(b.frames)-2]; parent.res != nil && parent.res.Sat {
 			parentModel = parent.res.Model
@@ -291,7 +284,7 @@ func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox *solver.Box) (*so
 
 // modelSatisfies reports whether the model satisfies every expression (any
 // evaluation error — e.g. a variable the prefix never mentioned — means no).
-func (b *intervalBackend) modelSatisfies(model map[string]int64, exprs []sym.Expr) bool {
+func (b *intervalBackend) modelSatisfies(model *solver.Model, exprs []sym.Expr) bool {
 	for _, e := range exprs {
 		v, err := solver.EvalInt01(e, model)
 		if err != nil || v == 0 {

@@ -55,7 +55,6 @@ type backend struct {
 	cancel  atomic.Bool // set while a Check already has its verdict
 	base    func() error
 	depth   int // open frames; guards the base-frame Pop contract
-	model   map[string]int64
 }
 
 // New builds the portfolio from Options.Portfolio (or DefaultMembers).
@@ -164,9 +163,6 @@ func (b *backend) Check() constraint.Result {
 	b.stats.Checks++
 	res := b.race()
 	b.stats.Tally(res)
-	if res.Sat {
-		b.model = res.Model
-	}
 	return res
 }
 
@@ -225,8 +221,6 @@ func (b *backend) race() constraint.Result {
 	}
 	return won
 }
-
-func (b *backend) Model() map[string]int64 { return b.model }
 
 // Caps intersects the members' capabilities: the portfolio only promises
 // what every member delivers.

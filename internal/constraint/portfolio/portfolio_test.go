@@ -39,7 +39,6 @@ func (s *slowpoke) Check() constraint.Result {
 	return s.inner.Check()
 }
 
-func (s *slowpoke) Model() map[string]int64 { return s.inner.Model() }
 func (s *slowpoke) Caps() constraint.Caps   { return constraint.Caps{Name: "slowpoke"} }
 func (s *slowpoke) Stats() constraint.Stats { return s.inner.Stats() }
 func (s *slowpoke) ResetStats()             { s.inner.ResetStats() }
@@ -63,7 +62,6 @@ func (p *panicky) Check() constraint.Result {
 	return p.inner.Check()
 }
 
-func (p *panicky) Model() map[string]int64 { return p.inner.Model() }
 func (p *panicky) Caps() constraint.Caps   { return constraint.Caps{Name: "panicky"} }
 func (p *panicky) Stats() constraint.Stats { return p.inner.Stats() }
 func (p *panicky) ResetStats()             { p.inner.ResetStats() }
@@ -134,7 +132,7 @@ func TestFirstDefinitiveWinsAndLoserIsCancelled(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("loser not cancelled through its interrupt hook: %d", n)
 	}
-	if res.Model["X"] <= 5 || res.Model["X"] > 10 {
+	if res.Model.Map()["X"] <= 5 || res.Model.Map()["X"] > 10 {
 		t.Fatalf("bad model %v", res.Model)
 	}
 }

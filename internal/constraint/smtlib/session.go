@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dise/internal/constraint"
+	"dise/internal/solver"
 )
 
 // session supervises the external solver conversation for one backend
@@ -110,9 +111,9 @@ func newSession(o constraint.SMTOptions, interrupt func() error, prelude []strin
 // check runs one external check-sat conversation over the rendered frame
 // stack. It returns ok=false (with the rung of the ladder that stopped it)
 // whenever the external layer produced no definitive, validated verdict;
-// the backend then consults its fallback. validate vets a sat model before
-// it is trusted.
-func (s *session) check(frames [][]string, vars []string, validate func(map[string]int64) error) (constraint.Result, error) {
+// the backend then consults its fallback. adopt vets a sat model before it
+// is trusted and returns it as the result's model.
+func (s *session) check(frames [][]string, vars []string, adopt func(map[string]int64) (*solver.Model, error)) (constraint.Result, error) {
 	now := s.now()
 	if s.disabled {
 		return constraint.Result{}, errExtDisabled
@@ -155,12 +156,13 @@ func (s *session) check(frames [][]string, vars []string, validate func(map[stri
 		s.ok()
 		return constraint.Result{Sat: false}, nil
 	default: // "sat"
-		model, err := s.getValues(vars)
+		values, err := s.getValues(vars)
 		if err != nil {
 			s.fail()
 			return constraint.Result{}, err
 		}
-		if verr := validate(model); verr != nil {
+		model, verr := adopt(values)
+		if verr != nil {
 			// A model contradicting the asserted stack means the solver
 			// (or the transport) is lying; strict validation treats it
 			// exactly like a garbage reply.

@@ -52,9 +52,9 @@ type backend struct {
 	stats    constraint.Stats
 	declared map[string]bool
 	domains  map[string]solver.Interval
-	vars     []string // declared variable names, sorted (get-value order)
-	extOK    bool     // every domain variable is declarable
-	model    map[string]int64
+	index    *solver.Index // lays out adopted external models
+	vars     []string      // declared variable names, sorted (get-value order)
+	extOK    bool          // every domain variable is declarable
 }
 
 // New builds the smtlib backend: an interval fallback mirroring the same
@@ -72,6 +72,7 @@ func New(opts constraint.Options) (constraint.Backend, error) {
 		frames:   []*frame{{}},
 		declared: make(map[string]bool, len(opts.Domains)),
 		domains:  opts.Domains,
+		index:    solver.NewIndex(opts.Domains),
 		extOK:    true,
 	}
 	for name := range opts.Domains {
@@ -140,9 +141,6 @@ func (b *backend) Check() constraint.Result {
 	b.stats.Checks++
 	res := b.check()
 	b.stats.Tally(res)
-	if res.Sat {
-		b.model = res.Model
-	}
 	return res
 }
 
@@ -153,7 +151,7 @@ func (b *backend) Check() constraint.Result {
 // can only differ in who answered, never in what.
 func (b *backend) check() constraint.Result {
 	if b.external() {
-		if res, err := b.sess.check(b.rendered(), b.vars, b.validate); err == nil {
+		if res, err := b.sess.check(b.rendered(), b.vars, b.adopt); err == nil {
 			b.stats.ExtAnswers++
 			return res
 		}
@@ -189,36 +187,36 @@ func (b *backend) rendered() [][]string {
 	return out
 }
 
-// validate vets an external sat model before it is trusted: every
-// declared variable present (parseValues guarantees that), inside its
-// domain, and the full asserted stack actually satisfied under the IR's
-// own evaluator. Trust-but-verify is what lets the backend adopt answers
-// from an arbitrary binary without widening the engine's trusted base.
-func (b *backend) validate(model map[string]int64) error {
+// adopt vets an external sat model before it is trusted — every declared
+// variable present (parseValues guarantees that), inside its domain, and
+// the full asserted stack actually satisfied under the IR's own evaluator —
+// and lays it out over the input index. Trust-but-verify is what lets the
+// backend adopt answers from an arbitrary binary without widening the
+// engine's trusted base.
+func (b *backend) adopt(values map[string]int64) (*solver.Model, error) {
 	for name, d := range b.domains {
-		v, ok := model[name]
+		v, ok := values[name]
 		if !ok {
-			return fmt.Errorf("variable %s missing", name)
+			return nil, fmt.Errorf("variable %s missing", name)
 		}
 		if v < d.Lo || v > d.Hi {
-			return fmt.Errorf("%s = %d outside domain [%d, %d]", name, v, d.Lo, d.Hi)
+			return nil, fmt.Errorf("%s = %d outside domain [%d, %d]", name, v, d.Lo, d.Hi)
 		}
 	}
+	model := solver.NewModel(b.index, values)
 	for _, f := range b.frames {
 		for _, c := range f.conds {
 			v, err := solver.EvalInt01(c, model)
 			if err != nil {
-				return fmt.Errorf("evaluating %v: %v", c, err)
+				return nil, fmt.Errorf("evaluating %v: %v", c, err)
 			}
 			if v == 0 {
-				return fmt.Errorf("constraint %v not satisfied", c)
+				return nil, fmt.Errorf("constraint %v not satisfied", c)
 			}
 		}
 	}
-	return nil
+	return model, nil
 }
-
-func (b *backend) Model() map[string]int64 { return b.model }
 
 func (b *backend) Caps() constraint.Caps {
 	return constraint.Caps{Name: Name, PrefixReuse: true}

@@ -187,15 +187,15 @@ func TestExternalSatModelAdopted(t *testing.T) {
 	if !res.Sat || res.Unknown {
 		t.Fatalf("want sat, got %+v", res)
 	}
-	if res.Model["X"] != 6 {
+	if res.Model.Map()["X"] != 6 {
 		t.Fatalf("external model not adopted: %v", res.Model)
 	}
 	st := b.Stats()
 	if st.ExtAnswers != 1 || st.ExtSolves != 1 || st.FallbackSolves != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if b.Model()["X"] != 6 {
-		t.Fatalf("Model() = %v", b.Model())
+	if res.Model.Index() == nil {
+		t.Fatalf("external model %v not laid out over the input index", res.Model)
 	}
 	b.Pop()
 }
@@ -228,7 +228,7 @@ func TestLyingModelRejectedAndFallbackDecides(t *testing.T) {
 	if !res.Sat {
 		t.Fatalf("want sat from fallback, got %+v", res)
 	}
-	if res.Model["X"] <= 5 {
+	if res.Model.Map()["X"] <= 5 {
 		t.Fatalf("fallback model invalid: %v", res.Model)
 	}
 	st := b.Stats()
@@ -246,7 +246,7 @@ func TestOutOfDomainModelRejected(t *testing.T) {
 	b := mustBackend(t, o)
 	b.Push()
 	b.Assert(xGT(5))
-	if res := b.Check(); !res.Sat || res.Model["X"] > 10 {
+	if res := b.Check(); !res.Sat || res.Model.Map()["X"] > 10 {
 		t.Fatalf("want in-domain fallback model, got %+v", res)
 	}
 	if st := b.Stats(); st.ExtAnswers != 0 {
@@ -450,7 +450,7 @@ func TestUnsupportedFragmentSkipsExternal(t *testing.T) {
 	// With the unsupported frame popped, the external layer is eligible again.
 	b.Push()
 	b.Assert(xGT(5))
-	if res := b.Check(); !res.Sat || res.Model["X"] != 6 {
+	if res := b.Check(); !res.Sat || res.Model.Map()["X"] != 6 {
 		t.Fatalf("external not re-enabled after pop: %+v", res)
 	}
 }

@@ -98,13 +98,9 @@ func Run(a artifacts.Artifact, config symexec.Config) (*ArtifactResult, error) {
 			FullPCs:    len(fullSummary.Paths),
 		})
 
-		// Table 3: solve DiSE's path conditions into tests and split them
+		// Table 3: render DiSE's path witnesses into tests and split them
 		// against the base suite by string comparison.
-		diseEngine, err := symexec.New(modProg, a.Proc, config)
-		if err != nil {
-			return nil, fmt.Errorf("evaluation: %s %s testgen: %w", a.Name, v.Name, err)
-		}
-		diseTests := testgen.NewGenerator(diseEngine).Generate(res.Summary)
+		diseTests := testgen.NewGenerator(fullEngine).Generate(res.Summary)
 		sel := testgen.SelectAugment(baseSuite, diseTests)
 		out.Rows3 = append(out.Rows3, Row3{
 			Version:    v.Name,

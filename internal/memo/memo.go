@@ -64,6 +64,7 @@ package memo
 import (
 	"sort"
 
+	"dise/internal/solver"
 	"dise/internal/sym"
 )
 
@@ -77,7 +78,7 @@ import (
 type Verdict struct {
 	Cond  sym.Expr
 	Sat   bool
-	Model map[string]int64
+	Model *solver.Model // shared read-only with the run that recorded it
 }
 
 // eqExpr compares two optional constraint contributions: both absent, or
@@ -168,7 +169,7 @@ func (n *Node) Lookup(cond sym.Expr) (Verdict, bool) {
 }
 
 // Record appends a verdict. Callers must not record Unknown results.
-func (n *Node) Record(cond sym.Expr, sat bool, model map[string]int64) {
+func (n *Node) Record(cond sym.Expr, sat bool, model *solver.Model) {
 	n.Verdicts = append(n.Verdicts, Verdict{Cond: cond, Sat: sat, Model: model})
 }
 
@@ -299,7 +300,7 @@ func usage(n *Node) (nodes int, bytes int64) {
 	}
 	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key))
 	for _, v := range n.Verdicts {
-		bytes += verdictBytes + int64(len(v.Model))*modelEntryBytes
+		bytes += verdictBytes + int64(v.Model.Len())*modelEntryBytes
 	}
 	bytes += int64(cap(n.Succs)) * succPtrBytes
 	for _, c := range n.Succs {

@@ -3,6 +3,7 @@ package memo
 import (
 	"testing"
 
+	"dise/internal/solver"
 	"dise/internal/sym"
 )
 
@@ -90,7 +91,7 @@ func TestEnforceEvictedMeansColdNeverWrong(t *testing.T) {
 	root := tr.Root("r")
 	cond := sym.Cmp(sym.OpEQ, sym.V("x"), sym.Int(7))
 	child := buildChain(root, 3, 1, 0, ViaTrue, cond)
-	child.Record(cond, true, map[string]int64{"x": 7})
+	child.Record(cond, true, solver.NewModel(nil, map[string]int64{"x": 7}))
 	tr.BeginStep()
 	buildChain(root, 3, 2, 0, ViaFalse, sym.NotE(cond))
 
@@ -146,7 +147,7 @@ func TestBytesEstimatorSanity(t *testing.T) {
 	}
 	cond := sym.Cmp(sym.OpLT, sym.V("x"), sym.Int(1))
 	c := buildChain(root, 20, 1, 0, ViaTrue, cond)
-	c.Record(cond, true, map[string]int64{"x": 0, "y": 1})
+	c.Record(cond, true, solver.NewModel(nil, map[string]int64{"x": 0, "y": 1}))
 	grown := tr.Bytes()
 	if grown <= small {
 		t.Fatalf("Bytes did not grow with nodes: %d -> %d", small, grown)
@@ -174,7 +175,7 @@ func refUsage(n *Node) (nodes int, bytes int64) {
 	}
 	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key)+cap(n.Succs)*succPtrBytes)
 	for _, v := range n.Verdicts {
-		bytes += verdictBytes + int64(len(v.Model)*modelEntryBytes)
+		bytes += verdictBytes + int64(v.Model.Len()*modelEntryBytes)
 	}
 	for _, c := range n.Succs {
 		cn, cb := refUsage(c)
@@ -192,13 +193,13 @@ func TestUsageMatchesSizeAndBytes(t *testing.T) {
 	tr.BeginStep()
 	root := tr.Root("root")
 	a := sym.Cmp(sym.OpLT, sym.V("a"), sym.Int(3))
-	root.Record(a, true, map[string]int64{"a": 0, "b": 1})
-	root.Record(sym.NotE(a), true, map[string]int64{"a": 3})
+	root.Record(a, true, solver.NewModel(nil, map[string]int64{"a": 0, "b": 1}))
+	root.Record(sym.NotE(a), true, solver.NewModel(nil, map[string]int64{"a": 3}))
 	cold := buildChain(root, 6, 1, 0, ViaTrue, a)
 	cold.Record(sym.Cmp(sym.OpEQ, sym.V("b"), sym.Int(1)), false, nil)
 	tr.BeginStep()
 	hot := buildChain(root, 4, 2, 3, ViaFalse, sym.NotE(a))
-	hot.Record(sym.Cmp(sym.OpGT, sym.V("b"), sym.Zero), true, map[string]int64{"a": 3, "b": 1})
+	hot.Record(sym.Cmp(sym.OpGT, sym.V("b"), sym.Zero), true, solver.NewModel(nil, map[string]int64{"a": 3, "b": 1}))
 
 	check := func(when string, wantNodes int) {
 		t.Helper()

@@ -3,6 +3,7 @@ package memo
 import (
 	"testing"
 
+	"dise/internal/solver"
 	"dise/internal/sym"
 )
 
@@ -29,7 +30,7 @@ func buildTrie() (*Tree, *Node, *Node, *Node, *Node) {
 	w.Expanded = true
 	c.Succs = []*Node{tNode, fNode}
 	c.Expanded = true
-	c.Record(condA(), true, map[string]int64{"X": 4})
+	c.Record(condA(), true, solver.NewModel(nil, map[string]int64{"X": 4}))
 	c.Record(condNA(), false, nil)
 	return tree, w, c, tNode, fNode
 }
@@ -58,7 +59,7 @@ func TestChildMatchesArmAndContribution(t *testing.T) {
 
 func TestLookupByStructuralEquality(t *testing.T) {
 	_, _, c, _, _ := buildTrie()
-	if v, ok := c.Lookup(condA()); !ok || !v.Sat || v.Model["X"] != 4 {
+	if v, ok := c.Lookup(condA()); !ok || !v.Sat || v.Model.Map()["X"] != 4 {
 		t.Fatalf("Lookup(A) = %+v, %v", v, ok)
 	}
 	if v, ok := c.Lookup(condNA()); !ok || v.Sat {

@@ -45,7 +45,7 @@ func (b *Box) get(pos int, name string) (d Interval, ok bool) {
 // domainsOf returns box as a map from name to domain.
 func (s *Solver) domainsOf(box *Box) map[string]Interval {
 	out := make(map[string]Interval, box.Len())
-	for i, name := range s.inputs {
+	for i, name := range s.index.names {
 		out[name] = box.iv[i]
 	}
 	for name, d := range box.outside {

@@ -36,7 +36,7 @@ func (p *problem) solve(stats *Stats, budget *int) Result {
 }
 
 // search explores the current box. It returns (sat, unknown, model).
-func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, bool, map[string]int64) {
+func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, bool, *Model) {
 	if p.interrupt != nil && p.interrupt() != nil {
 		// Cancelled mid-solve: report Unknown, like an exhausted budget.
 		return false, true, nil
@@ -93,7 +93,7 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 
 	// The children of this node are searched one after another, and a
 	// search keeps nothing of its box once it returns (a model is a fresh
-	// map), so they share one buffer, refilled from this node's box.
+	// vector), so they share one buffer, refilled from this node's box.
 	d := domains[v]
 	child := make([]Interval, len(domains))
 	if d.Size() <= 8 {
@@ -128,8 +128,9 @@ func (p *problem) search(domains []Interval, stats *Stats, budget *int) (bool, b
 
 // searchWithout recurses with one constraint removed (it has been decided
 // true concretely).
-func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Stats, budget *int) (bool, bool, map[string]int64) {
-	sub := &problem{varNames: p.varNames, varIdx: p.varIdx, domains: p.domains, interrupt: p.interrupt}
+func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Stats, budget *int) (bool, bool, *Model) {
+	sub := *p
+	sub.views = nil
 	for _, v := range p.views {
 		if v.c != drop {
 			sub.views = append(sub.views, v)
@@ -138,35 +139,63 @@ func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Sta
 	return sub.search(domains, stats, budget)
 }
 
-func (p *problem) modelFrom(domains []Interval) map[string]int64 {
-	model := make(map[string]int64, len(p.varNames))
-	for i, name := range p.varNames {
-		model[name] = domains[i].Lo
+// modelFrom reads the model off a box whose every variable is fixed. A
+// problem over the index's inputs fills one value vector; any other problem
+// places its names by the index.
+func (p *problem) modelFrom(domains []Interval) *Model {
+	if p.dense {
+		vals := make([]int64, len(domains))
+		for i, d := range domains {
+			vals[i] = d.Lo
+		}
+		return &Model{index: p.index, vals: vals}
 	}
-	return model
+	values := make(map[string]int64, len(p.varNames))
+	for i, name := range p.varNames {
+		values[name] = domains[i].Lo
+	}
+	return NewModel(p.index, values)
 }
 
-// concreteTruth evaluates a constraint whose variables are all fixed.
-// Runtime evaluation errors (division by zero) make the constraint false:
-// the corresponding concrete execution would raise an exception rather than
-// follow the path.
+// concreteTruth evaluates a constraint whose variables are all fixed,
+// reading each variable's value off the box. Runtime evaluation errors
+// (division by zero) make the constraint false: the corresponding concrete
+// execution would raise an exception rather than follow the path.
 func (p *problem) concreteTruth(v *conView, domains []Interval) truth {
-	env := map[string]int64{}
-	for _, i := range v.vars {
-		env[p.varNames[i]] = domains[i].Lo
-	}
-	val, err := EvalInt01(v.c.expr, env)
+	val, err := eval01(v.c.expr, fixedBox{varIdx: p.varIdx, domains: domains})
 	if err != nil || val == 0 {
 		return truthFalse
 	}
 	return truthTrue
 }
 
-// EvalInt01 evaluates an expression under the solver's uniform integer
-// encoding: booleans are 0/1 integers, so boolean inputs, boolean constants
-// and logical operators all evaluate over int64. Division or modulo by zero
-// returns an error.
-func EvalInt01(e sym.Expr, env map[string]int64) (int64, error) {
+// binding supplies variable values to eval01: a *Model, or a fixedBox.
+type binding interface {
+	Value(name string) (int64, bool)
+}
+
+// fixedBox reads a problem's variables off a box in which they are fixed.
+type fixedBox struct {
+	varIdx  map[string]int
+	domains []Interval
+}
+
+func (b fixedBox) Value(name string) (int64, bool) {
+	i, ok := b.varIdx[name]
+	if !ok {
+		return 0, false
+	}
+	return b.domains[i].Lo, true
+}
+
+// EvalInt01 evaluates an expression under a model, in the solver's uniform
+// integer encoding: booleans are 0/1 integers, so boolean inputs, boolean
+// constants and logical operators all evaluate over int64. A variable the
+// model does not bind, and division or modulo by zero, return an error.
+func EvalInt01(e sym.Expr, m *Model) (int64, error) { return eval01(e, m) }
+
+// eval01 is EvalInt01 over any source of variable values.
+func eval01[B binding](e sym.Expr, env B) (int64, error) {
 	switch e := e.(type) {
 	case *sym.IntConst:
 		return e.V, nil
@@ -176,25 +205,25 @@ func EvalInt01(e sym.Expr, env map[string]int64) (int64, error) {
 		}
 		return 0, nil
 	case *sym.Var:
-		v, ok := env[e.Name]
+		v, ok := env.Value(e.Name)
 		if !ok {
 			return 0, fmt.Errorf("solver.EvalInt01: unbound variable %q", e.Name)
 		}
 		return v, nil
 	case *sym.Neg:
-		v, err := EvalInt01(e.X, env)
+		v, err := eval01(e.X, env)
 		return -v, err
 	case *sym.Ite:
-		c, err := EvalInt01(e.Cond, env)
+		c, err := eval01(e.Cond, env)
 		if err != nil {
 			return 0, err
 		}
 		if c != 0 {
-			return EvalInt01(e.Then, env)
+			return eval01(e.Then, env)
 		}
-		return EvalInt01(e.Else, env)
+		return eval01(e.Else, env)
 	case *sym.Not:
-		v, err := EvalInt01(e.X, env)
+		v, err := eval01(e.X, env)
 		if err != nil {
 			return 0, err
 		}
@@ -203,7 +232,7 @@ func EvalInt01(e sym.Expr, env map[string]int64) (int64, error) {
 		}
 		return 0, nil
 	case *sym.Bin:
-		l, err := EvalInt01(e.L, env)
+		l, err := eval01(e.L, env)
 		if err != nil {
 			return 0, err
 		}
@@ -212,14 +241,14 @@ func EvalInt01(e sym.Expr, env map[string]int64) (int64, error) {
 			if l == 0 {
 				return 0, nil
 			}
-			return clamp01(EvalInt01(e.R, env))
+			return clamp01(eval01(e.R, env))
 		case sym.OpOr:
 			if l != 0 {
 				return 1, nil
 			}
-			return clamp01(EvalInt01(e.R, env))
+			return clamp01(eval01(e.R, env))
 		}
-		r, err := EvalInt01(e.R, env)
+		r, err := eval01(e.R, env)
 		if err != nil {
 			return 0, err
 		}

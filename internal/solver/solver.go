@@ -44,9 +44,10 @@ type Stats struct {
 type Result struct {
 	Sat     bool
 	Unknown bool // budget exhausted before a verdict
-	// Model maps every variable to a concrete value when Sat. The model is
+	// Model binds every variable of the problem to a concrete value when
+	// Sat, laid out over the solver's input index. The model is
 	// deterministic: the search branches on the lowest candidate value first.
-	Model map[string]int64
+	Model *Model
 }
 
 // Solver checks satisfiability of conjunctions of symbolic constraints over
@@ -70,14 +71,14 @@ type Solver struct {
 	// branch constraints against many boxes as the exploration revisits
 	// sibling subtrees.
 	propTpl map[sym.Expr]*propTemplate
-	// inputs holds the input domains' names in ascending order and inputIdx
-	// each name's position, built once at construction (NewIndexed); base is
-	// the box of the input domains themselves. A Check over a box without
-	// names outside the index takes its variable order from the index and its
-	// constraints' resolved views from the constraints themselves.
-	inputs   []string
-	inputIdx map[string]int
-	base     *Box
+	// index holds the input domains' names in ascending order and each
+	// name's position, built once at construction (NewIndexed); base is the
+	// box of the input domains themselves. A Check over a box without names
+	// outside the index takes its variable order from the index and its
+	// constraints' resolved views from the constraints themselves, and every
+	// model is laid out over the index.
+	index *Index
+	base  *Box
 
 	// Scratch reused across calls: the compiled constraint list, the
 	// indexed problem with its views and domains, the map adapter's box, and
@@ -120,23 +121,16 @@ func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 	if opts.NodeBudget == 0 {
 		opts.NodeBudget = 1 << 16
 	}
-	names := make([]string, 0, len(inputs))
-	for n := range inputs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	idx := make(map[string]int, len(names))
-	base := &Box{iv: make([]Interval, len(names))}
-	for i, n := range names {
-		idx[n] = i
+	index := NewIndex(inputs)
+	base := &Box{iv: make([]Interval, len(index.names))}
+	for i, n := range index.names {
 		base.iv[i] = inputs[n]
 	}
 	return &Solver{
 		opts:     opts,
 		compiled: map[sym.Expr][]*constraint{},
 		propTpl:  map[sym.Expr]*propTemplate{},
-		inputs:   names,
-		inputIdx: idx,
+		index:    index,
 		base:     base,
 	}
 }
@@ -153,9 +147,9 @@ func (s *Solver) ResetStats() { s.stats = Stats{} }
 // solver's inputs is checked as their box (CheckBox); any other map indexes
 // the problem's own variables, sorted by name.
 func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Result {
-	if len(domains) == len(s.inputs) {
+	if len(domains) == len(s.index.names) {
 		iv := s.mapBuf[:0]
-		for _, name := range s.inputs {
+		for _, name := range s.index.names {
 			d, ok := domains[name]
 			if !ok {
 				break
@@ -163,7 +157,7 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 			iv = append(iv, d)
 		}
 		s.mapBuf = iv
-		if len(iv) == len(s.inputs) {
+		if len(iv) == len(s.index.names) {
 			return s.CheckBox(constraints, &Box{iv: iv})
 		}
 	}
@@ -188,7 +182,7 @@ func (s *Solver) CheckBox(constraints []sym.Expr, box *Box) Result {
 // solve runs p under the solver's budget and interrupt and tallies the
 // verdict.
 func (s *Solver) solve(p *problem) Result {
-	p.interrupt = s.opts.Interrupt
+	p.index, p.interrupt = s.index, s.opts.Interrupt
 	budget := s.opts.NodeBudget
 	res := p.solve(&s.stats, &budget)
 	switch {
@@ -231,7 +225,7 @@ func (s *Solver) indexedProblem(compiled []*constraint, box *Box) *problem {
 	}
 	s.viewBuf = views
 	s.domBuf = append(s.domBuf[:0], box.iv...)
-	s.prob = problem{varNames: s.inputs, varIdx: s.inputIdx, domains: s.domBuf, views: views}
+	s.prob = problem{varNames: s.index.names, varIdx: s.index.pos, domains: s.domBuf, views: views, dense: true}
 	s.prob.intersectForms()
 	return &s.prob
 }
@@ -243,7 +237,7 @@ func (s *Solver) indexedProblem(compiled []*constraint, box *Box) *problem {
 func (s *Solver) indexedView(c *constraint) *conView {
 	if !c.resolved {
 		c.resolved = true
-		if v, ok := viewOf(c, s.inputIdx); ok {
+		if v, ok := viewOf(c, s.index.pos); ok {
 			c.view = &v
 		}
 	}
@@ -273,7 +267,7 @@ func (s *Solver) propTemplateFor(constraints []sym.Expr) *propTemplate {
 		}
 		for i, name := range p.varNames {
 			tpl.pos[i] = -1
-			if idx, ok := s.inputIdx[name]; ok {
+			if idx, ok := s.index.pos[name]; ok {
 				tpl.pos[i] = idx
 			}
 		}
@@ -441,6 +435,11 @@ type problem struct {
 	varIdx   map[string]int
 	domains  []Interval
 	views    []conView
+	// index is the input index of the solver running the problem, which its
+	// models are laid out over; dense reports that the problem's variables
+	// are exactly that index's inputs, in order.
+	index *Index
+	dense bool
 	// trivialUnsat is set when same-form analysis found two linear
 	// constraints over the same term vector with incompatible ranges
 	// (e.g. X - Y >= 1 together with X - Y == 0). Bounds propagation alone

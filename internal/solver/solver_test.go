@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"dise/internal/sym"
@@ -29,7 +30,7 @@ func TestCheckEmptyConjunction(t *testing.T) {
 	if !res.Sat {
 		t.Fatal("empty conjunction must be sat")
 	}
-	if v, ok := res.Model["X"]; !ok || v != 0 {
+	if v, ok := res.Model.Value("X"); !ok || v != 0 {
 		t.Errorf("model X = %v, want 0 (domain lo)", res.Model)
 	}
 }
@@ -58,8 +59,15 @@ func TestCheckSimpleComparisons(t *testing.T) {
 	}
 }
 
+// sameResult reports whether two results agree on the verdict and their
+// models bind the same names to the same values, whatever their layout.
+func sameResult(a, b Result) bool {
+	return a.Sat == b.Sat && a.Unknown == b.Unknown && (a.Model == nil) == (b.Model == nil) &&
+		reflect.DeepEqual(a.Model.Map(), b.Model.Map())
+}
+
 // verifyModel confirms the model satisfies every constraint concretely.
-func verifyModel(t *testing.T, cs []sym.Expr, model map[string]int64) {
+func verifyModel(t *testing.T, cs []sym.Expr, model *Model) {
 	t.Helper()
 	for _, c := range cs {
 		v, err := EvalInt01(c, model)
@@ -81,7 +89,7 @@ func TestCheckMotivatingExampleArms(t *testing.T) {
 	d := map[string]Interval{"PedalPos": DefaultDomain}
 
 	res := check(t, []sym.Expr{sym.Cmp(sym.OpLE, pp, sym.Zero)}, d)
-	if !res.Sat || res.Model["PedalPos"] != 0 {
+	if !res.Sat || res.Model.Map()["PedalPos"] != 0 {
 		t.Errorf("arm 1: sat=%v model=%v, want PedalPos=0", res.Sat, res.Model)
 	}
 	// Key feasibility fact behind the paper's 21 paths: with inputs >= 0,
@@ -95,7 +103,7 @@ func TestCheckMotivatingExampleArms(t *testing.T) {
 	// ... while PedalCmd + 2 == 2 is feasible (PedalCmd = 0).
 	res = check(t, []sym.Expr{sym.Cmp(sym.OpEQ, sym.Add(pc, sym.Int(2)), sym.Int(2))},
 		map[string]Interval{"PedalCmd": DefaultDomain})
-	if !res.Sat || res.Model["PedalCmd"] != 0 {
+	if !res.Sat || res.Model.Map()["PedalCmd"] != 0 {
 		t.Errorf("PedalCmd + 2 == 2: sat=%v model=%v, want PedalCmd=0", res.Sat, res.Model)
 	}
 }
@@ -110,7 +118,7 @@ func TestCheckLinearSystems(t *testing.T) {
 	if !res.Sat {
 		t.Fatal("system must be sat")
 	}
-	if res.Model["X"] != 7 || res.Model["Y"] != 3 {
+	if res.Model.Map()["X"] != 7 || res.Model.Map()["Y"] != 3 {
 		t.Errorf("model = %v, want X=7 Y=3", res.Model)
 	}
 
@@ -133,7 +141,7 @@ func TestCheckNotEqualChains(t *testing.T) {
 		cs = append(cs, sym.Cmp(sym.OpNE, x(), sym.Int(i)))
 	}
 	res := check(t, cs, map[string]Interval{"X": {0, 5}})
-	if !res.Sat || res.Model["X"] != 5 {
+	if !res.Sat || res.Model.Map()["X"] != 5 {
 		t.Errorf("model = %v, want X=5", res.Model)
 	}
 	// Add X != 5: unsat.
@@ -149,17 +157,17 @@ func TestCheckBooleanInputs(t *testing.T) {
 	d := map[string]Interval{"B": BoolDomain, "X": {0, 10}}
 	// B as bare constraint.
 	res := check(t, []sym.Expr{b}, d)
-	if !res.Sat || res.Model["B"] != 1 {
+	if !res.Sat || res.Model.Map()["B"] != 1 {
 		t.Errorf("bare bool: model = %v, want B=1", res.Model)
 	}
 	// !B.
 	res = check(t, []sym.Expr{&sym.Not{X: b}}, d) //diselint:ignore symcanon deliberate raw literal: exercises the non-interned structural-equality fallback
-	if !res.Sat || res.Model["B"] != 0 {
+	if !res.Sat || res.Model.Map()["B"] != 0 {
 		t.Errorf("negated bool: model = %v, want B=0", res.Model)
 	}
 	// B == true (comparison against a bool literal).
 	res = check(t, []sym.Expr{&sym.Bin{Op: sym.OpEQ, L: b, R: sym.True}}, d) //diselint:ignore symcanon deliberate raw literal: exercises the non-interned structural-equality fallback
-	if !res.Sat || res.Model["B"] != 1 {
+	if !res.Sat || res.Model.Map()["B"] != 1 {
 		t.Errorf("B == true: model = %v, want B=1", res.Model)
 	}
 	// B && !B unsat.
@@ -174,7 +182,7 @@ func TestCheckDisjunction(t *testing.T) {
 	or := sym.OrE(sym.Cmp(sym.OpEQ, x(), sym.Int(3)), sym.Cmp(sym.OpEQ, x(), sym.Int(7)))
 	cs := []sym.Expr{or, sym.Cmp(sym.OpNE, x(), sym.Int(3))}
 	res := check(t, cs, map[string]Interval{"X": {0, 100}})
-	if !res.Sat || res.Model["X"] != 7 {
+	if !res.Sat || res.Model.Map()["X"] != 7 {
 		t.Errorf("model = %v, want X=7", res.Model)
 	}
 	// (X < 0) || (X > 100) over [0,100] → unsat.
@@ -212,7 +220,7 @@ func TestCheckDivisionModulo(t *testing.T) {
 	if !res.Sat {
 		t.Fatal("X/3 == 4 must be sat")
 	}
-	if v := res.Model["X"]; v < 12 || v > 14 {
+	if v := res.Model.Map()["X"]; v < 12 || v > 14 {
 		t.Errorf("X = %d, want in [12,14]", v)
 	}
 	// X % 2 == 1 && X % 3 == 0 → X ∈ {3, 9, 15, ...}.
@@ -386,7 +394,7 @@ func TestPropertySolverMatchesBruteForce(t *testing.T) {
 	outer:
 		for xv := int64(lo); xv <= hi; xv++ {
 			for yv := int64(lo); yv <= hi; yv++ {
-				env := map[string]int64{"X": xv, "Y": yv}
+				env := NewModel(nil, map[string]int64{"X": xv, "Y": yv})
 				all := true
 				for _, c := range cs {
 					v, err := EvalInt01(c, env)

@@ -86,12 +86,12 @@ type refResult struct {
 
 // boxOf builds the Box of a map that holds every input of s.
 func boxOf(s *Solver, m map[string]Interval) *Box {
-	b := &Box{iv: make([]Interval, len(s.inputs))}
-	for i, name := range s.inputs {
+	b := &Box{iv: make([]Interval, len(s.index.names))}
+	for i, name := range s.index.names {
 		b.iv[i] = m[name]
 	}
 	for name, d := range m {
-		if _, in := s.inputIdx[name]; !in {
+		if _, in := s.index.pos[name]; !in {
 			if b.outside == nil {
 				b.outside = map[string]Interval{}
 			}
@@ -104,7 +104,7 @@ func boxOf(s *Solver, m map[string]Interval) *Box {
 // mapOf returns a box as a map from name to domain.
 func mapOf(s *Solver, b *Box) map[string]Interval {
 	m := map[string]Interval{}
-	for i, name := range s.inputs {
+	for i, name := range s.index.names {
 		m[name] = b.iv[i]
 	}
 	for name, d := range b.outside {
@@ -294,7 +294,7 @@ func TestTightenOutOfDomainZero(t *testing.T) {
 		{sym.Cmp(sym.OpLE, sym.V("U"), sym.Zero), sym.Cmp(sym.OpNE, sym.V("A"), sym.Int(4))},
 	} {
 		got, ref := s.CheckBox(cs, box), New(Options{}).Check(cs, want)
-		if !reflect.DeepEqual(got, ref) {
+		if !sameResult(got, ref) {
 			t.Errorf("CheckBox(%v) = %+v, Check over the map %+v", cs, got, ref)
 		}
 	}

@@ -191,8 +191,11 @@ type Engine struct {
 	Graph   *cfg.Graph
 	Backend constraint.Backend
 
-	config       Config
-	domains      map[string]solver.Interval
+	config  Config
+	domains map[string]solver.Interval
+	// lows is the witness of the empty path condition: the least element of
+	// every input domain. Every initial state starts from it; forks share it.
+	lows         *solver.Model
 	stats        Stats
 	depthBound   int
 	interruptErr error
@@ -318,6 +321,11 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 			}
 		}
 	}
+	lows := make(map[string]int64, len(e.domains))
+	for name, d := range e.domains {
+		lows[name] = d.Lo
+	}
+	e.lows = solver.NewModel(solver.NewIndex(e.domains), lows)
 	backend, err := constraint.New(config.SolverBackend, constraint.Options{
 		Domains:    e.domains,
 		NodeBudget: config.SolverOptions.NodeBudget,
@@ -346,6 +354,7 @@ func (e *Engine) Fork() (*Engine, error) {
 		Graph:      e.Graph,
 		config:     e.config,
 		domains:    e.domains,
+		lows:       e.lows,
 		depthBound: e.depthBound,
 		memoKeys:   e.memoKeys,
 	}
@@ -535,16 +544,17 @@ func (e *Engine) safeCheck() (res constraint.Result) {
 }
 
 // CheckPC decides an arbitrary path condition against the engine's input
-// domains, syncing the backend stack to it. Callers solving many related
-// path conditions (test generation over the paths of one run) benefit from
-// the same prefix reuse as the exploration itself.
+// domains, syncing the backend stack to it, with the same prefix reuse as
+// the exploration itself. Tests use it to re-solve reported path conditions
+// independently of the witnesses the exploration kept.
 func (e *Engine) CheckPC(pc []sym.Expr) constraint.Result {
 	e.syncStack(pc)
 	return e.safeCheck()
 }
 
 // InitialState builds the state at the begin node: parameters and (by
-// default) globals bound to fresh symbolic values, path condition true.
+// default) globals bound to fresh symbolic values, path condition true, and
+// the least element of every input domain as its witness.
 func (e *Engine) InitialState() *State {
 	m := map[string]sym.Expr{}
 	for _, p := range e.Proc.Params {
@@ -566,13 +576,7 @@ func (e *Engine) InitialState() *State {
 	// Locals start undefined; the type checker guarantees they are assigned
 	// before use on every executable path of well-formed artifacts.
 	e.stats.StatesExplored++
-	// The empty path condition is satisfied by the least element of every
-	// input domain; seed the model cache with it.
-	model := make(map[string]int64, len(e.domains))
-	for name, d := range e.domains {
-		model[name] = d.Lo
-	}
-	s := &State{Node: e.Graph.Begin, Env: env, PC: nil, Trace: nil, model: model}
+	s := &State{Node: e.Graph.Begin, Env: env, PC: nil, Trace: nil, model: e.lows}
 	if e.config.Memo != nil {
 		e.memoGen = e.config.Memo.Gen()
 		s.memo = e.config.Memo.Root(e.memoKeys[e.Graph.Begin.ID])
@@ -683,7 +687,7 @@ func (e *Engine) Step(s *State) Step {
 					vias, viaConds = append(vias, via), append(viaConds, nil)
 				}
 			default:
-				var model map[string]int64
+				var model *solver.Model
 				if s.model != nil {
 					if v, err := solver.EvalInt01(c, s.model); err == nil && v != 0 {
 						// The parent's witness already satisfies the branch
@@ -825,7 +829,7 @@ func (e *Engine) Terminal(s *State) bool {
 
 // Collect converts a terminal state into a Path record — the one place the
 // shared-tail path-condition and trace lists become exact-size slices. The
-// persistent environment is shared as it is.
+// persistent environment and the state's witness are shared as they are.
 func (e *Engine) Collect(s *State) Path {
 	e.stats.PathsExplored++
 	pc := s.PC.Slice()
@@ -836,6 +840,7 @@ func (e *Engine) Collect(s *State) Path {
 		Trace:    s.Trace.Slice(),
 		Cover:    s.Cover,
 		Err:      s.Err || s.Node.Kind == cfg.KindError,
+		Witness:  s.model,
 	}
 }
 

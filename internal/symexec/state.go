@@ -30,6 +30,7 @@ import (
 
 	"dise/internal/cfg"
 	"dise/internal/memo"
+	"dise/internal/solver"
 	"dise/internal/sym"
 )
 
@@ -295,11 +296,14 @@ type State struct {
 	Cover []int
 	// Err marks a state that reached the assertion-failure sink.
 	Err bool
-	// model is a satisfying assignment witnessing PC's feasibility. When a
-	// branch constraint is already satisfied by the parent's model, the
-	// child inherits it and no solver call is needed — the dominant case,
-	// since exactly one branch outcome agrees with any given model.
-	model map[string]int64
+	// model is a satisfying assignment witnessing PC's feasibility: the
+	// initial state's least domain values, or the model of the solver (or
+	// memo) verdict that admitted the last branch. When a branch constraint
+	// is already satisfied by the parent's model, the child inherits it and
+	// no solver call is needed — the dominant case, since exactly one branch
+	// outcome agrees with any given model. It is never nil on a state the
+	// engine built, and it becomes the Path's Witness.
+	model *solver.Model
 	// memo is the state's node in the session's execution-tree trie
 	// (internal/memo), assigned by the parent's expansion; nil when the
 	// engine runs without a memo (Config.Memo).
@@ -376,6 +380,11 @@ type Path struct {
 	Cover []int
 	// Err reports that the path ended in an assertion violation.
 	Err bool
+	// Witness is a model of PC: the exploration's own witness of the path's
+	// feasibility, shared read-only with the solver results it came from.
+	// Test generation renders it (internal/testgen). Every path an engine
+	// collects carries one.
+	Witness *solver.Model
 }
 
 // Summary is the result of a symbolic execution run: the set of path

@@ -1,12 +1,14 @@
 // Package testgen implements the regression-testing application of DiSE
-// described in §5.2 of the paper: solving path conditions to obtain concrete
-// test inputs, and selecting/augmenting a test suite by comparing the test
-// cases generated for the original version against those generated by DiSE
-// for the modified version.
+// described in §5.2 of the paper: rendering each path's witness — the model
+// that symbolic execution found for its path condition while exploring —
+// into a concrete test input, and selecting/augmenting a test suite by
+// comparing the test cases generated for the original version against those
+// generated by DiSE for the modified version. No path condition is solved
+// twice: the exploration's witness is the solution.
 //
 // Following the paper, a test case is a rendered call to the method under
-// analysis whose argument values come from solving the path condition —
-// "input values only for the method arguments, i.e., a partial state" — so
+// analysis whose argument values come from a solution of the path condition
+// — "input values only for the method arguments, i.e., a partial state" — so
 // multiple path conditions may map to a single test case when globals/fields
 // are symbolic; test cases are deduplicated by their rendered string, and
 // selection/augmentation is a plain string comparison, exactly as in the
@@ -17,9 +19,8 @@ import (
 	"sort"
 	"strconv"
 
-	"dise/internal/constraint"
 	"dise/internal/lang/ast"
-	"dise/internal/sym"
+	"dise/internal/solver"
 	"dise/internal/symexec"
 )
 
@@ -28,34 +29,24 @@ type TestCase struct {
 	// Call is the canonical rendering, e.g. "update(0, 1, 3)". Test cases
 	// compare equal iff their Call strings are equal.
 	Call string
-	// Inputs holds the solved values for the procedure parameters.
-	Inputs map[string]int64
 	// PCString is the path condition this test was generated from (the
 	// first one, when several map to the same inputs).
 	PCString string
 }
 
-// Generator turns path conditions into test cases.
+// Generator turns explored paths into test cases.
 type Generator struct {
 	Proc *ast.Procedure
-	// Check decides a path condition and produces a model over the input
-	// domains. The default (NewGenerator) is the engine's solver context,
-	// whose prefix reuse makes solving the closely related path conditions
-	// of one run incremental.
-	Check func(pc []sym.Expr) constraint.Result
 }
 
-// NewGenerator builds a Generator for the procedure executed by engine,
-// reusing the engine's solver context and input domains.
+// NewGenerator builds a Generator for the procedure executed by engine.
 func NewGenerator(engine *symexec.Engine) *Generator {
-	return &Generator{
-		Proc:  engine.Proc,
-		Check: engine.CheckPC,
-	}
+	return &Generator{Proc: engine.Proc}
 }
 
-// Generate solves every path condition in the summary and returns the
-// deduplicated test cases in first-generation order.
+// Generate renders the witness of every path in the summary and returns the
+// deduplicated test cases in first-generation order. A path without a
+// witness (one no engine collected) yields no test.
 func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
 	var out []TestCase
 	seen := map[string]bool{}
@@ -63,37 +54,56 @@ func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
 	for i, p := range g.Proc.Params {
 		symbols[i] = symexec.SymbolName(p.Name)
 	}
+	// pos[i] is parameter i's position in index, the input index of the
+	// witness rendered last (-1 outside it). The paths of one engine share
+	// its backend's index, so the lookups run once per index, not per path.
+	var index *solver.Index
+	pos := make([]int, len(symbols))
+	resolved := false
 	var call []byte
 	for _, p := range summary.Paths {
-		res := g.Check(p.PC)
-		if !res.Sat {
-			// Path conditions come from feasible exploration; Unknown here
-			// means the solver budget was exhausted re-solving. Skip, as SPF
-			// skips unsolvable path conditions during test generation.
+		w := p.Witness
+		if w == nil {
 			continue
 		}
-		call = g.appendCall(call[:0], res.Model, symbols)
+		if !resolved || w.Index() != index {
+			index, resolved = w.Index(), true
+			for i, name := range symbols {
+				if at, ok := index.Pos(name); ok {
+					pos[i] = at
+				} else {
+					pos[i] = -1
+				}
+			}
+		}
+		call = g.appendCall(call[:0], w, symbols, pos)
 		if seen[string(call)] {
 			continue
 		}
-		tc := TestCase{Call: string(call), Inputs: g.inputs(res.Model, symbols), PCString: p.PCString}
+		tc := TestCase{Call: string(call), PCString: p.PCString}
 		seen[tc.Call] = true
 		out = append(out, tc)
 	}
 	return out
 }
 
-// appendCall appends the call rendering of a model to dst, following the
+// appendCall appends the call rendering of a witness to dst, following the
 // paper's partial state convention: only procedure arguments appear.
-// symbols[i] is the symbol of parameter i.
-func (g *Generator) appendCall(dst []byte, model map[string]int64, symbols []string) []byte {
+// symbols[i] is the symbol of parameter i and pos[i] its position in the
+// witness's index (-1 outside it); an unbound parameter renders as 0.
+func (g *Generator) appendCall(dst []byte, w *solver.Model, symbols []string, pos []int) []byte {
 	dst = append(dst, g.Proc.Name...)
 	dst = append(dst, '(')
 	for i, p := range g.Proc.Params {
 		if i > 0 {
 			dst = append(dst, ", "...)
 		}
-		v := model[symbols[i]]
+		var v int64
+		if pos[i] >= 0 {
+			v = w.At(pos[i])
+		} else {
+			v, _ = w.Value(symbols[i])
+		}
 		switch {
 		case p.Type != ast.TypeBool:
 			dst = strconv.AppendInt(dst, v, 10)
@@ -104,15 +114,6 @@ func (g *Generator) appendCall(dst []byte, model map[string]int64, symbols []str
 		}
 	}
 	return append(dst, ')')
-}
-
-// inputs returns the model's values of the procedure parameters.
-func (g *Generator) inputs(model map[string]int64, symbols []string) map[string]int64 {
-	out := make(map[string]int64, len(g.Proc.Params))
-	for i, p := range g.Proc.Params {
-		out[p.Name] = model[symbols[i]]
-	}
-	return out
 }
 
 // Selection is the outcome of test case selection and augmentation.

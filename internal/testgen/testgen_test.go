@@ -1,15 +1,14 @@
 package testgen
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
-	"dise/internal/constraint"
 	"dise/internal/dise"
 	"dise/internal/lang/parser"
 	"dise/internal/solver"
-	"dise/internal/sym"
 	"dise/internal/symexec"
 )
 
@@ -52,8 +51,13 @@ func TestGenerateFromTestX(t *testing.T) {
 	if tests[1].Call != "testX(0)" {
 		t.Errorf("test 1 = %q, want testX(0)", tests[1].Call)
 	}
-	if tests[0].Inputs["x"] != 1 {
-		t.Errorf("inputs = %v, want x=1", tests[0].Inputs)
+	// Each call renders its path's witness.
+	for i, tc := range tests {
+		p := summary.Paths[i]
+		x, ok := p.Witness.Value("X")
+		if want := fmt.Sprintf("testX(%d)", x); !ok || tc.Call != want || tc.PCString != p.PCString {
+			t.Errorf("test %d = %+v, want %s from witness %v of %q", i, tc, want, p.Witness, p.PCString)
+		}
 	}
 }
 
@@ -106,20 +110,18 @@ func TestGenerateBoolRendering(t *testing.T) {
 }
 
 func TestModelsSatisfyPathConditions(t *testing.T) {
-	// Every generated test's full model must satisfy the path condition it
-	// came from.
+	// Every path's witness, the full model its test renders, must satisfy
+	// the path condition it came from.
 	e := engineFor(t, testXSource, "testX")
 	summary := e.RunFull()
-	g := NewGenerator(e)
 	for _, p := range summary.Paths {
-		res := g.Check(p.PC)
-		if !res.Sat {
-			t.Fatalf("path %q must be satisfiable", p.PCString)
+		if p.Witness == nil {
+			t.Fatalf("path %q has no witness", p.PCString)
 		}
 		for _, c := range p.PC {
-			v, err := solver.EvalInt01(c, res.Model)
+			v, err := solver.EvalInt01(c, p.Witness)
 			if err != nil || v == 0 {
-				t.Errorf("model %v violates %s (err=%v)", res.Model, c, err)
+				t.Errorf("witness %v violates %s (err=%v)", p.Witness, c, err)
 			}
 		}
 	}
@@ -240,44 +242,3 @@ proc update(int PedalPos, int BSwitch, int PedalCmd) {
   }
 }
 `
-
-func TestGenerateSkipsUnknown(t *testing.T) {
-	// A generator with a tiny budget must skip rather than crash.
-	e := engineFor(t, testXSource, "testX")
-	summary := e.RunFull()
-	g := NewGenerator(e)
-	// A budget-1 solver context over the same domains: simple constraints
-	// still solve via propagation alone; force Unknown with an artificial
-	// hard path condition.
-	domains := e.Domains()
-	domains["X"] = solver.DefaultDomain
-	domains["Y"] = solver.DefaultDomain
-	tiny, err := constraint.New(constraint.BackendInterval, constraint.Options{
-		Domains:    domains,
-		NodeBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Check = func(pc []sym.Expr) constraint.Result {
-		tiny.Push()
-		defer tiny.Pop()
-		for _, c := range pc {
-			tiny.Assert(c)
-		}
-		return tiny.Check()
-	}
-	hard := summary
-	hard.Paths = append([]symexec.Path{}, summary.Paths...)
-	x, y := sym.V("X"), sym.V("Y")
-	hard.Paths[0].PC = []sym.Expr{
-		sym.Cmp(sym.OpEQ, sym.Mul(x, y), sym.Int(999_983)),
-		sym.Cmp(sym.OpGT, x, sym.One),
-		sym.Cmp(sym.OpGT, y, sym.One),
-	}
-	tests := g.Generate(hard)
-	// The hard PC is skipped; the other remains.
-	if len(tests) != 1 {
-		t.Fatalf("tests = %d, want 1 (hard PC skipped)", len(tests))
-	}
-}

@@ -10,8 +10,10 @@ package dise
 //     (ACN ∪ AWN) covered by the reported paths' Trace ∪ Cover matches the
 //     unmerged run's exactly, on every version of ASW, WBS and OAE;
 //   - identical per-branch testgen feasibility — every reported path, merged
-//     or not, solves into a concrete test (no merged disjunction may go
-//     Unknown-infeasible where the per-path run was feasible);
+//     or not, re-solves Sat (no merged disjunction may go
+//     Unknown-infeasible where the per-path run was feasible), and the
+//     witness its test renders satisfies every conjunct of its condition,
+//     ite conjuncts included;
 //   - identical error-path presence under full symbolic execution.
 
 import (
@@ -19,6 +21,7 @@ import (
 	"testing"
 
 	"dise/internal/artifacts"
+	"dise/internal/solver"
 	"dise/internal/symexec"
 )
 
@@ -60,7 +63,7 @@ func equalNodeSets(a, b map[int]bool) bool {
 // tentpole: over all 40 artifact versions, a merged DiSE run covers exactly
 // the affected branches the unmerged run covers, agrees on assertion
 // violations, and every one of its factored path conditions remains solvable
-// into a concrete test.
+// and is satisfied by the witness its concrete test renders.
 func TestMergedDiseVerdictEquivalenceOnArtifacts(t *testing.T) {
 	ctx := context.Background()
 	for _, art := range artifacts.All() {
@@ -98,14 +101,28 @@ func TestMergedDiseVerdictEquivalenceOnArtifacts(t *testing.T) {
 
 					// Per-branch testgen feasibility: each reported path —
 					// including those whose conditions carry ite/disjunction
-					// conjuncts — must solve into a concrete test.
+					// conjuncts — must re-solve Sat, and its witness, which
+					// its test renders, must satisfy every conjunct.
+					engine, err := symexec.New(art.ProgramFor(v), art.Proc, symexec.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, p := range got.internal.Summary.Paths {
+						if res := engine.CheckPC(p.PC); !res.Sat {
+							t.Errorf("merged path condition %q re-solves %+v — a factored disjunction went infeasible", p.PCString, res)
+						}
+						for _, c := range p.PC {
+							if val, err := solver.EvalInt01(c, p.Witness); err != nil || val == 0 {
+								t.Errorf("witness %v of %q violates %v (err=%v)", p.Witness, p.PCString, c, err)
+							}
+						}
+					}
 					tests, err := got.Tests()
 					if err != nil {
 						t.Fatalf("merged testgen: %v", err)
 					}
 					if len(tests) != len(got.Paths) {
-						t.Errorf("merged testgen solved %d of %d path conditions — a factored disjunction went infeasible",
-							len(tests), len(got.Paths))
+						t.Errorf("merged testgen rendered %d tests for %d path conditions", len(tests), len(got.Paths))
 					}
 					if got.Stats.Merge.Merges > 0 && got.Stats.Merge.IteNodes == 0 &&
 						got.Stats.Merge.MergedStatesSaved == 0 {
