@@ -69,7 +69,6 @@ type analyzerConfig struct {
 	solverBackend    string
 	solverSMT        constraint.SMTOptions
 	solverPortfolio  []string
-	solverCacheSize  int
 	searchStrategy   string
 	exploreWorkers   int
 	memoNodeBudget   int
@@ -141,25 +140,11 @@ func WithSMTSolver(path string) Option {
 	return func(c *analyzerConfig) { c.solverSMT.SolverPath = path }
 }
 
-// WithSMTOptions replaces the whole external-solver option set of the
-// "smtlib" backend — binary, per-check deadline, restart budget and
-// backoff, circuit-breaker tuning — for callers that need more than
-// WithSMTSolver's path override.
-func WithSMTOptions(o constraint.SMTOptions) Option {
-	return func(c *analyzerConfig) { c.solverSMT = o }
-}
-
 // WithPortfolioMembers selects the member backends the "portfolio"
 // meta-backend races on every check. Empty keeps the default member set
 // (interval, bitvec, smtlib). Member names are validated on first use.
 func WithPortfolioMembers(names ...string) Option {
 	return func(c *analyzerConfig) { c.solverPortfolio = append([]string(nil), names...) }
-}
-
-// WithSolverCacheCapacity bounds the shared solved-prefix cache of the
-// constraint subsystem to n entries (0 selects the default of 8192).
-func WithSolverCacheCapacity(n int) Option {
-	return func(c *analyzerConfig) { c.solverCacheSize = n }
 }
 
 // SolverBackends lists the names accepted by WithSolverBackend (and by the
@@ -276,7 +261,7 @@ func NewAnalyzer(opts ...Option) *Analyzer {
 	return &Analyzer{
 		conf:        conf,
 		cache:       newProgramCache(conf.cacheCapacity, parseBytes),
-		solverCache: constraint.NewPrefixCacheBytes(conf.solverCacheSize, prefixBytes),
+		solverCache: constraint.NewPrefixCacheBytes(0, prefixBytes),
 	}
 }
 

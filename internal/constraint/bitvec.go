@@ -2,7 +2,6 @@ package constraint
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"dise/internal/solver"
@@ -10,19 +9,18 @@ import (
 )
 
 // bitvecBackend is a pure-Go fixed-width bitvector solver: arithmetic wraps
-// modulo 2^W, bitwise operators and unsigned comparisons are first-class
-// (via the Builder in bvexpr.go), and the mini-language's operators map to
-// their signed W-bit forms. It decides stacks the same way the interval
-// solver does — abstract refutation plus splitting search with exact
-// concrete evaluation at the leaves — but its abstract domain is W-bit
+// modulo 2^W, and the mini-language's operators map to their signed W-bit
+// forms (terms of the Builder in bvexpr.go). It decides stacks the same way
+// the interval solver does — abstract refutation plus splitting search with
+// exact concrete evaluation at the leaves — but its abstract domain is W-bit
 // aware: any intermediate result that may wrap widens to the full signed
 // range instead of saturating, so verdicts respect wraparound semantics.
 //
-// Incrementality: frames memoize verdicts, the shared PrefixCache recalls
-// verdicts across pop/re-push cycles, and a parent prefix's satisfying
-// model decides most child Checks by concrete evaluation. Unlike the
-// interval backend there are no propagation snapshots to reuse (the
-// abstract state is recomputed per solve).
+// Incrementality: the shared PrefixCache recalls whole-stack verdicts
+// across pop/re-push cycles and across the engines that share it; any other
+// Check solves the whole stack. Unlike the interval backend there are no
+// propagation snapshots to reuse (the abstract state is recomputed per
+// solve).
 type bitvecBackend struct {
 	bld     *Builder
 	domains map[string]solver.Interval // clamped to the signed W-bit range
@@ -40,12 +38,10 @@ type bitvecBackend struct {
 }
 
 // bvFrame is one assertion frame: the asserted expressions (translated and
-// conjunction-flattened) plus the memoized verdict of the stack prefix
-// ending here.
+// conjunction-flattened) and the prefix key of the stack ending here.
 type bvFrame struct {
 	cons []*BVExpr
 	key  prefixKey
-	res  *Result
 }
 
 func newBitvecBackend(opts Options) (*bitvecBackend, error) {
@@ -88,11 +84,6 @@ func newBitvecBackend(opts Options) (*bitvecBackend, error) {
 	return b, nil
 }
 
-// Builder exposes the backend's expression builder, so callers can assert
-// native bitvector constraints (bitwise, unsigned) alongside translated
-// sym.Expr ones.
-func (b *bitvecBackend) Builder() *Builder { return b.bld }
-
 func (b *bitvecBackend) Push() {
 	top := b.frames[len(b.frames)-1]
 	b.frames = append(b.frames, &bvFrame{key: top.key})
@@ -110,25 +101,9 @@ func (b *bitvecBackend) Pop() {
 func (b *bitvecBackend) Assert(c sym.Expr) {
 	top := b.frames[len(b.frames)-1]
 	top.cons = append(top.cons, b.transBool(c)...)
-	// Fingerprint-keyed like the interval backend (cache.go); native BV
-	// assertions below keep the salted string form, which the chained-key
-	// construction composes with freely.
+	// Fingerprint-keyed like the interval backend (cache.go).
 	top.key = top.key.extendFP(sym.Fingerprints(c))
-	top.res = nil
 	b.stats.Asserts++
-}
-
-// AssertBV asserts a native bitvector constraint built with Builder().
-func (b *bitvecBackend) AssertBV(c *BVExpr) {
-	top := b.frames[len(b.frames)-1]
-	top.cons = append(top.cons, c)
-	top.key = top.key.extend("bv:" + c.String())
-	top.res = nil
-	b.stats.Asserts++
-}
-
-func (b *bitvecBackend) Caps() Caps {
-	return Caps{Name: BackendBitvec, PrefixReuse: true, Wraparound: true, Bitwise: true}
 }
 
 func (b *bitvecBackend) Stats() Stats { return b.stats }
@@ -143,76 +118,17 @@ func (b *bitvecBackend) Check() Result {
 
 func (b *bitvecBackend) check() Result {
 	top := b.frames[len(b.frames)-1]
-	if top.res != nil {
-		b.stats.FrameMemoHits++
-		return *top.res
-	}
 	if ent, ok := b.cache.get(top.key); ok && ent.res != nil {
 		b.stats.CacheHits++
-		top.res = ent.res
 		return *ent.res
 	}
 	b.stats.CacheMisses++
-	// Parent-witness fast path: the deepest ancestor with a known verdict
-	// either refutes the whole stack outright, or supplies a model — and if
-	// that model satisfies every constraint asserted above the ancestor,
-	// the whole stack is Sat with no search.
-	model, below, refuted := b.ancestorModel()
-	if refuted {
-		res := Result{}
-		top.res = &res
-		return res
-	}
-	if model != nil && b.modelSatisfies(model, below) {
-		res := Result{Sat: true, Model: model}
-		top.res = &res
-		b.stats.ModelReuses++
-		b.cache.put(top.key, prefixEntry{res: &res})
-		return res
-	}
 	b.stats.FullSolves++
 	res := b.solve(b.stackCons())
 	if !res.Unknown {
-		top.res = &res
 		b.cache.put(top.key, prefixEntry{res: &res})
 	}
 	return res
-}
-
-// ancestorModel walks down from the top frame looking for the deepest
-// ancestor whose verdict (memo or cache) is known. A Sat ancestor yields
-// its model and the constraints asserted above it (which the model must
-// still pass); an unsat ancestor refutes the whole stack (refuted=true).
-func (b *bitvecBackend) ancestorModel() (model *solver.Model, below []*BVExpr, refuted bool) {
-	for i := len(b.frames) - 1; i > 0; i-- {
-		f := b.frames[i]
-		below = append(below, f.cons...)
-		parent := b.frames[i-1]
-		if parent.res == nil {
-			if ent, ok := b.cache.get(parent.key); ok && ent.res != nil {
-				parent.res = ent.res
-			}
-		}
-		if parent.res != nil {
-			if parent.res.Sat {
-				return parent.res.Model, below, false
-			}
-			return nil, nil, true
-		}
-	}
-	return nil, nil, false
-}
-
-func (b *bitvecBackend) modelSatisfies(model *solver.Model, cons []*BVExpr) bool {
-	env := make(map[string]uint64, model.Len())
-	model.Each(func(name string, v int64) { env[name] = b.bld.FromSigned(v) })
-	for _, c := range cons {
-		v, err := b.bld.Eval(c, env)
-		if err != nil || v == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func (b *bitvecBackend) stackCons() []*BVExpr {
@@ -518,26 +434,18 @@ func (p *bvProblem) refine(dom map[string]solver.Interval, cons []*BVExpr) bool 
 }
 
 // refineCon prunes var domains for a signed comparison with a variable on
-// either side. Unsigned comparisons refine only when both sides are known
-// non-negative (where unsigned and signed order coincide).
+// either side.
 func (p *bvProblem) refineCon(dom map[string]solver.Interval, c *BVExpr) (ok, changed bool) {
-	op := c.Op
-	switch op {
-	case BVUlt, BVUle, BVUgt, BVUge:
-		li, ri := p.absEval(c.L, dom), p.absEval(c.R, dom)
-		if li.Lo < 0 || ri.Lo < 0 {
-			return true, false
-		}
-		op = map[BVOp]BVOp{BVUlt: BVSlt, BVUle: BVSle, BVUgt: BVSgt, BVUge: BVSge}[op]
+	switch c.Op {
 	case BVEq, BVNe, BVSlt, BVSle, BVSgt, BVSge:
 	default:
 		return true, false
 	}
-	ok, ch1 := p.refineSide(dom, c.L, op, p.absEval(c.R, dom))
+	ok, ch1 := p.refineSide(dom, c.L, c.Op, p.absEval(c.R, dom))
 	if !ok {
 		return false, ch1
 	}
-	ok, ch2 := p.refineSide(dom, c.R, swapBVCmp(op), p.absEval(c.L, dom))
+	ok, ch2 := p.refineSide(dom, c.R, swapBVCmp(c.Op), p.absEval(c.L, dom))
 	return ok, ch1 || ch2
 }
 
@@ -706,26 +614,6 @@ func (p *bvProblem) absEval(e *BVExpr, dom map[string]solver.Interval) solver.In
 		return p.divIv(l, r)
 	case BVSRem:
 		return p.remIv(l, r)
-	case BVNotBits:
-		// ~x = -x - 1, monotone decreasing: exact.
-		return solver.Interval{Lo: ^l.Hi, Hi: ^l.Lo}
-	case BVAndBits:
-		if l.Lo >= 0 && r.Lo >= 0 {
-			return solver.Interval{Lo: 0, Hi: min2(l.Hi, r.Hi)}
-		}
-		return p.full()
-	case BVOrBits, BVXorBits:
-		if l.Lo >= 0 && r.Lo >= 0 {
-			n := bits.Len64(uint64(l.Hi) | uint64(r.Hi))
-			hi := int64(1)<<n - 1
-			if hi > bld.MaxS() {
-				return p.full()
-			}
-			return solver.Interval{Lo: 0, Hi: hi}
-		}
-		return p.full()
-	case BVShl, BVLshr:
-		return p.full() // exact only when fixed (handled above)
 	case BVEq:
 		return cmpTruth(l.Fixed() && r.Fixed() && l.Lo == r.Lo, l.Hi < r.Lo || r.Hi < l.Lo)
 	case BVNe:
@@ -738,8 +626,6 @@ func (p *bvProblem) absEval(e *BVExpr, dom map[string]solver.Interval) solver.In
 		return cmpTruth(l.Lo > r.Hi, l.Hi <= r.Lo)
 	case BVSge:
 		return cmpTruth(l.Lo >= r.Hi, l.Hi < r.Lo)
-	case BVUlt, BVUle, BVUgt, BVUge:
-		return p.unsignedCmp(e.Op, l, r)
 	case BVBoolNot:
 		return solver.Interval{Lo: 1 - l.Hi, Hi: 1 - l.Lo}
 	case BVBoolAnd:
@@ -760,33 +646,6 @@ func cmpTruth(isTrue, isFalse bool) solver.Interval {
 		return solver.Singleton(1)
 	case isFalse:
 		return solver.Singleton(0)
-	}
-	return solver.Interval{Lo: 0, Hi: 1}
-}
-
-// unsignedCmp compares under unsigned order. When both intervals lie on one
-// side of zero the unsigned order coincides with the signed order (negative
-// values map above all non-negative ones); mixed-sign intervals are
-// inconclusive.
-func (p *bvProblem) unsignedCmp(op BVOp, l, r solver.Interval) solver.Interval {
-	lNeg, lNonNeg := l.Hi < 0, l.Lo >= 0
-	rNeg, rNonNeg := r.Hi < 0, r.Lo >= 0
-	switch {
-	case (lNonNeg && rNonNeg) || (lNeg && rNeg):
-		switch op {
-		case BVUlt:
-			return cmpTruth(l.Hi < r.Lo, l.Lo >= r.Hi)
-		case BVUle:
-			return cmpTruth(l.Hi <= r.Lo, l.Lo > r.Hi)
-		case BVUgt:
-			return cmpTruth(l.Lo > r.Hi, l.Hi <= r.Lo)
-		case BVUge:
-			return cmpTruth(l.Lo >= r.Hi, l.Hi < r.Lo)
-		}
-	case lNonNeg && rNeg: // l unsigned-below r always
-		return cmpTruth(op == BVUlt || op == BVUle, op == BVUgt || op == BVUge)
-	case lNeg && rNonNeg:
-		return cmpTruth(op == BVUgt || op == BVUge, op == BVUlt || op == BVUle)
 	}
 	return solver.Interval{Lo: 0, Hi: 1}
 }

@@ -55,13 +55,6 @@ func TestBuilderEvalWraparound(t *testing.T) {
 		{"add wraps", b.Add(x, b.Const(100)), b.ToSigned(b.Mask(300))}, // 300 mod 256 = 44
 		{"mul wraps", b.Mul(x, b.Const(2)), b.ToSigned(b.Mask(400))},   // 400 mod 256 = -112 signed
 		{"neg", b.Neg(b.Const(1)), -1},
-		{"and", b.And(x, b.Const(0x0F)), 0x08}, // 200 = 0xC8
-		{"or", b.Or(b.Const(0x10), b.Const(3)), 0x13},
-		{"xor", b.Xor(x, x), 0},
-		{"not", b.Not(b.Const(0)), -1},
-		{"shl", b.Shl(b.Const(1), b.Const(7)), b.MinS()}, // 0x80 = -128 signed
-		{"lshr", b.Lshr(x, b.Const(4)), 0x0C},
-		{"ult: 200u > 100u", b.Ugt(x, b.Const(100)), 1},
 		{"slt: 200 is -56 signed < 100", b.Slt(x, b.Const(100)), 1},
 	}
 	for _, tc := range cases {
@@ -82,21 +75,11 @@ func TestBuilderEvalWraparound(t *testing.T) {
 	}
 }
 
-// bvBackend returns the concrete type so tests can reach Builder/AssertBV.
-func bvBackend(t *testing.T, opts Options) *bitvecBackend {
-	t.Helper()
-	b, err := New(BackendBitvec, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b.(*bitvecBackend)
-}
-
 func TestBitvecWraparoundScenario(t *testing.T) {
 	// X + 1 < X (signed) is satisfiable ONLY with wraparound: X = MaxS.
 	// This is the scenario class the unbounded interval domain cannot
 	// express — its saturating arithmetic proves X + 1 > X for all X.
-	b := bvBackend(t, Options{Width: 16, Domains: map[string]solver.Interval{
+	b := mustBackend(t, BackendBitvec, Options{Width: 16, Domains: map[string]solver.Interval{
 		"X": {Lo: -32768, Hi: 32767},
 	}})
 	x := sym.V("X")
@@ -121,59 +104,10 @@ func TestBitvecWraparoundScenario(t *testing.T) {
 	}
 }
 
-func TestBitvecBitwiseScenario(t *testing.T) {
-	// (X & 0xFF) == 0x80 ∧ X <= 1000: native bitvector constraints asserted
-	// through the builder, solved by search. 0x80=128, 0x180=384 qualify.
-	b := bvBackend(t, Options{Width: 32, Domains: map[string]solver.Interval{
-		"X": {Lo: 0, Hi: 1000},
-	}})
-	bld := b.Builder()
-	x := bld.Var("X")
-	b.Push()
-	b.AssertBV(bld.Eq(bld.And(x, bld.Const(0xFF)), bld.Const(0x80)))
-	res := b.Check()
-	if !res.Sat {
-		t.Fatalf("must be sat, stats %+v", b.Stats())
-	}
-	if got := res.Model.Map()["X"]; got&0xFF != 0x80 {
-		t.Errorf("model X = %d (0x%x), want low byte 0x80", got, got)
-	}
-	// Forbid the found solution and ask for another.
-	b.Push()
-	b.AssertBV(bld.Ne(x, bld.Const(res.Model.Map()["X"])))
-	res2 := b.Check()
-	if !res2.Sat {
-		t.Fatal("a second solution exists (e.g. 0x180)")
-	}
-	if res2.Model.Map()["X"] == res.Model.Map()["X"] || res2.Model.Map()["X"]&0xFF != 0x80 {
-		t.Errorf("second model X = %d invalid", res2.Model.Map()["X"])
-	}
-}
-
-func TestBitvecUnsignedComparison(t *testing.T) {
-	// -1 >u 1000 in unsigned order (0xFFFF... is the largest unsigned).
-	b := bvBackend(t, Options{Width: 32, Domains: map[string]solver.Interval{
-		"X": {Lo: -5, Hi: -1},
-	}})
-	bld := b.Builder()
-	x := bld.Var("X")
-	b.Push()
-	b.AssertBV(bld.Ugt(x, bld.Const(1000)))
-	if res := b.Check(); !res.Sat {
-		t.Fatal("negative X is unsigned-greater than 1000: must be sat")
-	}
-	b.Pop()
-	b.Push()
-	b.AssertBV(bld.Ult(x, bld.Const(1000)))
-	if res := b.Check(); res.Sat || res.Unknown {
-		t.Errorf("negative X unsigned-less than 1000 must be unsat, got %+v", res)
-	}
-}
-
 func TestBitvecDivisionSemantics(t *testing.T) {
 	// X / Y == 3 ∧ Y == 0 is unsat: division by zero fails concretely.
 	x, y := sym.V("X"), sym.V("Y")
-	b := bvBackend(t, Options{Domains: map[string]solver.Interval{
+	b := mustBackend(t, BackendBitvec, Options{Domains: map[string]solver.Interval{
 		"X": {Lo: 0, Hi: 10}, "Y": {Lo: 0, Hi: 0},
 	}})
 	b.Push()
@@ -184,7 +118,7 @@ func TestBitvecDivisionSemantics(t *testing.T) {
 	b.Pop()
 
 	// X / 2 == 3 over [0,10]: X in {6, 7}.
-	b2 := bvBackend(t, Options{Domains: map[string]solver.Interval{"X": {Lo: 0, Hi: 10}}})
+	b2 := mustBackend(t, BackendBitvec, Options{Domains: map[string]solver.Interval{"X": {Lo: 0, Hi: 10}}})
 	b2.Push()
 	b2.Assert(sym.Cmp(sym.OpEQ, sym.Div(x, sym.Int(2)), sym.Int(3)))
 	res := b2.Check()
@@ -200,7 +134,7 @@ func TestBitvecBoundaryDomains(t *testing.T) {
 	t.Run("ne at MaxS", func(t *testing.T) {
 		// X == MaxS (singleton domain) ∧ X != MaxS: must be unsat, not a
 		// wrapped-open domain yielding a bogus model.
-		b := bvBackend(t, Options{Domains: map[string]solver.Interval{
+		b := mustBackend(t, BackendBitvec, Options{Domains: map[string]solver.Interval{
 			"X": {Lo: maxS, Hi: maxS},
 		}})
 		b.Push()
@@ -215,7 +149,7 @@ func TestBitvecBoundaryDomains(t *testing.T) {
 		// abstractly inconclusive (overflow widens to full), forcing
 		// enumeration; unsat at every value.
 		x := sym.V("X")
-		b := bvBackend(t, Options{Domains: map[string]solver.Interval{
+		b := mustBackend(t, BackendBitvec, Options{Domains: map[string]solver.Interval{
 			"X": {Lo: maxS - 3, Hi: maxS},
 		}})
 		b.Push()
@@ -242,7 +176,7 @@ func TestBitvecCacheKeyedByWidth(t *testing.T) {
 	query := sym.Cmp(sym.OpLT, sym.Add(x, sym.Int(100)), x)
 	doms := map[string]solver.Interval{"X": {Lo: 0, Hi: 100}}
 	check := func(width int) Result {
-		b := bvBackend(t, Options{Width: width, Domains: doms, Cache: cache})
+		b := mustBackend(t, BackendBitvec, Options{Width: width, Domains: doms, Cache: cache})
 		b.Push()
 		b.Assert(query)
 		return b.Check()

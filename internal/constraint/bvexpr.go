@@ -9,15 +9,15 @@ import (
 // hash-consing builder over fixed-width bitvector terms, in the style of
 // gosmt's ExprBuilder. All terms built by one Builder share one width W;
 // values are uint64s masked to W bits, arithmetic wraps modulo 2^W, and
-// comparisons come in signed (two's complement) and unsigned flavors. The
-// builder constant-folds eagerly and interns structurally equal nodes, so
-// pointer equality is structural equality — sharing that matters when the
-// execution engine asserts thousands of closely related constraints.
+// comparisons are signed (two's complement). The builder constant-folds
+// eagerly and interns structurally equal nodes, so pointer equality is
+// structural equality — sharing that matters when the execution engine
+// asserts thousands of closely related constraints.
 
 // BVOp enumerates bitvector node kinds.
 type BVOp int
 
-// Node kinds. Ops through BVLshr are W-bit valued; the rest are boolean
+// Node kinds. Ops through BVIte are W-bit valued; the rest are boolean
 // valued (encoded 0/1 when a concrete value is needed).
 const (
 	BVConst BVOp = iota
@@ -28,12 +28,6 @@ const (
 	BVSDiv // signed division, truncated (Go/Java semantics); x/0 is a run-time error
 	BVSRem // signed remainder, sign follows the dividend
 	BVNeg
-	BVAndBits
-	BVOrBits
-	BVXorBits
-	BVNotBits
-	BVShl
-	BVLshr
 	BVIte // ite(C, L, R): W-bit conditional on a boolean guard
 
 	BVBoolConst
@@ -43,10 +37,6 @@ const (
 	BVSle
 	BVSgt
 	BVSge
-	BVUlt
-	BVUle
-	BVUgt
-	BVUge
 	BVBoolAnd
 	BVBoolOr
 	BVBoolNot
@@ -54,9 +44,7 @@ const (
 
 var bvOpNames = map[BVOp]string{
 	BVAdd: "+", BVSub: "-", BVMul: "*", BVSDiv: "/s", BVSRem: "%s", BVNeg: "-",
-	BVAndBits: "&", BVOrBits: "|", BVXorBits: "^", BVNotBits: "~", BVShl: "<<", BVLshr: ">>u",
 	BVEq: "==", BVNe: "!=", BVSlt: "<s", BVSle: "<=s", BVSgt: ">s", BVSge: ">=s",
-	BVUlt: "<u", BVUle: "<=u", BVUgt: ">u", BVUge: ">=u",
 	BVBoolAnd: "&&", BVBoolOr: "||", BVBoolNot: "!",
 }
 
@@ -86,7 +74,7 @@ func (e *BVExpr) String() string {
 		return "false"
 	case BVVar:
 		return e.Name
-	case BVNeg, BVNotBits, BVBoolNot:
+	case BVNeg, BVBoolNot:
 		return bvOpNames[e.Op] + "(" + e.L.String() + ")"
 	case BVIte:
 		return "ite(" + e.C.String() + ", " + e.L.String() + ", " + e.R.String() + ")"
@@ -98,7 +86,6 @@ func (e *BVExpr) String() string {
 // Builder interns fixed-width bitvector terms. Not safe for concurrent use;
 // each backend instance owns one.
 type Builder struct {
-	width  int
 	mask   uint64
 	signBt uint64 // the sign bit of the width
 	nodes  map[string]*BVExpr
@@ -115,15 +102,11 @@ func NewBuilder(width int) (*Builder, error) {
 		mask = (uint64(1) << width) - 1
 	}
 	return &Builder{
-		width:  width,
 		mask:   mask,
 		signBt: uint64(1) << (width - 1),
 		nodes:  map[string]*BVExpr{},
 	}, nil
 }
-
-// Width returns the builder's bit width.
-func (b *Builder) Width() int { return b.width }
 
 // MaxS and MinS are the largest and smallest signed values of the width.
 func (b *Builder) MaxS() int64 { return int64(b.signBt - 1) }
@@ -215,14 +198,6 @@ func (b *Builder) SDiv(l, r *BVExpr) *BVExpr { return b.node(BVSDiv, l, r) }
 func (b *Builder) SRem(l, r *BVExpr) *BVExpr { return b.node(BVSRem, l, r) }
 func (b *Builder) Neg(x *BVExpr) *BVExpr     { return b.node(BVNeg, x, nil) }
 
-// Bitwise.
-func (b *Builder) And(l, r *BVExpr) *BVExpr  { return b.node(BVAndBits, l, r) }
-func (b *Builder) Or(l, r *BVExpr) *BVExpr   { return b.node(BVOrBits, l, r) }
-func (b *Builder) Xor(l, r *BVExpr) *BVExpr  { return b.node(BVXorBits, l, r) }
-func (b *Builder) Not(x *BVExpr) *BVExpr     { return b.node(BVNotBits, x, nil) }
-func (b *Builder) Shl(l, r *BVExpr) *BVExpr  { return b.node(BVShl, l, r) }
-func (b *Builder) Lshr(l, r *BVExpr) *BVExpr { return b.node(BVLshr, l, r) }
-
 // Comparisons.
 func (b *Builder) Eq(l, r *BVExpr) *BVExpr  { return b.node(BVEq, l, r) }
 func (b *Builder) Ne(l, r *BVExpr) *BVExpr  { return b.node(BVNe, l, r) }
@@ -230,10 +205,6 @@ func (b *Builder) Slt(l, r *BVExpr) *BVExpr { return b.node(BVSlt, l, r) }
 func (b *Builder) Sle(l, r *BVExpr) *BVExpr { return b.node(BVSle, l, r) }
 func (b *Builder) Sgt(l, r *BVExpr) *BVExpr { return b.node(BVSgt, l, r) }
 func (b *Builder) Sge(l, r *BVExpr) *BVExpr { return b.node(BVSge, l, r) }
-func (b *Builder) Ult(l, r *BVExpr) *BVExpr { return b.node(BVUlt, l, r) }
-func (b *Builder) Ule(l, r *BVExpr) *BVExpr { return b.node(BVUle, l, r) }
-func (b *Builder) Ugt(l, r *BVExpr) *BVExpr { return b.node(BVUgt, l, r) }
-func (b *Builder) Uge(l, r *BVExpr) *BVExpr { return b.node(BVUge, l, r) }
 
 // Boolean connectives.
 func (b *Builder) BoolAnd(l, r *BVExpr) *BVExpr { return b.node(BVBoolAnd, l, r) }
@@ -343,24 +314,6 @@ func (b *Builder) evalNode(op BVOp, l, r uint64) (uint64, error) {
 		return b.FromSigned(ls % rs), nil
 	case BVNeg:
 		return (-l) & b.mask, nil
-	case BVAndBits:
-		return l & r, nil
-	case BVOrBits:
-		return l | r, nil
-	case BVXorBits:
-		return l ^ r, nil
-	case BVNotBits:
-		return (^l) & b.mask, nil
-	case BVShl:
-		if r >= uint64(b.width) {
-			return 0, nil
-		}
-		return (l << r) & b.mask, nil
-	case BVLshr:
-		if r >= uint64(b.width) {
-			return 0, nil
-		}
-		return (l & b.mask) >> r, nil
 	case BVEq:
 		return b01(l == r), nil
 	case BVNe:
@@ -373,14 +326,6 @@ func (b *Builder) evalNode(op BVOp, l, r uint64) (uint64, error) {
 		return b01(b.ToSigned(l) > b.ToSigned(r)), nil
 	case BVSge:
 		return b01(b.ToSigned(l) >= b.ToSigned(r)), nil
-	case BVUlt:
-		return b01(l < r), nil
-	case BVUle:
-		return b01(l <= r), nil
-	case BVUgt:
-		return b01(l > r), nil
-	case BVUge:
-		return b01(l >= r), nil
 	case BVBoolNot:
 		return b01(l == 0), nil
 	case BVBoolAnd:

@@ -225,6 +225,5 @@ func (w *wrapped) Check() constraint.Result {
 	return w.inner.Check()
 }
 
-func (w *wrapped) Caps() constraint.Caps   { return w.inner.Caps() }
 func (w *wrapped) Stats() constraint.Stats { return w.inner.Stats() }
 func (w *wrapped) ResetStats()             { w.inner.ResetStats() }

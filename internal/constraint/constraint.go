@@ -12,8 +12,11 @@
 // stack. Backends are free to reuse work across Checks that share a stack
 // prefix — the interval backend snapshots its propagation state per frame
 // and keeps an LRU cache of solved prefixes shared across concurrent
-// engines (see interval.go); the bitvector backend memoizes per-frame
-// verdicts (see bitvec.go).
+// engines (see interval.go); the bitvector backend recalls whole-stack
+// verdicts from the same kind of cache (see bitvec.go). No backend re-tests
+// a parent prefix's witness: the engine evaluates each branch constraint
+// under its state's witness first and asks a backend only about the branch
+// arms that witness fails.
 //
 // Two backends are built in:
 //
@@ -21,8 +24,8 @@
 //     finite-domain interval-propagation solver in internal/solver,
 //     preserving the Choco-like semantics the DiSE paper ran with;
 //   - "bitvec": a pure-Go fixed-width bitvector solver with wraparound
-//     arithmetic, bitwise operators and unsigned comparisons (bvexpr.go),
-//     opening scenarios the unbounded interval domain cannot express.
+//     arithmetic (bvexpr.go), deciding overflow scenarios the unbounded
+//     interval domain cannot express.
 //
 // Two more ship as self-registering subpackages (imported for side effect
 // by the dise facade): "smtlib", a supervised external SMT-LIB2 process
@@ -107,22 +110,6 @@ type Result struct {
 	Model *solver.Model
 }
 
-// Caps describes what a backend can do, so callers can select or reject
-// backends by capability instead of by name.
-type Caps struct {
-	// Name is the registry name of the backend.
-	Name string
-	// PrefixReuse reports that Checks sharing a stack prefix reuse solver
-	// state (snapshots, caches) rather than re-solving from scratch.
-	PrefixReuse bool
-	// Wraparound reports fixed-width modular arithmetic semantics;
-	// without it, arithmetic is over unbounded integers (saturating).
-	Wraparound bool
-	// Bitwise reports support for bitwise operators and unsigned
-	// comparisons in the backend's native expression language.
-	Bitwise bool
-}
-
 // Stats counts backend work across Checks. It is also the solver_stats block
 // of the dise facade's JSON and of the service's /metrics, so the JSON tags
 // are part of the wire format. The frame counters expose the push/pop
@@ -141,13 +128,13 @@ type Stats struct {
 	PoppedFrames  int `json:"popped_frames"`
 	CacheHits     int `json:"cache_hits"` // full stack verdict answered by the prefix cache
 	CacheMisses   int `json:"cache_misses"`
-	ModelReuses   int `json:"model_reuses"`    // sat decided by the parent prefix's cached witness
+	ModelReuses   int `json:"model_reuses"`    // branch decisions the parent state's witness answered with no Check (engine-counted)
 	BoxConflicts  int `json:"box_conflicts"`   // unsat decided by propagating only the new conjunct
 	FullSolves    int `json:"full_solves"`     // Checks that fell through to a full solver search
 	SearchNodes   int `json:"search_nodes"`    // inner-solver branching nodes
 	Propagations  int `json:"propagations"`    // inner-solver domain-tightening passes
 	BoxSnapshots  int `json:"box_snapshots"`   // propagation-state snapshots taken (interval)
-	FrameMemoHits int `json:"frame_memo_hits"` // verdict answered by the top frame's memo
+	FrameMemoHits int `json:"frame_memo_hits"` // always 0; kept until bench/solver.go stops reading it
 
 	// Resilience counters of the external-process machinery (the smtlib
 	// backend's supervision ladder and the portfolio's member isolation).
@@ -166,8 +153,8 @@ type Stats struct {
 
 	// CheckPanics counts Check calls that panicked and were contained by
 	// the symbolic-execution engine (recovered, reported Unknown, kept
-	// exploring). Backends never set it; the engine fills it in when it
-	// snapshots their stats.
+	// exploring). Backends never set it, nor ModelReuses; the engine fills
+	// both in when it snapshots their stats.
 	CheckPanics int `json:"check_panics,omitempty"`
 }
 
@@ -224,8 +211,6 @@ type Backend interface {
 	// Check decides satisfiability of the conjunction of every asserted
 	// constraint under the input domains.
 	Check() Result
-	// Caps reports the backend's capabilities.
-	Caps() Caps
 	// Stats returns accumulated counters.
 	Stats() Stats
 	// ResetStats zeroes the counters.

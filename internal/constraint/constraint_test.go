@@ -113,8 +113,8 @@ func TestPopBaseFramePanics(t *testing.T) {
 
 func TestSiblingPrefixReuse(t *testing.T) {
 	// Exploration-tree shape: a prefix of constraints, then two sibling
-	// checks. The second sibling must be answered by the prefix machinery
-	// (model reuse, cache, or snapshot) without a second full solve.
+	// checks. The second sibling must be answered by the prefix cache
+	// without a second full solve.
 	x, y := sym.V("X"), sym.V("Y")
 	b := mustBackend(t, BackendInterval, Options{Domains: domains("X", "Y")})
 	b.Push()
@@ -172,28 +172,6 @@ func TestSharedCacheAcrossBackends(t *testing.T) {
 	run(second)
 	if st := second.Stats(); st.CacheHits == 0 {
 		t.Errorf("second engine must reuse the shared cache (stats %+v)", st)
-	}
-}
-
-func TestModelWitnessFastPath(t *testing.T) {
-	// A chain of constraints all satisfied by the prefix model: each deeper
-	// Check must be a model reuse, not a full solve.
-	x := sym.V("X")
-	b := mustBackend(t, BackendInterval, Options{Domains: domains("X")})
-	b.Push()
-	b.Assert(sym.Cmp(sym.OpGE, x, sym.Int(5)))
-	if !b.Check().Sat {
-		t.Fatal("prefix must be sat")
-	}
-	for i := 0; i < 5; i++ {
-		b.Push()
-		b.Assert(sym.Cmp(sym.OpGE, x, sym.Int(4-int64(i)))) // already satisfied by X=5
-		if !b.Check().Sat {
-			t.Fatal("must stay sat")
-		}
-	}
-	if st := b.Stats(); st.ModelReuses == 0 {
-		t.Errorf("descending a satisfied chain must reuse the witness model (stats %+v)", st)
 	}
 }
 
@@ -304,20 +282,6 @@ func TestStatsCounters(t *testing.T) {
 			t.Errorf("ResetStats must zero counters but keep the name, got %+v", st)
 		}
 	})
-}
-
-func TestCapsReporting(t *testing.T) {
-	cases := map[string]Caps{
-		BackendInterval:        {Name: BackendInterval, PrefixReuse: true},
-		BackendIntervalNoReuse: {Name: BackendIntervalNoReuse},
-		BackendBitvec:          {Name: BackendBitvec, PrefixReuse: true, Wraparound: true, Bitwise: true},
-	}
-	for name, want := range cases {
-		b := mustBackend(t, name, Options{})
-		if got := b.Caps(); got != want {
-			t.Errorf("%s caps = %+v, want %+v", name, got, want)
-		}
-	}
 }
 
 func TestPrefixCacheEviction(t *testing.T) {

@@ -17,9 +17,9 @@ import (
 //     own new conjunct against the parent's box instead of re-propagating
 //     the whole path condition. A frame that tightens nothing shares its
 //     parent's box.
-//   - res: the memoized verdict for the stack prefix ending at this frame,
-//     whose model (when Sat) is the witness that lets most child Checks
-//     succeed without any solving at all.
+//   - res: the verdict for the stack prefix ending at this frame. Once the
+//     frame is an ancestor, an unsat verdict refutes every deeper stack
+//     without propagation or search.
 //
 // Both are lazily (re)computed and may be adopted from the shared
 // PrefixCache, which stores them under the frame's chained key. The frame
@@ -130,10 +130,6 @@ func (b *intervalBackend) Assert(c sym.Expr) {
 	b.stats.Asserts++
 }
 
-func (b *intervalBackend) Caps() Caps {
-	return Caps{Name: b.stats.Backend, PrefixReuse: b.reuse}
-}
-
 func (b *intervalBackend) Stats() Stats {
 	st := b.stats
 	inner := b.inner.Stats()
@@ -164,10 +160,6 @@ func (b *intervalBackend) check() Result {
 		r := b.inner.CheckBox(b.stackExprs(), b.inner.Base())
 		return Result{Sat: r.Sat, Unknown: r.Unknown, Model: r.Model}
 	}
-	if top.res != nil {
-		b.stats.FrameMemoHits++
-		return *top.res
-	}
 	// Whole-stack verdict from the shared cache: a sibling engine (or this
 	// one, before a pop/re-push cycle) may have decided this exact prefix.
 	if ent, ok := b.cache.get(top.key); ok && ent.res != nil {
@@ -177,24 +169,10 @@ func (b *intervalBackend) check() Result {
 	}
 	b.stats.CacheMisses++
 
-	parentBox, parentModel, conflict := b.ensureAncestors()
+	parentBox, conflict := b.ensureAncestors()
 	if conflict {
 		res := Result{}
 		top.res = &res
-		return res
-	}
-	// Witness fast path: the parent prefix's model already satisfies the new
-	// conjuncts, so the conjunction is Sat with no solving. This is the
-	// dominant case down a feasible path (exactly one branch outcome agrees
-	// with any given model).
-	if parentModel != nil && b.modelSatisfies(parentModel, top.exprs) {
-		res := Result{Sat: true, Model: parentModel}
-		if box, residual, ok := b.propagateFrame(top, parentBox); ok {
-			top.box, top.residual = box, residual
-		}
-		top.res = &res
-		b.stats.ModelReuses++
-		b.cache.put(top.key, prefixEntry{res: &res, box: top.box, residual: top.residual})
 		return res
 	}
 	// Incremental refutation: propagate only the new conjuncts against the
@@ -232,10 +210,9 @@ func (b *intervalBackend) check() Result {
 
 // ensureAncestors makes sure every frame below the top has its propagation
 // snapshot, computing missing ones top-down from the base (consulting the
-// shared cache first). It returns the parent frame's box, the parent
-// prefix's satisfying model when one is known, and whether an ancestor
-// frame was refuted outright.
-func (b *intervalBackend) ensureAncestors() (*solver.Box, *solver.Model, bool) {
+// shared cache first). It returns the parent frame's box and whether an
+// ancestor frame was refuted outright.
+func (b *intervalBackend) ensureAncestors() (*solver.Box, bool) {
 	parentBox := b.inner.Base()
 	for i, f := range b.frames[:len(b.frames)-1] {
 		if f.box == nil {
@@ -248,24 +225,18 @@ func (b *intervalBackend) ensureAncestors() (*solver.Box, *solver.Model, bool) {
 				if !ok {
 					res := Result{}
 					f.res = &res
-					return nil, nil, true
+					return nil, true
 				}
 				f.box, f.residual = box, residual
 				b.cache.put(f.key, prefixEntry{box: box, residual: residual})
 			}
 		}
 		if f.res != nil && !f.res.Sat && !f.res.Unknown {
-			return nil, nil, true
+			return nil, true
 		}
 		parentBox = f.box
 	}
-	var parentModel *solver.Model
-	if len(b.frames) > 1 {
-		if parent := b.frames[len(b.frames)-2]; parent.res != nil && parent.res.Sat {
-			parentModel = parent.res.Model
-		}
-	}
-	return parentBox, parentModel, false
+	return parentBox, false
 }
 
 // propagateFrame tightens the parent box under the frame's own constraints
@@ -280,18 +251,6 @@ func (b *intervalBackend) propagateFrame(f *ivFrame, parentBox *solver.Box) (*so
 		b.stats.BoxSnapshots++
 	}
 	return box, residual, ok
-}
-
-// modelSatisfies reports whether the model satisfies every expression (any
-// evaluation error — e.g. a variable the prefix never mentioned — means no).
-func (b *intervalBackend) modelSatisfies(model *solver.Model, exprs []sym.Expr) bool {
-	for _, e := range exprs {
-		v, err := solver.EvalInt01(e, model)
-		if err != nil || v == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // stackExprs concatenates the assertions of every frame, base first, into

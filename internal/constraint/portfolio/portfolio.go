@@ -222,19 +222,6 @@ func (b *backend) race() constraint.Result {
 	return won
 }
 
-// Caps intersects the members' capabilities: the portfolio only promises
-// what every member delivers.
-func (b *backend) Caps() constraint.Caps {
-	caps := constraint.Caps{Name: Name, PrefixReuse: true, Wraparound: true, Bitwise: true}
-	for _, m := range b.members {
-		mc := m.backend.Caps()
-		caps.PrefixReuse = caps.PrefixReuse && mc.PrefixReuse
-		caps.Wraparound = caps.Wraparound && mc.Wraparound
-		caps.Bitwise = caps.Bitwise && mc.Bitwise
-	}
-	return caps
-}
-
 // Stats reports the portfolio's own stack/verdict counters plus the
 // members' solving and resilience counters folded in, so external-solver
 // health (ExtRestarts, ExtBreakerTrips, ...) stays visible through the
@@ -246,13 +233,11 @@ func (b *backend) Stats() constraint.Stats {
 		fm := m.backend.Stats()
 		st.CacheHits += fm.CacheHits
 		st.CacheMisses += fm.CacheMisses
-		st.ModelReuses += fm.ModelReuses
 		st.BoxConflicts += fm.BoxConflicts
 		st.FullSolves += fm.FullSolves
 		st.SearchNodes += fm.SearchNodes
 		st.Propagations += fm.Propagations
 		st.BoxSnapshots += fm.BoxSnapshots
-		st.FrameMemoHits += fm.FrameMemoHits
 		st.ExtSolves += fm.ExtSolves
 		st.ExtAnswers += fm.ExtAnswers
 		st.ExtUnknowns += fm.ExtUnknowns

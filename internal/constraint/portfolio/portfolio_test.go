@@ -39,7 +39,6 @@ func (s *slowpoke) Check() constraint.Result {
 	return s.inner.Check()
 }
 
-func (s *slowpoke) Caps() constraint.Caps   { return constraint.Caps{Name: "slowpoke"} }
 func (s *slowpoke) Stats() constraint.Stats { return s.inner.Stats() }
 func (s *slowpoke) ResetStats()             { s.inner.ResetStats() }
 
@@ -62,7 +61,6 @@ func (p *panicky) Check() constraint.Result {
 	return p.inner.Check()
 }
 
-func (p *panicky) Caps() constraint.Caps   { return constraint.Caps{Name: "panicky"} }
 func (p *panicky) Stats() constraint.Stats { return p.inner.Stats() }
 func (p *panicky) ResetStats()             { p.inner.ResetStats() }
 

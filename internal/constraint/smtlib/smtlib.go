@@ -218,10 +218,6 @@ func (b *backend) adopt(values map[string]int64) (*solver.Model, error) {
 	return model, nil
 }
 
-func (b *backend) Caps() constraint.Caps {
-	return constraint.Caps{Name: Name, PrefixReuse: true}
-}
-
 // Stats reports the backend's own stack/verdict/resilience counters plus
 // the fallback's reuse counters (cache hits, snapshots, search nodes), so
 // the incremental machinery stays observable through the smtlib wrapper.
@@ -231,13 +227,11 @@ func (b *backend) Stats() constraint.Stats {
 	fb := b.fallback.Stats()
 	st.CacheHits += fb.CacheHits
 	st.CacheMisses += fb.CacheMisses
-	st.ModelReuses += fb.ModelReuses
 	st.BoxConflicts += fb.BoxConflicts
 	st.FullSolves += fb.FullSolves
 	st.SearchNodes += fb.SearchNodes
 	st.Propagations += fb.Propagations
 	st.BoxSnapshots += fb.BoxSnapshots
-	st.FrameMemoHits += fb.FrameMemoHits
 	return st
 }
 

@@ -8,7 +8,7 @@
 package ast
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"dise/internal/lang/token"
@@ -88,28 +88,46 @@ func (e *Ident) Pos() token.Pos   { return e.TokPos }
 func (e *Unary) Pos() token.Pos   { return e.TokPos }
 func (e *Binary) Pos() token.Pos  { return e.L.Pos() }
 
-func (e *IntLit) String() string { return fmt.Sprintf("%d", e.Value) }
-func (e *BoolLit) String() string {
-	if e.Value {
-		return "true"
-	}
-	return "false"
-}
-func (e *Ident) String() string { return e.Name }
-func (e *Unary) String() string { return e.Op.String() + parenthesize(e.X) }
-func (e *Binary) String() string {
-	return parenthesize(e.L) + " " + e.Op.String() + " " + parenthesize(e.R)
+func (e *IntLit) String() string  { return strconv.FormatInt(e.Value, 10) }
+func (e *BoolLit) String() string { return strconv.FormatBool(e.Value) }
+func (e *Ident) String() string   { return e.Name }
+func (e *Unary) String() string   { return exprString(e) }
+func (e *Binary) String() string  { return exprString(e) }
+
+// exprString renders a composite expression through one builder, so the
+// cost is linear in the expression's size however deeply it nests.
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
 }
 
-// parenthesize wraps composite sub-expressions in parentheses so the printed
-// form is unambiguous without reproducing the original precedence decisions.
-func parenthesize(e Expr) string {
-	switch e.(type) {
+func writeExpr(b *strings.Builder, e Expr) {
+	switch e := e.(type) {
+	case *Unary:
+		b.WriteString(e.Op.String())
+		writeOperand(b, e.X)
 	case *Binary:
-		return "(" + e.String() + ")"
+		writeOperand(b, e.L)
+		b.WriteByte(' ')
+		b.WriteString(e.Op.String())
+		b.WriteByte(' ')
+		writeOperand(b, e.R)
 	default:
-		return e.String()
+		b.WriteString(e.String())
 	}
+}
+
+// writeOperand wraps a binary operand in parentheses, so the printed form is
+// unambiguous without reproducing the original precedence decisions.
+func writeOperand(b *strings.Builder, e Expr) {
+	if _, ok := e.(*Binary); !ok {
+		writeExpr(b, e)
+		return
+	}
+	b.WriteByte('(')
+	writeExpr(b, e)
+	b.WriteByte(')')
 }
 
 func (*IntLit) exprNode()  {}

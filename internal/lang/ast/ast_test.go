@@ -31,11 +31,32 @@ func TestExprStrings(t *testing.T) {
 			R: &Binary{Op: token.LT, L: ident("y"), R: intLit(9)}},
 			"(x > 0) && (y < 9)"},
 		{&Unary{Op: token.NOT, X: &Binary{Op: token.EQ, L: ident("x"), R: intLit(1)}}, "!(x == 1)"},
+		{&Binary{Op: token.STAR,
+			L: &Unary{Op: token.MINUS, X: &Binary{Op: token.PLUS, L: ident("x"), R: intLit(1)}},
+			R: ident("y")},
+			"-(x + 1) * y"},
 	}
 	for _, tt := range tests {
 		if got := tt.e.String(); got != tt.want {
 			t.Errorf("String() = %q, want %q", got, tt.want)
 		}
+	}
+}
+
+// TestExprStringAllocs bounds the allocations of rendering a 20,000-operator
+// chain: the printer writes every level into one builder, so the count is
+// the builder's growth steps, not a string per level (quadratic bytes).
+func TestExprStringAllocs(t *testing.T) {
+	var e Expr = ident("a")
+	for i := 0; i < 20000; i++ {
+		e = &Binary{Op: token.PLUS, L: e, R: ident("a")}
+	}
+	if got, want := e.String(), strings.Repeat("(", 19999)+"a + a"+strings.Repeat(") + a", 19999); got != want {
+		t.Fatalf("chain renders as %.40q…, want %.40q…", got, want)
+	}
+	const bound = 64
+	if allocs := testing.AllocsPerRun(5, func() { _ = e.String() }); allocs > bound {
+		t.Errorf("String() of a 20,000-operator chain allocates %.0f times, bound %d", allocs, bound)
 	}
 }
 

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"strings"
 	"testing"
 
 	"dise/internal/lang/ast"
@@ -23,6 +24,12 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"int x = ;",
 		"proc p() { x = 1 + ; }",
 		"proc p() { if (a && !b || c) { x = -5 % 2; } else { x = 0; } }",
+		// Deep expressions, so every run drives the printer through a long
+		// operator chain and through nested unary and parenthesised operands.
+		"proc p(int a) { b = " + strings.Repeat("a + ", 1999) + "a; }",
+		"proc p(int a, bool c) { b = " + strings.Repeat("-(a - ", 300) + "-a" + strings.Repeat(")", 300) +
+			"; d = " + strings.Repeat("!(c && ", 300) + "!c" + strings.Repeat(")", 300) + "; }",
+		"proc p(int a, bool c) { b = -(-(a * (a - -a))) % -(0 - (a / -(-a))); d = !(!(c && !(a < -1))) || !!c; }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -111,24 +111,18 @@ func (m *Model) Len() int {
 	return len(m.vals) + len(m.outside)
 }
 
-// Each calls fn for every binding: the inputs in index order, then the
-// names outside the index in no particular order.
-func (m *Model) Each(fn func(name string, v int64)) {
-	if m == nil {
-		return
-	}
-	for i, v := range m.vals {
-		fn(m.index.names[i], v)
-	}
-	for name, v := range m.outside {
-		fn(name, v)
-	}
-}
-
 // Map returns the model as a map from name to value.
 func (m *Model) Map() map[string]int64 {
 	out := make(map[string]int64, m.Len())
-	m.Each(func(name string, v int64) { out[name] = v })
+	if m == nil {
+		return out
+	}
+	for i, v := range m.vals {
+		out[m.index.names[i]] = v
+	}
+	for name, v := range m.outside {
+		out[name] = v
+	}
 	return out
 }
 

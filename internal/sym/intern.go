@@ -60,7 +60,6 @@ package sym
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // hdr is the interner-owned header of a canonical node. It lives behind a
@@ -313,9 +312,6 @@ var internedTotal, collectedTotal atomic.Uint64
 // table lookup (collecting their entries could mint duplicate singletons).
 const pinnedEpoch = ^uint64(0)
 
-// CurrentEpoch returns the interner's current epoch.
-func CurrentEpoch() uint64 { return internEpoch.Load() }
-
 // AdvanceEpoch moves the interner clock forward one epoch and returns the
 // new value. The facade advances it once per completed analysis run, making
 // "untouched for N epochs" mean "not needed by the last N runs".
@@ -394,35 +390,6 @@ func CollectInterned(keepEpochs int) int {
 		collectedTotal.Add(uint64(dropped))
 	}
 	return dropped
-}
-
-// StartInternCollector runs an opt-in background collector: every interval
-// it advances the epoch and collects entries untouched for keepEpochs
-// epochs, so each tick is one epoch window. The returned stop function
-// halts the collector and waits for it to exit. Services that already
-// advance the epoch per run (dise.WithInternGC) do not need this; it exists
-// for embedders with no natural run boundary.
-func StartInternCollector(interval time.Duration, keepEpochs int) (stop func()) {
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				AdvanceEpoch()
-				CollectInterned(keepEpochs)
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-exited
-	}
 }
 
 // internEntryApproxBytes is the rough per-entry footprint used by

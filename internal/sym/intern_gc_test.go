@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 // gcExpr builds a structure unlikely to be shared with other tests, from a
@@ -85,19 +84,6 @@ func TestInternStatsCounters(t *testing.T) {
 	}
 	if after.Interned <= before.Interned {
 		t.Fatalf("interned counter did not advance: %d -> %d", before.Interned, after.Interned)
-	}
-}
-
-func TestInternBackgroundCollector(t *testing.T) {
-	gcExpr("bg", 777)
-	stop := StartInternCollector(time.Millisecond, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for InternTableStats().Collected == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	if InternTableStats().Collected == 0 {
-		t.Fatal("background collector never collected an aged entry")
 	}
 }
 

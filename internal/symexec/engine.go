@@ -132,16 +132,15 @@ type Stats struct {
 	PathsExplored      int
 	InfeasibleBranches int
 	DepthBoundHits     int
-	// ModelHits counts branch feasibility decisions answered by the
-	// parent state's cached satisfying model instead of a solver call.
-	ModelHits    int
-	MaxStatesHit bool
-	Time         time.Duration
-	// Solver is the backend's counter snapshot, plus Solver.CheckPanics:
-	// the Backend.Check calls that panicked and were contained (the engine
-	// recovers, reports the check as Unknown, and keeps exploring). A sound
-	// backend never panics; that counter is the audit trail for a faulty
-	// one.
+	MaxStatesHit       bool
+	Time               time.Duration
+	// Solver is the backend's counter snapshot plus two counters the engine
+	// keeps itself. Solver.ModelReuses counts branch feasibility decisions
+	// the parent state's witness answered with no Check. Solver.CheckPanics
+	// counts the Backend.Check calls that panicked and were contained (the
+	// engine recovers, reports the check as Unknown, and keeps exploring).
+	// A sound backend never panics; that counter is the audit trail for a
+	// faulty one.
 	Solver constraint.Stats
 
 	// Memo counters of a version-chain session run (zero without Config.Memo).
@@ -440,10 +439,12 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// solverStats snapshots the backend's counters together with the Check
-// panics the engine contained, which the backend cannot count itself.
+// solverStats snapshots the backend's counters together with the witness
+// decisions and the contained Check panics, which the backend cannot count
+// itself.
 func (e *Engine) solverStats() constraint.Stats {
 	s := e.Backend.Stats()
+	s.ModelReuses = e.stats.Solver.ModelReuses
 	s.CheckPanics = e.stats.Solver.CheckPanics
 	return s
 }
@@ -693,7 +694,7 @@ func (e *Engine) Step(s *State) Step {
 						// The parent's witness already satisfies the branch
 						// constraint: PC ∧ c is satisfiable without solving.
 						model = s.model
-						e.stats.ModelHits++
+						e.stats.Solver.ModelReuses++
 					}
 				}
 				if model == nil && rec != nil {

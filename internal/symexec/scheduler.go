@@ -575,17 +575,16 @@ func (x *Explorer) fail(err error) {
 }
 
 // mergedStats joins the per-worker counters at the end of a run. The core
-// exploration counters (states, branches, depth-bound hits, model hits) are
-// the committed ones — deterministic for a given analysis at every strategy
-// and parallelism level. The solver counters are summed across the worker
-// backends; their split between cache hits, model reuses and full solves
-// legitimately varies with speculation and interleaving.
+// exploration counters (states, branches, depth-bound hits, witness
+// decisions) are the committed ones — deterministic for a given analysis at
+// every strategy and parallelism level. The other solver counters are summed
+// across the worker backends; their split between cache hits, box conflicts
+// and full solves legitimately varies with speculation and interleaving.
 func (x *Explorer) mergedStats() Stats {
 	st := Stats{
 		StatesExplored:     x.coreStats.states,
 		InfeasibleBranches: x.coreStats.infeasible,
 		DepthBoundHits:     x.coreStats.depthHits,
-		ModelHits:          x.coreStats.modelHits,
 	}
 	st.MaxStatesHit = x.maxStatesHit
 	st.Merges = x.merges
@@ -599,6 +598,7 @@ func (x *Explorer) mergedStats() Stats {
 		st.MemoStatesLive += e.stats.MemoStatesLive
 		solver.Add(e.solverStats())
 	}
+	solver.ModelReuses = x.coreStats.modelReuses
 	st.Solver = solver
 	return st
 }
@@ -606,22 +606,22 @@ func (x *Explorer) mergedStats() Stats {
 // core holds the deterministic exploration counters of Stats: the ones a
 // committed exploration attributes to individual expansions.
 type core struct {
-	states, infeasible, depthHits, modelHits int
+	states, infeasible, depthHits, modelReuses int
 }
 
 // coreOf projects the core counters of s.
 func coreOf(s Stats) core {
-	return core{s.StatesExplored, s.InfeasibleBranches, s.DepthBoundHits, s.ModelHits}
+	return core{s.StatesExplored, s.InfeasibleBranches, s.DepthBoundHits, s.Solver.ModelReuses}
 }
 
 // sub returns c - d, counter by counter.
 func (c core) sub(d core) core {
-	return core{c.states - d.states, c.infeasible - d.infeasible, c.depthHits - d.depthHits, c.modelHits - d.modelHits}
+	return core{c.states - d.states, c.infeasible - d.infeasible, c.depthHits - d.depthHits, c.modelReuses - d.modelReuses}
 }
 
 func (c *core) add(d core) {
 	c.states += d.states
 	c.infeasible += d.infeasible
 	c.depthHits += d.depthHits
-	c.modelHits += d.modelHits
+	c.modelReuses += d.modelReuses
 }

@@ -77,8 +77,8 @@ func TestModelCacheAvoidsSolverCalls(t *testing.T) {
 		t.Fatalf("paths = %d, want 1", len(summary.Paths))
 	}
 	st := e.Stats()
-	if st.ModelHits == 0 {
-		t.Error("model cache never hit")
+	if st.Solver.ModelReuses != 3 {
+		t.Errorf("witness decisions = %d, want 3 (one per true branch)", st.Solver.ModelReuses)
 	}
 	// Exactly the three negated branches required solving.
 	if st.Solver.Checks != 3 {

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dise/internal/artifacts"
@@ -63,6 +64,60 @@ func TestAnalyzeStrategyParallelismIdenticalResults(t *testing.T) {
 					res.Stats.SearchStrategy, res.Stats.ExploreParallelism)
 			}
 		}
+	}
+}
+
+// TestModelReusesCommittedOnArtifacts pins solver_stats.model_reuses, the
+// branch decisions a state's witness answered with no Check, as a committed
+// counter: on every artifact version it is the same for every strategy,
+// worker count and backend. Over the 40 versions it equals the sequential
+// run's solver calls, 11,137: the witness decides one arm of each
+// conditional, and a Check decides the other.
+func TestModelReusesCommittedOnArtifacts(t *testing.T) {
+	type config struct {
+		strategy, backend string
+		workers           int
+	}
+	var configs []config // the default, dfs/interval/1, first
+	for _, strategy := range SearchStrategies() {
+		for _, backend := range []string{"interval", "bitvec"} {
+			for _, workers := range []int{1, 4} {
+				configs = append(configs, config{strategy, backend, workers})
+			}
+		}
+	}
+	var mu sync.Mutex
+	reuses, calls := 0, 0
+	t.Run("versions", func(t *testing.T) {
+		for _, art := range artifacts.All() {
+			for _, v := range art.Versions {
+				t.Run(art.Name+"/"+v.Name, func(t *testing.T) {
+					t.Parallel()
+					req := Request{BaseSrc: art.Base, ModSrc: art.SourceFor(v), Proc: art.Proc}
+					var ref Stats
+					for i, c := range configs {
+						an := NewAnalyzer(WithSearchStrategy(c.strategy), WithSolverBackend(c.backend),
+							WithExploreParallelism(c.workers))
+						res, err := an.Analyze(context.Background(), req)
+						if err != nil {
+							t.Fatalf("%+v: %v", c, err)
+						}
+						if i == 0 {
+							ref = res.Stats
+						} else if got, want := res.Stats.Solver.ModelReuses, ref.Solver.ModelReuses; got != want {
+							t.Errorf("%+v: model_reuses = %d, want %d as in %+v", c, got, want, configs[0])
+						}
+					}
+					mu.Lock()
+					reuses += ref.Solver.ModelReuses
+					calls += ref.SolverCalls
+					mu.Unlock()
+				})
+			}
+		}
+	})
+	if reuses != calls || reuses != 11137 {
+		t.Errorf("model_reuses sum to %d over the artifact versions, want 11137, the solver calls (%d)", reuses, calls)
 	}
 }
 
