@@ -60,7 +60,6 @@ type Analyzer struct {
 type analyzerConfig struct {
 	depthBound       int
 	intDomain        *[2]int64
-	concreteGlobals  bool
 	solverNodeBudget int
 	transitiveWrites bool
 	maxStates        int
@@ -69,7 +68,6 @@ type analyzerConfig struct {
 	solverBackend    string
 	solverSMT        constraint.SMTOptions
 	solverPortfolio  []string
-	searchStrategy   string
 	exploreWorkers   int
 	memoNodeBudget   int
 	internGCEpochs   int
@@ -90,10 +88,6 @@ func WithDepthBound(n int) Option { return func(c *analyzerConfig) { c.depthBoun
 func WithIntDomain(lo, hi int64) Option {
 	return func(c *analyzerConfig) { c.intDomain = &[2]int64{lo, hi} }
 }
-
-// WithConcreteGlobals makes globals take their declared initializers
-// instead of fresh symbolic values.
-func WithConcreteGlobals(on bool) Option { return func(c *analyzerConfig) { c.concreteGlobals = on } }
 
 // WithSolverNodeBudget caps constraint-solver search nodes per
 // satisfiability check (0 = default). Exhausted budgets are treated as
@@ -216,33 +210,19 @@ func WithMergeBudget(n int) Option {
 	return func(c *analyzerConfig) { c.mergeBudget = n }
 }
 
-// WithSearchStrategy selects the exploration scheduler's search strategy by
-// name: "dfs" (the default depth-first order), "bfs" (breadth-first), or
-// "directed" (priority order by CFG distance to the nearest unexplored
-// affected node — for full symbolic execution, to the procedure's end node).
-// Every strategy yields the same affected-path set; for DiSE, the pruning
-// decisions are always committed in depth-first order (the order the paper's
-// Theorem 3.10 guarantee is stated over), so a non-DFS strategy reorders
-// speculative state expansion, not the reported paths. An unknown name fails
-// the first analysis with Kind InvalidConfig. See SearchStrategies.
-func WithSearchStrategy(name string) Option {
-	return func(c *analyzerConfig) { c.searchStrategy = name }
-}
-
 // WithExploreParallelism sets the number of workers draining a single
-// request's exploration frontier (intra-query parallelism) — distinct from
+// request's depth-first worklist (intra-query parallelism) — distinct from
 // WithParallelism, which bounds how many requests AnalyzeBatch runs at once.
 // Each worker owns its own constraint-solver context; all workers share the
-// analyzer's solved-prefix cache. Zero or one means sequential exploration;
-// values outside [0, symexec.MaxExploreParallelism] fail the first analysis
-// with Kind InvalidConfig.
+// analyzer's solved-prefix cache. Every worker count reports the same paths
+// in the same order: DiSE's pruning decisions are committed in depth-first
+// order on one goroutine, and full symbolic execution assembles its paths in
+// depth-first preorder. Zero or one means sequential exploration; values
+// outside [0, symexec.MaxExploreParallelism] fail the first analysis with
+// Kind InvalidConfig.
 func WithExploreParallelism(n int) Option {
 	return func(c *analyzerConfig) { c.exploreWorkers = n }
 }
-
-// SearchStrategies lists the names accepted by WithSearchStrategy (and by
-// the -strategy flag of dise, dise exec and dised), default first.
-func SearchStrategies() []string { return symexec.Strategies() }
 
 // NewAnalyzer builds an Analyzer from functional options.
 func NewAnalyzer(opts ...Option) *Analyzer {
@@ -294,13 +274,11 @@ func (a *Analyzer) engineConfig(ctx context.Context) symexec.Config {
 	cfg := symexec.Config{
 		DepthBound:         a.conf.depthBound,
 		MaxStates:          a.conf.maxStates,
-		ConcreteGlobals:    a.conf.concreteGlobals,
 		SolverOptions:      solver.Options{NodeBudget: a.conf.solverNodeBudget},
 		SolverBackend:      a.conf.solverBackend,
 		SolverSMT:          a.conf.solverSMT,
 		SolverPortfolio:    a.conf.solverPortfolio,
 		SolverCache:        a.solverCache,
-		Strategy:           a.conf.searchStrategy,
 		ExploreParallelism: a.conf.exploreWorkers,
 		MergeBound:         a.conf.mergeBound,
 		MergeBudget:        a.conf.mergeBudget,

@@ -347,17 +347,17 @@ func BenchmarkSolverBackendsOAE(b *testing.B) { benchSolverBackends(b, "OAE") }
 
 // benchSearchFullOAE measures full symbolic execution of the OAE base
 // program (9216 paths, the deepest execution tree of the three artifacts)
-// under one scheduler configuration. This is the workload intra-query
+// with par exploration workers. This is the workload intra-query
 // parallelism is built for: no pruning, so every worker's expansion is
 // useful and the speedup tracks the core count. Results are recorded in
 // BENCH_search.json.
-func benchSearchFullOAE(b *testing.B, strategy string, par int) {
+func benchSearchFullOAE(b *testing.B, par int) {
 	b.Helper()
 	a, _ := artifacts.ByName("OAE")
 	prog := a.BaseProgram()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine, err := symexec.New(prog, a.Proc, symexec.Config{Strategy: strategy, ExploreParallelism: par})
+		engine, err := symexec.New(prog, a.Proc, symexec.Config{ExploreParallelism: par})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,19 +368,17 @@ func benchSearchFullOAE(b *testing.B, strategy string, par int) {
 }
 
 func BenchmarkSearchOAEFull(b *testing.B) {
-	b.Run("DFSPar1", func(b *testing.B) { benchSearchFullOAE(b, "dfs", 1) })
-	b.Run("DFSPar4", func(b *testing.B) { benchSearchFullOAE(b, "dfs", 4) })
-	b.Run("BFSPar1", func(b *testing.B) { benchSearchFullOAE(b, "bfs", 1) })
-	b.Run("DirectedPar1", func(b *testing.B) { benchSearchFullOAE(b, "directed", 1) })
+	b.Run("DFSPar1", func(b *testing.B) { benchSearchFullOAE(b, 1) })
+	b.Run("DFSPar4", func(b *testing.B) { benchSearchFullOAE(b, 4) })
 }
 
-// benchSearchDiSEOAE measures the directed (DiSE) search on OAE v1 under
-// one scheduler configuration. The pruning decisions commit in depth-first
-// order at every configuration, so parallelism here buys speculative Step
-// expansion: on a multi-core host the speculation overlaps the committed
-// walk; on a single core it is measurable overhead, recorded honestly in
+// benchSearchDiSEOAE measures the directed (DiSE) search on OAE v1 with par
+// exploration workers. The pruning decisions commit in depth-first order at
+// every worker count, so parallelism here buys speculative Step expansion:
+// on a multi-core host the speculation overlaps the committed walk; on a
+// single core it is measurable overhead, recorded honestly in
 // BENCH_search.json.
-func benchSearchDiSEOAE(b *testing.B, strategy string, par int) {
+func benchSearchDiSEOAE(b *testing.B, par int) {
 	b.Helper()
 	a, _ := artifacts.ByName("OAE")
 	v, _ := a.Find("v1")
@@ -388,8 +386,7 @@ func benchSearchDiSEOAE(b *testing.B, strategy string, par int) {
 	modProg := a.ProgramFor(v)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := idise.Analyze(baseProg, modProg, a.Proc,
-			symexec.Config{Strategy: strategy, ExploreParallelism: par})
+		res, err := idise.Analyze(baseProg, modProg, a.Proc, symexec.Config{ExploreParallelism: par})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -400,9 +397,8 @@ func benchSearchDiSEOAE(b *testing.B, strategy string, par int) {
 }
 
 func BenchmarkSearchOAEDiSE(b *testing.B) {
-	b.Run("DFSPar1", func(b *testing.B) { benchSearchDiSEOAE(b, "dfs", 1) })
-	b.Run("DFSPar4", func(b *testing.B) { benchSearchDiSEOAE(b, "dfs", 4) })
-	b.Run("DirectedPar4", func(b *testing.B) { benchSearchDiSEOAE(b, "directed", 4) })
+	b.Run("DFSPar1", func(b *testing.B) { benchSearchDiSEOAE(b, 1) })
+	b.Run("DFSPar4", func(b *testing.B) { benchSearchDiSEOAE(b, 4) })
 }
 
 // --- bounded-state-merging benchmarks ------------------------------------------

@@ -37,18 +37,16 @@ func runExec(ctx context.Context, args []string) {
 	depth := fs.Int("depth", 0, "depth bound (0 = default)")
 	tree := fs.Bool("tree", false, "print the symbolic execution tree instead of the summary")
 	tests := fs.Bool("tests", false, "also render test inputs for the path conditions")
-	strategy := fs.String("strategy", "", fmt.Sprintf("search strategy %v (default %q)", dise.SearchStrategies(), "dfs"))
 	exploreParallelism := fs.Int("explore-parallelism", 0, "exploration workers (0 or 1 = sequential)")
 	fs.Parse(args)
 
 	if *srcPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: dise exec -src FILE [-proc NAME] [-tree] [-tests] [-depth N] [-strategy NAME] [-explore-parallelism N]")
+		fmt.Fprintln(os.Stderr, "usage: dise exec -src FILE [-proc NAME] [-tree] [-tests] [-depth N] [-explore-parallelism N]")
 		os.Exit(2)
 	}
 	src, procName := readSource(*srcPath, *proc)
 	a := dise.NewAnalyzer(
 		dise.WithDepthBound(*depth),
-		dise.WithSearchStrategy(*strategy),
 		dise.WithExploreParallelism(*exploreParallelism),
 	)
 
@@ -62,8 +60,7 @@ func runExec(ctx context.Context, args []string) {
 	sum, err := a.Execute(ctx, src, procName)
 	exitOn(err)
 	fmt.Printf("procedure:       %s\n", procName)
-	fmt.Printf("search:          %s strategy, %d exploration worker(s)\n",
-		sum.Stats.SearchStrategy, sum.Stats.ExploreParallelism)
+	fmt.Printf("search:          depth-first, %d exploration worker(s)\n", sum.Stats.ExploreParallelism)
 	fmt.Printf("states explored: %d\n", sum.Stats.StatesExplored)
 	fmt.Printf("solver calls:    %d\n", sum.Stats.SolverCalls)
 	fmt.Printf("time:            %dms\n", sum.Stats.TimeMilliseconds)

@@ -83,10 +83,9 @@ type Stats struct {
 	InfeasibleBranches int   `json:"infeasible_branches"`
 	TimeMilliseconds   int64 `json:"time_ms"`
 	SolverCalls        int   `json:"solver_calls"`
-	// SearchStrategy and ExploreParallelism echo the exploration-scheduler
-	// configuration the run used (WithSearchStrategy/WithExploreParallelism).
-	SearchStrategy     string `json:"search_strategy"`
-	ExploreParallelism int    `json:"explore_parallelism"`
+	// ExploreParallelism echoes the exploration worker count the run used
+	// (WithExploreParallelism).
+	ExploreParallelism int `json:"explore_parallelism"`
 	// Solver breaks the solver work down by the incremental machinery of
 	// the constraint subsystem (internal/constraint).
 	Solver SolverStats `json:"solver_stats"`
@@ -223,17 +222,14 @@ func (m *MemoStats) Add(o MemoStats) {
 
 // Add accumulates one run's cost statistics into an aggregate (counters
 // sum, the solver/memo blocks aggregate per their own Add semantics); the
-// strategy/parallelism echo fields keep the first non-zero sample. Services
-// use it to expose cumulative solver_stats/memo_stats across requests.
+// parallelism echo keeps the first non-zero sample. Services use it to
+// expose cumulative solver_stats/memo_stats across requests.
 func (s *Stats) Add(o Stats) {
 	s.StatesExplored += o.StatesExplored
 	s.PathConditions += o.PathConditions
 	s.InfeasibleBranches += o.InfeasibleBranches
 	s.TimeMilliseconds += o.TimeMilliseconds
 	s.SolverCalls += o.SolverCalls
-	if s.SearchStrategy == "" {
-		s.SearchStrategy = o.SearchStrategy
-	}
 	if s.ExploreParallelism == 0 {
 		s.ExploreParallelism = o.ExploreParallelism
 	}
@@ -243,8 +239,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
-	// Echo the values the scheduler resolved, not the raw config.
-	strategy := cfg.ResolvedStrategy()
+	// Echo the worker count the scheduler resolved, not the raw config.
 	workers := cfg.ResolvedExploreParallelism()
 	var merge MergeStats
 	if cfg.MergeBound != 0 {
@@ -262,7 +257,6 @@ func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
 		InfeasibleBranches: s.InfeasibleBranches,
 		TimeMilliseconds:   s.Time.Milliseconds(),
 		SolverCalls:        s.Solver.Checks,
-		SearchStrategy:     strategy,
 		ExploreParallelism: workers,
 		Solver:             s.Solver,
 		Merge:              merge,

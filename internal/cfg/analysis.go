@@ -84,7 +84,7 @@ func (b Bitset) Next(i int) int {
 }
 
 // Precompute forces all lazily-computed analyses (reachability,
-// post-dominance, SCCs, hop distances). A precomputed graph is safe to share
+// post-dominance, SCCs, stable keys). A precomputed graph is safe to share
 // across goroutines: the analysis caches are only written here, and every
 // later accessor is a pure read. Callers that put graphs in a cross-request
 // cache must call this before publishing the graph.
@@ -92,32 +92,35 @@ func (g *Graph) Precompute() {
 	g.ensureReach()
 	g.ensurePostDom()
 	g.ensureSCC()
-	g.ensureDist()
 	g.ensureStableKeys()
 }
 
-// ensureReach computes the reflexive-transitive reachability relation.
+// ensureReach computes the reflexive-transitive reachability relation in
+// one pass over the SCC condensation. Tarjan emits a component only after
+// every component it reaches, so when a component comes up in g.sccList
+// order, the rows of its successors' components are final. Every member of
+// a component reaches exactly the same nodes, so the members share one row:
+// the members themselves (Definition 3.2 admits the single-node sequence)
+// plus the rows of the components their edges leave to.
 func (g *Graph) ensureReach() {
 	if g.reach != nil {
 		return
 	}
+	g.ensureSCC()
 	n := len(g.Nodes)
 	reach := make([]Bitset, n)
-	// Process in reverse topological order where possible; a simple
-	// worklist fixpoint is robust to cycles and fast at these sizes.
-	for i := range reach {
-		reach[i] = NewBitset(n)
-		reach[i].Set(i) // Definition 3.2 admits the single-node sequence.
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, node := range g.Nodes {
-			for _, e := range node.Succs {
-				if reach[node.ID].Or(reach[e.To.ID]) {
-					changed = true
+	for c, comp := range g.sccList {
+		row := NewBitset(n)
+		for _, m := range comp {
+			row.Set(m.ID)
+			for _, e := range m.Succs {
+				if g.sccID[e.To.ID] != c {
+					row.Or(reach[e.To.ID])
 				}
 			}
+		}
+		for _, m := range comp {
+			reach[m.ID] = row
 		}
 	}
 	g.reach = reach
@@ -137,53 +140,12 @@ func (g *Graph) Reaches(from, to int) bool {
 }
 
 // ReachSet returns the IDs of every node reachable from node `from`, itself
-// included: the row of the IsCFGPath relation. The set is the graph's own
-// and must not be modified.
+// included: the row of the IsCFGPath relation. The set is the graph's own,
+// shared by every node of from's strongly connected component, and must
+// not be modified.
 func (g *Graph) ReachSet(from int) Bitset {
 	g.ensureReach()
 	return g.reach[from]
-}
-
-// ensureDist computes all-pairs hop distances with one BFS per node. The
-// graphs are procedure CFGs (tens to low hundreds of nodes), so the dense
-// V×V matrix is small and the computation is dominated by the reachability
-// fixpoint that already runs for every analysis.
-func (g *Graph) ensureDist() {
-	if g.dist != nil {
-		return
-	}
-	n := len(g.Nodes)
-	dist := make([][]int32, n)
-	queue := make([]int, 0, n)
-	for from := range dist {
-		row := make([]int32, n)
-		for i := range row {
-			row[i] = -1
-		}
-		row[from] = 0
-		queue = queue[:0]
-		queue = append(queue, from)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range g.Nodes[v].Succs {
-				if w := e.To.ID; row[w] < 0 {
-					row[w] = row[v] + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		dist[from] = row
-	}
-	g.dist = dist
-}
-
-// Dist returns the minimum number of CFG edges on a path from node `from` to
-// node `to`, or -1 when `to` is unreachable from `from`. Directed search
-// strategies use it to order states by proximity to a target node.
-func (g *Graph) Dist(from, to int) int {
-	g.ensureDist()
-	return int(g.dist[from][to])
 }
 
 // ensurePostDom computes post-dominance sets with the classic iterative

@@ -161,7 +161,6 @@ type Graph struct {
 	pdom       []Bitset
 	sccID      []int
 	sccList    [][]*Node
-	dist       [][]int32
 	stableKeys map[int]string
 }
 

@@ -21,10 +21,9 @@ import (
 // symexec.Pruner hook — an outer search loop driving Engine.Step directly,
 // over map-based affected-node sets walked node by node. The reworked
 // Runner, with its bitset sets and whole-set reachability algebra, must
-// reproduce it byte for byte (paths, order, pruning counters) at the default
-// DFS strategy, and — because pruning decisions are committed in
-// depth-first order at every strategy and parallelism level — under every
-// other scheduler configuration too.
+// reproduce it byte for byte (paths, order, pruning counters) sequentially
+// and — because pruning decisions are committed in depth-first order on one
+// goroutine — under parallel speculation too.
 
 type oracleRunner struct {
 	engine    *symexec.Engine
@@ -198,12 +197,11 @@ func runOracle(t *testing.T, baseProg, modProg *ast.Program, proc string) ([]str
 }
 
 // schedulerPaths runs the reworked scheduler-based search with the given
-// strategy and parallelism on the same version.
-func schedulerPaths(t *testing.T, art artifacts.Artifact, v artifacts.Version, strategy string, par int) ([]string, PruneStats) {
+// parallelism on the same version.
+func schedulerPaths(t *testing.T, art artifacts.Artifact, v artifacts.Version, par int) ([]string, PruneStats) {
 	t.Helper()
 	baseProg, modProg := art.BaseProgram(), art.ProgramFor(v)
-	res, err := Analyze(baseProg, modProg, art.Proc,
-		symexec.Config{Strategy: strategy, ExploreParallelism: par})
+	res, err := Analyze(baseProg, modProg, art.Proc, symexec.Config{ExploreParallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,19 +217,10 @@ func pathStrings(s *symexec.Summary) []string {
 }
 
 // TestSchedulerEquivalenceOnArtifacts is the scheduler acceptance gate over
-// the paper's full artifact catalog: for all 40 ASW/WBS/OAE versions, every
-// (strategy, parallelism) combination yields the identical affected-path
-// sequence — not just set — and the same pruning counters as the
-// pre-refactor recursion.
+// the paper's full artifact catalog: for all 40 ASW/WBS/OAE versions, one
+// and four workers yield the identical affected-path sequence — not just
+// set — and the same pruning counters as the pre-refactor recursion.
 func TestSchedulerEquivalenceOnArtifacts(t *testing.T) {
-	combos := []struct {
-		strategy string
-		par      int
-	}{
-		{"dfs", 1}, {"dfs", 4},
-		{"bfs", 1}, {"bfs", 4},
-		{"directed", 1}, {"directed", 4},
-	}
 	for _, art := range artifacts.All() {
 		art := art
 		t.Run(art.Name, func(t *testing.T) {
@@ -240,14 +229,14 @@ func TestSchedulerEquivalenceOnArtifacts(t *testing.T) {
 				t.Run(v.Name, func(t *testing.T) {
 					t.Parallel()
 					want, wantStats := runOracle(t, art.BaseProgram(), art.ProgramFor(v), art.Proc)
-					for _, c := range combos {
-						got, stats := schedulerPaths(t, art, v, c.strategy, c.par)
+					for _, par := range []int{1, 4} {
+						got, stats := schedulerPaths(t, art, v, par)
 						if !reflect.DeepEqual(want, got) {
-							t.Errorf("%s/par%d: %d paths, oracle has %d — affected paths diverged from the pre-refactor search",
-								c.strategy, c.par, len(got), len(want))
+							t.Errorf("par%d: %d paths, oracle has %d — affected paths diverged from the pre-refactor search",
+								par, len(got), len(want))
 						}
 						if stats != wantStats {
-							t.Errorf("%s/par%d: prune stats %+v, oracle %+v", c.strategy, c.par, stats, wantStats)
+							t.Errorf("par%d: prune stats %+v, oracle %+v", par, stats, wantStats)
 						}
 					}
 				})
@@ -361,7 +350,7 @@ func TestParallelDiSEStatsDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		par, err := Analyze(mustParse(t, fig2BaseSource), mustParse(t, fig2ModSource), "update",
-			symexec.Config{ExploreParallelism: 4, Strategy: "directed"})
+			symexec.Config{ExploreParallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,6 @@ package dise
 
 import (
 	"math/bits"
-	"sync"
 	"time"
 
 	"dise/internal/cfg"
@@ -21,21 +20,19 @@ import (
 // (ResetUnExploredSet); loop SCCs are reset wholesale at loop entries
 // (CheckLoops).
 //
-// Depth-first order is the default strategy, not an invariant of the
-// machinery — but it is privileged: the pruning decisions above are
-// order-sensitive (which concrete path represents an affected-node sequence
-// depends on the order decisions are made), and the paper's Theorem 3.10
-// one-path-per-affected-sequence guarantee is stated over depth-first
-// exploration. The scheduler therefore commits this pruner's decisions in
-// canonical depth-first tree order at every strategy and parallelism level;
-// a non-DFS strategy reorders the *speculative* expansion of states ahead of
-// the committed walk (see internal/symexec/scheduler.go), never the
-// decisions, so the reported affected path conditions are byte-identical to
-// the classic sequential search.
+// The pruning decisions above are order-sensitive (which concrete path
+// represents an affected-node sequence depends on the order decisions are
+// made), and the paper's Theorem 3.10 one-path-per-affected-sequence
+// guarantee is stated over depth-first exploration. The scheduler commits
+// this pruner's decisions in canonical depth-first tree order on one
+// goroutine at every parallelism level; parallel workers only expand states
+// speculatively ahead of that committed walk (see
+// internal/symexec/scheduler.go), so the reported affected path conditions
+// are byte-identical to the classic sequential search.
 
 // Runner executes the directed search over a symbolic execution engine for
 // the modified program version. It implements symexec.Pruner; the engine's
-// Config fixes the search strategy and parallelism.
+// Config fixes the parallelism.
 type Runner struct {
 	Engine   *symexec.Engine
 	Affected *Affected
@@ -47,12 +44,9 @@ type Runner struct {
 	// the streaming hook behind the facade's AnalyzeStream.
 	OnPath func(symexec.Path) bool
 
-	// setsMu guards the four affected-node sets, bitsets over the modified
-	// CFG's node IDs. Only the committed walk mutates them (single
-	// goroutine, so its own reads are unsynchronized); the directed
-	// strategy's score function reads them from worker goroutines under
-	// RLock.
-	setsMu    sync.RWMutex
+	// The four affected-node sets, bitsets over the modified CFG's node IDs.
+	// Only the Pruner hooks read or write them, all on the committed walk's
+	// goroutine, so they need no lock.
 	exCond    cfg.Bitset
 	exWrite   cfg.Bitset
 	unExCond  cfg.Bitset
@@ -112,10 +106,7 @@ func NewRunner(engine *symexec.Engine, affected *Affected) *Runner {
 func (r *Runner) Run() *symexec.Summary {
 	start := time.Now()
 	r.summary = &symexec.Summary{}
-	explorer := symexec.NewExplorer(r.Engine, symexec.ExploreOptions{
-		Pruner: r,
-		Score:  r.distanceToUnexplored,
-	})
+	explorer := symexec.NewExplorer(r.Engine, symexec.ExploreOptions{Pruner: r})
 	stats := explorer.Run().Stats
 	stats.Time = time.Since(start)
 	r.summary.Stats = stats
@@ -200,25 +191,6 @@ func (r *Runner) Maximal(s *symexec.State) {
 	r.collect(s)
 }
 
-// distanceToUnexplored scores a state for the directed priority strategy:
-// the CFG hop distance from the state's node to the nearest affected node
-// still unexplored, so speculation is spent where the search is heading.
-// States with no unexplored affected node in reach sort last.
-func (r *Runner) distanceToUnexplored(s *symexec.State) int {
-	g := r.Engine.Graph
-	best := int(^uint(0) >> 1)
-	r.setsMu.RLock()
-	defer r.setsMu.RUnlock()
-	for _, set := range [...]cfg.Bitset{r.unExCond, r.unExWrite} {
-		for id := set.Next(0); id >= 0; id = set.Next(id + 1) {
-			if d := g.Dist(s.Node.ID, id); d >= 0 && d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
 // collect emits the path ending at s if it covers at least one affected
 // node: affected conditionals contribute constraints directly, and affected
 // writes "indirectly lead to the generation of affected path conditions"
@@ -258,8 +230,6 @@ func (r *Runner) collect(s *symexec.State) {
 
 // updateExploredSet is UpdateExploredSet of Fig. 6 (lines 30–35).
 func (r *Runner) updateExploredSet(id int) {
-	r.setsMu.Lock()
-	defer r.setsMu.Unlock()
 	if r.unExWrite.Has(id) {
 		r.unExWrite.Clear(id)
 		r.exWrite.Set(id)
@@ -272,8 +242,6 @@ func (r *Runner) updateExploredSet(id int) {
 
 // resetUnExploredSet is ResetUnExploredSet of Fig. 6 (lines 37–42).
 func (r *Runner) resetUnExploredSet(id int) {
-	r.setsMu.Lock()
-	defer r.setsMu.Unlock()
 	if r.exWrite.Has(id) {
 		r.exWrite.Clear(id)
 		r.unExWrite.Set(id)
@@ -312,9 +280,7 @@ func (r *Runner) affectedLocIsReachable(si *symexec.State) bool {
 	for ; nj >= 0; nj = targets.Next(nj + 1) {
 		resets.Or(g.ReachSet(nj))
 	}
-	r.setsMu.Lock()
 	r.PruneStats.Resets += transfer(r.exWrite, r.unExWrite, resets) + transfer(r.exCond, r.unExCond, resets)
-	r.setsMu.Unlock()
 	return true
 }
 

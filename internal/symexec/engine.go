@@ -30,11 +30,6 @@ type Config struct {
 	// IntDomain is the solver domain for integer symbolic inputs. The zero
 	// value selects solver.DefaultDomain (non-negative, Choco-like).
 	IntDomain solver.Interval
-	// ConcreteGlobals makes global variables take their declared constant
-	// initializers instead of fresh symbolic values. By default globals are
-	// symbolic inputs, matching the paper's SPF setup where fields are
-	// symbolic (§5.2).
-	ConcreteGlobals bool
 	// SolverOptions configures the constraint solver.
 	SolverOptions solver.Options
 	// SolverBackend selects the constraint backend by registry name
@@ -67,12 +62,8 @@ type Config struct {
 	// The trie must already be keyed in this engine's version space (the
 	// session's Rekey pass); engines sharing a run (forks) share the trie.
 	Memo *memo.Tree
-	// Strategy selects the exploration order of the scheduler by name
-	// ("dfs", "bfs", "directed"; see frontier.go). Empty selects DFS, the
-	// classic depth-first order. Unknown names fail engine construction.
-	Strategy string
 	// ExploreParallelism is the number of workers draining one exploration's
-	// frontier (intra-query parallelism). Each worker owns an engine fork
+	// depth-first worklist (intra-query parallelism). Each worker owns an engine fork
 	// with a private solver assertion stack; all forks share one prefix
 	// cache. Zero or one means sequential exploration; negative values and
 	// values above MaxExploreParallelism fail engine construction (each
@@ -106,15 +97,6 @@ const MergeUnbounded = -1
 // plausible core count only add coordination overhead and solver-context
 // memory.
 const MaxExploreParallelism = 256
-
-// ResolvedStrategy returns the strategy name the scheduler will actually
-// use: the configured one, or the DFS default for the empty string.
-func (c Config) ResolvedStrategy() string {
-	if c.Strategy == "" {
-		return StrategyDFS
-	}
-	return c.Strategy
-}
 
 // ResolvedExploreParallelism returns the worker count the scheduler will
 // actually run: the configured one, with 0 (and 1) meaning sequential.
@@ -255,9 +237,6 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	if err := CheckNoCalls(proc); err != nil {
 		return nil, err
 	}
-	if _, err := strategyFor(config.Strategy); err != nil {
-		return nil, err
-	}
 	if config.ExploreParallelism < 0 || config.ExploreParallelism > MaxExploreParallelism {
 		return nil, fmt.Errorf("symexec: explore parallelism %d out of range [0, %d] (0 or 1 = sequential)",
 			config.ExploreParallelism, MaxExploreParallelism)
@@ -303,7 +282,8 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	if intDomain == (solver.Interval{}) {
 		intDomain = solver.DefaultDomain
 	}
-	// Symbolic inputs: parameters always; globals unless ConcreteGlobals.
+	// Symbolic inputs: parameters and globals, as fields are in the paper's
+	// SPF setup (§5.2).
 	for _, p := range proc.Params {
 		if p.Type == ast.TypeBool {
 			e.domains[symbolName(p.Name)] = solver.BoolDomain
@@ -311,13 +291,11 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 			e.domains[symbolName(p.Name)] = intDomain
 		}
 	}
-	if !config.ConcreteGlobals {
-		for _, gl := range prog.Globals {
-			if gl.Type == ast.TypeBool {
-				e.domains[symbolName(gl.Name)] = solver.BoolDomain
-			} else {
-				e.domains[symbolName(gl.Name)] = intDomain
-			}
+	for _, gl := range prog.Globals {
+		if gl.Type == ast.TypeBool {
+			e.domains[symbolName(gl.Name)] = solver.BoolDomain
+		} else {
+			e.domains[symbolName(gl.Name)] = intDomain
 		}
 	}
 	lows := make(map[string]int64, len(e.domains))
@@ -396,11 +374,7 @@ func (e *Engine) MemoSignature() string {
 		fmt.Fprintf(&b, "%s=%s;", p.Name, symbolName(p.Name))
 	}
 	for _, gl := range e.Prog.Globals {
-		if e.config.ConcreteGlobals {
-			fmt.Fprintf(&b, "%s:=%s;", gl.Name, gl.Init.String())
-		} else {
-			fmt.Fprintf(&b, "%s=%s;", gl.Name, symbolName(gl.Name))
-		}
+		fmt.Fprintf(&b, "%s=%s;", gl.Name, symbolName(gl.Name))
 	}
 	fmt.Fprintf(&b, "|backend=%s budget=%d", e.config.SolverBackend, e.config.SolverOptions.NodeBudget)
 	return b.String()
@@ -476,14 +450,13 @@ func (e *Engine) DepthBound() int { return e.depthBound }
 
 // syncStack aligns the backend's assertion stack with the path condition
 // pc: it pops frames down to the longest common prefix, then pushes one
-// frame per remaining conjunct. Under the default depth-first strategy,
+// frame per remaining conjunct. Under the scheduler's depth-first order,
 // sibling states share their PC prefix (path conditions are extended by
 // append-on-fork), so a step to a sibling pops one frame and pushes one,
 // and a descent pushes exactly one — the push/pop discipline of incremental
-// solving. Every other exploration order (BFS, directed priority, a
-// parallel worker picking up an arbitrary frontier state) remains correct,
-// just with more stack traffic; this PC-diff is what lets the scheduler
-// expand states in any order.
+// solving. A parallel worker picking up an arbitrary stacked state remains
+// correct, just with more stack traffic; this PC-diff is what lets the
+// scheduler expand states in any order.
 func (e *Engine) syncStack(pc []sym.Expr) {
 	n := 0
 	//diselint:ignore interruptloop bounded: advances one frame per iteration, capped by min(len(stack), len(pc))
@@ -553,25 +526,16 @@ func (e *Engine) CheckPC(pc []sym.Expr) constraint.Result {
 	return e.safeCheck()
 }
 
-// InitialState builds the state at the begin node: parameters and (by
-// default) globals bound to fresh symbolic values, path condition true, and
-// the least element of every input domain as its witness.
+// InitialState builds the state at the begin node: parameters and globals
+// bound to fresh symbolic values, path condition true, and the least element
+// of every input domain as its witness.
 func (e *Engine) InitialState() *State {
 	m := map[string]sym.Expr{}
 	for _, p := range e.Proc.Params {
 		m[p.Name] = sym.V(symbolName(p.Name))
 	}
 	for _, gl := range e.Prog.Globals {
-		if e.config.ConcreteGlobals {
-			switch init := gl.Init.(type) {
-			case *ast.IntLit:
-				m[gl.Name] = sym.Int(init.Value)
-			case *ast.BoolLit:
-				m[gl.Name] = sym.Bool(init.Value)
-			}
-		} else {
-			m[gl.Name] = sym.V(symbolName(gl.Name))
-		}
+		m[gl.Name] = sym.V(symbolName(gl.Name))
 	}
 	env := NewEnv(m)
 	// Locals start undefined; the type checker guarantees they are assigned
@@ -846,12 +810,11 @@ func (e *Engine) Collect(s *State) Path {
 }
 
 // RunFull performs full (traditional) symbolic execution: every feasible
-// path up to the depth bound, explored by the scheduler in the configured
-// strategy order (depth-first by default) with the configured intra-query
-// parallelism. This is the "Full Symbc" control technique of the paper's
-// evaluation. The path set is the same for every strategy and parallelism
-// level; sequential runs emit paths in strategy order, parallel runs in
-// canonical tree order.
+// path up to the depth bound, explored by the scheduler depth-first with the
+// configured intra-query parallelism. This is the "Full Symbc" control
+// technique of the paper's evaluation. Every parallelism level emits the same
+// paths in the same order: sequential runs in pop order, parallel runs in
+// canonical tree order, which is that same depth-first preorder.
 func (e *Engine) RunFull() *Summary {
 	start := time.Now()
 	summary := NewExplorer(e, ExploreOptions{}).Run()

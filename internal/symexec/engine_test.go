@@ -257,25 +257,6 @@ func TestAssertViolationPaths(t *testing.T) {
 	}
 }
 
-func TestConcreteGlobals(t *testing.T) {
-	e := newEngine(t, testXSource, "testX", Config{ConcreteGlobals: true})
-	summary := e.RunFull()
-	if len(summary.Paths) != 2 {
-		t.Fatalf("paths = %d, want 2", len(summary.Paths))
-	}
-	// Global y starts at its initializer 0, so final y is +X / -X.
-	if got := summary.Paths[0].Env.Map()["y"].String(); got != "X" {
-		t.Errorf("path 0 y = %q, want X", got)
-	}
-	if got := summary.Paths[1].Env.Map()["y"].String(); got != "-X" {
-		t.Errorf("path 1 y = %q, want -X", got)
-	}
-	// Concrete globals are not symbolic inputs.
-	if _, ok := e.Domains()["Y"]; ok {
-		t.Error("concrete global must not have a solver domain")
-	}
-}
-
 func TestBooleanParams(t *testing.T) {
 	src := `proc gate(bool enable, int x) {
 		if (enable) {

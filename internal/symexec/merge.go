@@ -48,8 +48,8 @@ package symexec
 // path sets).
 //
 // Merged exploration is sequential: one engine, one solver context. The
-// merge queue replaces the strategy frontier, and a Pruner (DiSE's directed
-// search) is driven from the same goroutine in heap order.
+// merge queue replaces the depth-first worklist, and a Pruner (DiSE's
+// directed search) is driven from the same goroutine in heap order.
 
 import (
 	"container/heap"
@@ -106,7 +106,7 @@ func rpoIndex(g *cfg.Graph) []int {
 		if f.i < len(f.n.Succs) {
 			// Visit successors in reverse so the first sibling (the true
 			// branch) finishes last and lands earlier in reverse postorder —
-			// the heap then drains true arms first, like the DFS frontier.
+			// the heap then drains true arms first, like the DFS worklist.
 			to := f.n.Succs[len(f.n.Succs)-1-f.i].To
 			f.i++
 			if !seen[to.ID] {
@@ -147,8 +147,8 @@ func (x *Explorer) runMerged() {
 
 	rpo := rpoIndex(e.Graph)
 	q := mergeQueue{}
-	x.seq++
-	heap.Push(&q, &mergeItem{state: x.root.state, rpo: rpo[x.root.state.Node.ID], seq: x.seq})
+	x.mergeSeq++
+	heap.Push(&q, &mergeItem{state: x.root.state, rpo: rpo[x.root.state.Node.ID], seq: x.mergeSeq})
 
 	//diselint:ignore interruptloop bounded: every pop either terminates a path or advances Depth toward the depth bound; Engine.Step polls Config.Interrupt
 	for q.Len() > 0 {
@@ -225,8 +225,8 @@ func (x *Explorer) expandMerged(s *State, e *Engine, rpo []int, q *mergeQueue) {
 }
 
 func (x *Explorer) pushMerge(q *mergeQueue, rpo []int, s *State) {
-	x.seq++
-	heap.Push(q, &mergeItem{state: s, rpo: rpo[s.Node.ID], seq: x.seq})
+	x.mergeSeq++
+	heap.Push(q, &mergeItem{state: s, rpo: rpo[s.Node.ID], seq: x.mergeSeq})
 }
 
 // mergeBatch partitions a batch of sibling states pending at one join into

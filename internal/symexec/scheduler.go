@@ -1,33 +1,40 @@
 package symexec
 
-// This file implements the exploration scheduler: a worklist of
-// self-contained symbolic states drained under a pluggable Strategy
-// (frontier.go), with optional parallel intra-query exploration and an
-// optional Pruner steering which states are explored.
+// This file implements the exploration scheduler: a depth-first worklist of
+// self-contained symbolic states, with optional parallel intra-query
+// exploration and an optional Pruner steering which states are explored.
 //
-// Two driving modes share the frontier, the worker pool and the per-worker
+// The worklist is a stack. Siblings are pushed last first, so the first
+// (true-branch) successor pops first and the drain order is the preorder of
+// the recursive exploration: depth-first, the order the paper's Theorem 3.10
+// guarantee is stated over, and the order with the best solver-stack
+// locality (each expansion pops or pushes about one assertion frame).
+// State expansion (Engine.Step) does not depend on that order: states are
+// self-contained (node, environment, path condition) and the solver's
+// assertion stack re-syncs to whatever state is expanded next
+// (Engine.syncStack).
+//
+// Two driving modes share the stack, the worker pool and the per-worker
 // engine forks:
 //
 //   - Free exploration (Pruner == nil, full symbolic execution): workers
-//     drain the frontier in strategy order, expanding states and collecting
-//     terminal paths. Branch feasibility is path-local, so every strategy and
-//     every parallelism level yields the same path set; under parallelism the
-//     summary is assembled in canonical execution-tree preorder so the output
-//     is deterministic (and equal to the depth-first order) regardless of
-//     worker interleaving.
+//     pop the stack, expanding states and collecting terminal paths. Branch
+//     feasibility is path-local, so every parallelism level yields the same
+//     path set; under parallelism the summary is assembled in canonical
+//     execution-tree preorder, so the output equals the sequential
+//     depth-first emission order regardless of worker interleaving.
 //
 //   - Committed exploration (Pruner != nil, DiSE's directed search): the
 //     pruning decisions of DiSE (explored/unexplored affected sets with
 //     resets) are inherently sequential — which path represents an affected
-//     sequence depends on the order decisions are made, and the paper's
-//     Theorem 3.10 guarantee is stated over depth-first order. The scheduler
-//     therefore commits pruner decisions in canonical depth-first tree order
-//     on the caller's goroutine, while the worker pool speculatively expands
-//     frontier states (in strategy order) ahead of the committed walk. The
+//     sequence depends on the order decisions are made. The scheduler
+//     commits pruner decisions in canonical depth-first tree order on the
+//     caller's goroutine, while the worker pool speculatively expands
+//     stacked states, deepest first, ahead of the committed walk. The
 //     expensive work — Engine.Step and its constraint solving — parallelizes;
 //     the decisions, and hence the output, are byte-identical to the
-//     sequential search at every strategy and parallelism level. Subtrees the
-//     committed walk prunes are cancelled so speculation stops chasing them.
+//     sequential search at every parallelism level. Subtrees the committed
+//     walk prunes are cancelled so speculation stops chasing them.
 //
 // Workers never share mutable solver state: each owns an Engine fork with a
 // private constraint.Backend assertion stack (the syncStack PC-diff
@@ -58,10 +65,8 @@ const (
 
 // Pruner observes and steers a committed exploration. All methods are
 // invoked from the committed walk's goroutine, in canonical depth-first tree
-// order, regardless of the scheduler's strategy or parallelism — a pruner
-// therefore needs no internal locking for these calls. (A strategy score
-// function reading the same state is the one exception; see
-// ExploreOptions.Score.)
+// order, whatever the scheduler's parallelism — a pruner therefore needs no
+// internal locking.
 type Pruner interface {
 	// Enter is called when the committed walk reaches s, before expansion.
 	// Returning false stops the walk at s — the pruner has either dropped
@@ -80,18 +85,11 @@ type Pruner interface {
 }
 
 // ExploreOptions configures an Explorer beyond what the engine's Config
-// (Strategy, ExploreParallelism, MaxStates, Interrupt) already fixes.
+// (ExploreParallelism, MaxStates, Interrupt) already fixes.
 type ExploreOptions struct {
 	// Pruner, when non-nil, selects committed exploration with the pruner's
 	// decisions applied in canonical depth-first order.
 	Pruner Pruner
-	// Score maps a state to its priority under a scoring strategy (lower is
-	// more urgent). Under parallel exploration it is called from worker
-	// goroutines and must be safe for concurrent use with the Pruner's
-	// (single-goroutine) mutations. When nil, the directed strategy falls
-	// back to the CFG hop distance to the procedure's end node — a
-	// shortest-path-first order for full symbolic execution.
-	Score func(*State) int
 	// CountOnly makes a free exploration count its terminal paths
 	// (Stats.PathsExplored) without collecting them: Summary.Paths stays
 	// empty. A session's seeding run explores only to record the memo trie
@@ -125,8 +123,9 @@ const (
 	taskDone
 )
 
-// Explorer drains an exploration frontier over one engine (and, under
-// parallelism, its forks). Construct with NewExplorer, call Run once.
+// Explorer drains an exploration's depth-first worklist over one engine
+// (and, under parallelism, its forks). Construct with NewExplorer, call Run
+// once.
 type Explorer struct {
 	opts        ExploreOptions
 	parallelism int
@@ -135,9 +134,8 @@ type Explorer struct {
 
 	mu           sync.Mutex
 	cond         *sync.Cond
-	frontier     Frontier
-	seq          uint64
-	active       int // free mode: tasks popped but not yet fully processed
+	stack        []*task // pending tasks; the top is the next to expand
+	active       int     // free mode: tasks popped but not yet fully processed
 	stopped      bool
 	intErr       error
 	created      int // states created: initial state + feasible successors
@@ -148,45 +146,25 @@ type Explorer struct {
 	merges      int
 	mergedSaved int
 	iteNodes    int
+	mergeSeq    uint64 // merge-queue insertions, the tie-break of equal RPO
 
 	summary *Summary
 }
 
 // NewExplorer prepares an exploration of e's procedure. The engine's Config
-// fixes the strategy name and parallelism; both were validated when the
-// engine was built. Under parallelism n, n-1 engine forks are created, each
-// with its own constraint-backend assertion stack, all sharing e's prefix
-// cache.
+// fixes the parallelism, validated when the engine was built. Under
+// parallelism n, n-1 engine forks are created, each with its own
+// constraint-backend assertion stack, all sharing e's prefix cache.
 func NewExplorer(e *Engine, opts ExploreOptions) *Explorer {
-	strat, err := strategyFor(e.config.Strategy)
-	if err != nil {
-		// Config.Strategy is validated in build(); reaching this means the
-		// engine was constructed without New/NewPrepared.
-		panic(err)
-	}
 	x := &Explorer{
 		opts:        opts,
 		parallelism: e.config.ResolvedExploreParallelism(),
 		engines:     []*Engine{e},
 	}
-	if opts.Score == nil {
-		end := e.Graph.End.ID
-		x.opts.Score = func(s *State) int {
-			if d := e.Graph.Dist(s.Node.ID, end); d >= 0 {
-				return d
-			}
-			return int(^uint(0) >> 1)
-		}
-	}
-	if e.config.Strategy == StrategyDirected {
-		// Force the hop-distance analysis on this goroutine: worker
-		// goroutines score states concurrently and must only read it.
-		e.Graph.Dist(e.Graph.Begin.ID, e.Graph.End.ID)
-	}
 	if e.config.MergeBound != 0 {
 		// Merged exploration is sequential: the merge queue replaces the
-		// strategy frontier, and one engine threads one solver context
-		// through the heap-ordered walk (merge.go).
+		// worklist, and one engine threads one solver context through the
+		// heap-ordered walk (merge.go).
 		x.parallelism = 1
 	}
 	for i := 1; i < x.parallelism; i++ {
@@ -200,7 +178,6 @@ func NewExplorer(e *Engine, opts ExploreOptions) *Explorer {
 		x.engines = append(x.engines, fork)
 	}
 	x.cond = sync.NewCond(&x.mu)
-	x.frontier = strat(x.opts.Score)
 	return x
 }
 
@@ -237,7 +214,7 @@ func (x *Explorer) Run() *Summary {
 // --- free exploration (full symbolic execution) ------------------------------
 
 func (x *Explorer) runFree() {
-	x.push(x.root)
+	x.stack = append(x.stack, x.root) // no worker runs yet: no lock needed
 	if x.parallelism == 1 {
 		x.freeWorker(x.engines[0])
 	} else {
@@ -257,7 +234,7 @@ func (x *Explorer) runFree() {
 	}
 }
 
-// freeWorker drains the frontier until it is empty and no task is in flight
+// freeWorker drains the stack until it is empty and no task is in flight
 // (or the exploration stopped early).
 func (x *Explorer) freeWorker(e *Engine) {
 	for {
@@ -267,7 +244,7 @@ func (x *Explorer) freeWorker(e *Engine) {
 				x.mu.Unlock()
 				return
 			}
-			if x.frontier.Len() > 0 {
+			if len(x.stack) > 0 {
 				break
 			}
 			if x.active == 0 {
@@ -276,11 +253,11 @@ func (x *Explorer) freeWorker(e *Engine) {
 			}
 			x.cond.Wait()
 		}
-		it, _ := x.frontier.Pop()
+		t := x.popLocked()
 		x.active++
 		x.mu.Unlock()
 
-		x.processFree(it.task, e)
+		x.processFree(t, e)
 
 		x.mu.Lock()
 		x.active--
@@ -292,7 +269,7 @@ func (x *Explorer) freeWorker(e *Engine) {
 }
 
 // processFree handles one popped task: collect it if terminal, expand and
-// enqueue its successors otherwise. Mirrors the recursive runFrom loop the
+// stack its successors otherwise. Mirrors the recursive runFrom loop the
 // scheduler replaces: the MaxStates valve is polled before every expansion,
 // and an interrupt stops the run within one step.
 func (x *Explorer) processFree(t *task, e *Engine) {
@@ -307,8 +284,8 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 		}
 		p := e.Collect(t.state)
 		if x.parallelism == 1 {
-			// Sequential emission follows the strategy's pop order (for the
-			// default DFS strategy: identical to the recursive exploration).
+			// Sequential emission follows the pop order: the preorder of
+			// the recursive exploration.
 			x.summary.Paths = append(x.summary.Paths, p)
 		} else {
 			t.path = &p
@@ -324,20 +301,17 @@ func (x *Explorer) processFree(t *task, e *Engine) {
 		return
 	}
 	kids := make([]*task, len(step.Feasible))
-	items := make([]*Item, len(step.Feasible))
+	for i, s := range step.Feasible {
+		kids[i] = &task{state: s}
+	}
 	x.mu.Lock()
 	x.coreStats.add(delta)
 	x.created += len(step.Feasible)
-	for i, s := range step.Feasible {
-		kids[i] = &task{state: s}
-		x.seq++
-		items[i] = &Item{State: s, Seq: x.seq, task: kids[i]}
-	}
 	if x.parallelism > 1 {
 		t.children = kids // retained for the canonical assembly
 		t.state = nil     // expanded; only the children matter now
 	}
-	x.frontier.Push(items...)
+	x.pushLocked(kids)
 	x.cond.Broadcast()
 	x.mu.Unlock()
 }
@@ -357,7 +331,7 @@ func (x *Explorer) assemble(t *task) {
 func (x *Explorer) runCommitted() {
 	var wg sync.WaitGroup
 	if x.parallelism > 1 {
-		x.push(x.root)
+		x.stack = append(x.stack, x.root) // no worker runs yet: no lock needed
 		for _, e := range x.engines[1:] {
 			wg.Add(1)
 			go func(e *Engine) {
@@ -412,8 +386,8 @@ func (x *Explorer) commit(t *task) {
 		p.Maximal(t.state)
 	}
 	// The walk is past this subtree: release its states and expansion
-	// results so peak memory tracks the committed frontier, not the whole
-	// explored tree. Nobody can reach t anymore — its children were
+	// results so peak memory tracks the committed walk's pending siblings,
+	// not the whole explored tree. Nobody can reach t anymore — its children were
 	// committed or killed, workers skip done/dead tasks — but the children
 	// array is nilled under the mutex because killLocked walks such arrays.
 	x.mu.Lock()
@@ -441,8 +415,8 @@ func (x *Explorer) await(t *task) (Step, bool) {
 	return t.step, !t.aborted
 }
 
-// specWorker speculatively expands frontier tasks, in strategy order, ahead
-// of the committed walk. It exits when the walk finishes or the run stops.
+// specWorker speculatively expands stacked tasks, deepest first, ahead of
+// the committed walk. It exits when the walk finishes or the run stops.
 func (x *Explorer) specWorker(e *Engine) {
 	for {
 		x.mu.Lock()
@@ -452,12 +426,11 @@ func (x *Explorer) specWorker(e *Engine) {
 				x.mu.Unlock()
 				return
 			}
-			it, ok := x.frontier.Pop()
-			if !ok {
+			c := x.popLocked()
+			if c == nil {
 				x.cond.Wait()
 				continue
 			}
-			c := it.task
 			if atomic.LoadInt32(&c.dead) == 1 {
 				continue // pruned by the committed walk
 			}
@@ -472,8 +445,8 @@ func (x *Explorer) specWorker(e *Engine) {
 }
 
 // expandTask computes t's Step on engine e and publishes the result. In
-// committed mode the successors also enter the frontier (unless t died in
-// the meantime) so workers can keep speculating down the tree.
+// committed mode the successors are also stacked (unless t died in the
+// meantime) so workers can keep speculating down the tree.
 func (x *Explorer) expandTask(t *task, e *Engine) {
 	before := coreOf(e.stats)
 	step := e.Step(t.state)
@@ -499,12 +472,7 @@ func (x *Explorer) expandTask(t *task, e *Engine) {
 			atomic.StoreInt32(&c.dead, 1)
 		}
 	} else if x.parallelism > 1 {
-		items := make([]*Item, len(kids))
-		for i, c := range kids {
-			x.seq++
-			items[i] = &Item{State: c.state, Seq: x.seq, task: c}
-		}
-		x.frontier.Push(items...)
+		x.pushLocked(kids)
 	}
 	atomic.StoreInt32(&t.status, taskDone)
 	x.cond.Broadcast()
@@ -527,13 +495,25 @@ func (x *Explorer) killLocked(t *task) {
 
 // --- shared plumbing ----------------------------------------------------------
 
-// push enqueues a task as a frontier item.
-func (x *Explorer) push(t *task) {
-	x.mu.Lock()
-	x.seq++
-	x.frontier.Push(&Item{State: t.state, Seq: x.seq, task: t})
-	x.cond.Broadcast()
-	x.mu.Unlock()
+// pushLocked stacks sibling tasks last first, so the first sibling (the
+// true branch) pops first. The caller holds x.mu.
+func (x *Explorer) pushLocked(siblings []*task) {
+	for i := len(siblings) - 1; i >= 0; i-- {
+		x.stack = append(x.stack, siblings[i])
+	}
+}
+
+// popLocked removes and returns the top of the stack, or nil when it is
+// empty. The caller holds x.mu.
+func (x *Explorer) popLocked() *task {
+	n := len(x.stack)
+	if n == 0 {
+		return nil
+	}
+	t := x.stack[n-1]
+	x.stack[n-1] = nil
+	x.stack = x.stack[:n-1]
+	return t
 }
 
 // overBudget reports (and records) that the MaxStates safety valve tripped.
@@ -577,7 +557,7 @@ func (x *Explorer) fail(err error) {
 // mergedStats joins the per-worker counters at the end of a run. The core
 // exploration counters (states, branches, depth-bound hits, witness
 // decisions) are the committed ones — deterministic for a given analysis at
-// every strategy and parallelism level. The other solver counters are summed
+// every parallelism level. The other solver counters are summed
 // across the worker backends; their split between cache hits, box conflicts
 // and full solves legitimately varies with speculation and interleaving.
 func (x *Explorer) mergedStats() Stats {

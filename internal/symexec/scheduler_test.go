@@ -3,7 +3,6 @@ package symexec
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"dise/internal/lang/parser"
@@ -34,63 +33,10 @@ proc p(int x) {
 }
 `
 
-// --- frontier unit tests -----------------------------------------------------
-
-func popAll(f Frontier) []int {
-	var out []int
-	//diselint:ignore interruptloop test helper: drains a finite frontier, Pop reports exhaustion
-	for {
-		it, ok := f.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, int(it.Seq))
-	}
-}
-
-func TestFrontierOrders(t *testing.T) {
-	item := func(seq int, score int) *Item { return &Item{Seq: uint64(seq), Score: score} }
-
-	t.Run("dfs", func(t *testing.T) {
-		f := &lifoFrontier{}
-		f.Push(item(1, 0))
-		f.Push(item(2, 0), item(3, 0)) // sibling batch: 2 must pop before 3
-		if got, want := popAll(f), []int{2, 3, 1}; !reflect.DeepEqual(got, want) {
-			t.Errorf("lifo order = %v, want %v", got, want)
-		}
-	})
-	t.Run("bfs", func(t *testing.T) {
-		f := &fifoFrontier{}
-		f.Push(item(1, 0))
-		f.Push(item(2, 0), item(3, 0))
-		if got, want := popAll(f), []int{1, 2, 3}; !reflect.DeepEqual(got, want) {
-			t.Errorf("fifo order = %v, want %v", got, want)
-		}
-	})
-	t.Run("scored", func(t *testing.T) {
-		f := newScoredFrontier(nil)
-		f.Push(item(1, 5), item(2, 1), item(3, 5), item(4, 0))
-		// Lowest score first; insertion order breaks ties (1 before 3).
-		if got, want := popAll(f), []int{4, 2, 1, 3}; !reflect.DeepEqual(got, want) {
-			t.Errorf("scored order = %v, want %v", got, want)
-		}
-	})
-}
-
-func TestStrategiesListedDefaultFirst(t *testing.T) {
-	names := Strategies()
-	if len(names) < 3 || names[0] != StrategyDFS {
-		t.Fatalf("Strategies() = %v, want dfs first with at least bfs and directed", names)
-	}
-	if _, err := strategyFor("no-such-strategy"); err == nil {
-		t.Fatal("unknown strategy must not resolve")
-	}
-}
-
 // --- scheduler vs. pre-refactor recursion ------------------------------------
 
 // oracleRunFull is a transliteration of the recursive depth-first
-// exploration the scheduler replaced. The DFS strategy at parallelism 1 must
+// exploration the scheduler replaced. The scheduler at parallelism 1 must
 // reproduce it byte for byte: same paths, same order, same counters.
 func oracleRunFull(e *Engine) *Summary {
 	summary := &Summary{}
@@ -158,86 +104,42 @@ func TestSchedulerDFSMatchesRecursiveOracle(t *testing.T) {
 	}
 }
 
-// TestSchedulerStrategyAndParallelismEquivalence pins the full-SE
-// scheduler-equivalence property: every strategy at every parallelism level
-// produces the same path set; parallel runs additionally emit in canonical
-// tree order (= the DFS sequential order), so their output is deterministic.
-// Count-only runs (ExploreOptions.CountOnly) keep the counters and collect
-// no paths.
-func TestSchedulerStrategyAndParallelismEquivalence(t *testing.T) {
+// TestSchedulerParallelismEquivalence pins the full-SE scheduler
+// equivalence: at every parallelism level the scheduler emits exactly the
+// recursive oracle's paths, in the oracle's depth-first order (sequential
+// runs by popping the stack, parallel runs by canonical assembly), with the
+// same committed counters. Count-only runs (ExploreOptions.CountOnly) keep
+// the counters and collect no paths.
+func TestSchedulerParallelismEquivalence(t *testing.T) {
 	for _, subject := range schedulerSubjects {
 		t.Run(subject.name, func(t *testing.T) {
-			reference := newEngine(t, subject.src, subject.proc, Config{DepthBound: 40}).RunFull()
-			refOrdered := pathKeys(reference)
-			refSorted := append([]string{}, refOrdered...)
-			sort.Strings(refSorted)
-			for _, strategy := range Strategies() {
-				for _, par := range []int{1, 4} {
-					name := fmt.Sprintf("%s/par%d", strategy, par)
-					config := Config{DepthBound: 40, Strategy: strategy, ExploreParallelism: par}
-					sum := newEngine(t, subject.src, subject.proc, config).RunFull()
-					got := pathKeys(sum)
-					if par > 1 {
-						// Canonical assembly: exact DFS order, deterministically.
-						if !reflect.DeepEqual(got, refOrdered) {
-							t.Errorf("%s: parallel emission order differs from canonical:\n got %v\nwant %v",
-								name, got, refOrdered)
-						}
-					} else {
-						gotSorted := append([]string{}, got...)
-						sort.Strings(gotSorted)
-						if !reflect.DeepEqual(gotSorted, refSorted) {
-							t.Errorf("%s: path set differs:\n got %v\nwant %v", name, gotSorted, refSorted)
-						}
-					}
-					if gc, rc := coreOf(sum.Stats), coreOf(reference.Stats); gc != rc {
-						t.Errorf("%s: core stats %+v, want %+v", name, gc, rc)
-					}
-					if sum.Stats.PathsExplored != reference.Stats.PathsExplored {
-						t.Errorf("%s: paths explored %d, want %d",
-							name, sum.Stats.PathsExplored, reference.Stats.PathsExplored)
-					}
-					// A count-only exploration does the same work and
-					// collects nothing.
-					counted := NewExplorer(newEngine(t, subject.src, subject.proc, config), ExploreOptions{CountOnly: true}).Run()
-					if len(counted.Paths) != 0 || coreOf(counted.Stats) != coreOf(reference.Stats) ||
-						counted.Stats.PathsExplored != reference.Stats.PathsExplored {
-						t.Errorf("%s: count-only run: %d paths, core %+v, %d explored; want 0, %+v, %d", name,
-							len(counted.Paths), coreOf(counted.Stats), counted.Stats.PathsExplored,
-							coreOf(reference.Stats), reference.Stats.PathsExplored)
-					}
+			reference := oracleRunFull(newEngine(t, subject.src, subject.proc, Config{DepthBound: 40}))
+			want := pathKeys(reference)
+			for _, par := range []int{1, 4} {
+				name := fmt.Sprintf("par%d", par)
+				config := Config{DepthBound: 40, ExploreParallelism: par}
+				sum := newEngine(t, subject.src, subject.proc, config).RunFull()
+				if got := pathKeys(sum); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: emission differs from the depth-first oracle:\n got %v\nwant %v", name, got, want)
+				}
+				if gc, rc := coreOf(sum.Stats), coreOf(reference.Stats); gc != rc {
+					t.Errorf("%s: core stats %+v, want %+v", name, gc, rc)
+				}
+				if sum.Stats.PathsExplored != reference.Stats.PathsExplored {
+					t.Errorf("%s: paths explored %d, want %d",
+						name, sum.Stats.PathsExplored, reference.Stats.PathsExplored)
+				}
+				// A count-only exploration does the same work and collects
+				// nothing.
+				counted := NewExplorer(newEngine(t, subject.src, subject.proc, config), ExploreOptions{CountOnly: true}).Run()
+				if len(counted.Paths) != 0 || coreOf(counted.Stats) != coreOf(reference.Stats) ||
+					counted.Stats.PathsExplored != reference.Stats.PathsExplored {
+					t.Errorf("%s: count-only run: %d paths, core %+v, %d explored; want 0, %+v, %d", name,
+						len(counted.Paths), coreOf(counted.Stats), counted.Stats.PathsExplored,
+						coreOf(reference.Stats), reference.Stats.PathsExplored)
 				}
 			}
 		})
-	}
-}
-
-// TestSchedulerBFSOrderIsBreadthFirst verifies the BFS strategy genuinely
-// reorders sequential emission: on testX both paths complete at the same
-// depth, so the order matches DFS; on a program with paths of different
-// lengths the shortest completes first.
-func TestSchedulerBFSOrderIsBreadthFirst(t *testing.T) {
-	const src = `
-proc q(int x) {
-  if (x > 0) {
-    if (x > 1) {
-      y = 1;
-    } else {
-      y = 2;
-    }
-  } else {
-    y = 3;
-  }
-}
-`
-	sum := newEngine(t, src, "q", Config{Strategy: StrategyBFS}).RunFull()
-	if len(sum.Paths) != 3 {
-		t.Fatalf("paths = %d, want 3", len(sum.Paths))
-	}
-	// The short else-path (X <= 0) ends one level earlier and must be
-	// emitted first under breadth-first order; DFS emits it last.
-	if got := sum.Paths[0].PCString; got != "X <= 0" {
-		t.Errorf("first BFS path = %q, want the shortest path \"X <= 0\"", got)
 	}
 }
 
@@ -258,16 +160,6 @@ func TestSchedulerParallelStatsDeterministic(t *testing.T) {
 		if par.Stats.Solver.Checks == 0 {
 			t.Fatal("merged solver stats lost the per-worker counters")
 		}
-	}
-}
-
-func TestUnknownStrategyFailsConstruction(t *testing.T) {
-	prog, err := parser.Parse(testXSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(prog, "testX", Config{Strategy: "best-first"}); err == nil {
-		t.Fatal("unknown strategy must fail engine construction")
 	}
 }
 

@@ -6,8 +6,8 @@
 // and a path condition; Step forks a state at conditional branches,
 // consulting the constraint solver to prune infeasible branches exactly as
 // described in §2.1 of the paper), an exploration scheduler that drains a
-// worklist of states under a pluggable search strategy with optional
-// intra-query parallelism (scheduler.go, frontier.go), and on top of those
+// depth-first worklist of states with optional intra-query parallelism
+// (scheduler.go), and on top of those
 // the full ("traditional") symbolic execution used as the control in the
 // paper's evaluation (§4.2.2). The directed search of DiSE plugs into the
 // same scheduler as a Pruner (see internal/dise).

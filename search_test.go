@@ -1,8 +1,8 @@
 package dise
 
-// Facade-level coverage of the exploration scheduler: strategy/parallelism
-// options, error contract for unknown strategies, streaming under parallel
-// exploration, and the stats echo.
+// Facade-level coverage of the exploration scheduler: the parallelism
+// option, streaming and cancellation under parallel exploration, and the
+// stats echo.
 
 import (
 	"context"
@@ -14,28 +14,9 @@ import (
 	"dise/internal/artifacts"
 )
 
-func TestUnknownSearchStrategyError(t *testing.T) {
-	const src = "proc p(int x) { y = x; }"
-	a := NewAnalyzer(WithSearchStrategy("best-first"))
-	var de *Error
-	if _, err := a.Analyze(context.Background(), Request{BaseSrc: src, ModSrc: src, Proc: "p"}); !errors.As(err, &de) || de.Kind != InvalidConfig {
-		t.Fatalf("Analyze with unknown strategy: err = %v, want *Error{Kind: InvalidConfig}", err)
-	}
-	if _, err := a.Execute(context.Background(), src, "p"); !errors.As(err, &de) || de.Kind != InvalidConfig {
-		t.Fatalf("Execute with unknown strategy: err = %v, want *Error{Kind: InvalidConfig}", err)
-	}
-}
-
-func TestSearchStrategiesListed(t *testing.T) {
-	names := SearchStrategies()
-	if len(names) < 3 || names[0] != "dfs" {
-		t.Fatalf("SearchStrategies() = %v, want dfs first with bfs and directed present", names)
-	}
-}
-
 // TestAnalyzeStrategyParallelismIdenticalResults is the facade half of the
-// equivalence gate: every strategy × parallelism combination reports the
-// same affected path conditions, in the same order, with the same committed
+// equivalence gate: one and four exploration workers report the same
+// affected path conditions, in the same order, with the same committed
 // exploration counters.
 func TestAnalyzeStrategyParallelismIdenticalResults(t *testing.T) {
 	a, _ := artifacts.ByName("ASW")
@@ -45,45 +26,39 @@ func TestAnalyzeStrategyParallelismIdenticalResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strategy := range SearchStrategies() {
-		for _, par := range []int{1, 4} {
-			an := NewAnalyzer(WithSearchStrategy(strategy), WithExploreParallelism(par))
-			res, err := an.Analyze(context.Background(), req)
-			if err != nil {
-				t.Fatalf("%s/par%d: %v", strategy, par, err)
-			}
-			if !reflect.DeepEqual(res.PathConditions(), ref.PathConditions()) {
-				t.Errorf("%s/par%d: path conditions differ from default run", strategy, par)
-			}
-			if res.Stats.StatesExplored != ref.Stats.StatesExplored {
-				t.Errorf("%s/par%d: states explored = %d, want %d",
-					strategy, par, res.Stats.StatesExplored, ref.Stats.StatesExplored)
-			}
-			if res.Stats.SearchStrategy != strategy || res.Stats.ExploreParallelism != par {
-				t.Errorf("%s/par%d: stats echo %q/%d", strategy, par,
-					res.Stats.SearchStrategy, res.Stats.ExploreParallelism)
-			}
+	for _, par := range []int{1, 4} {
+		res, err := NewAnalyzer(WithExploreParallelism(par)).Analyze(context.Background(), req)
+		if err != nil {
+			t.Fatalf("par%d: %v", par, err)
+		}
+		if !reflect.DeepEqual(res.PathConditions(), ref.PathConditions()) {
+			t.Errorf("par%d: path conditions differ from default run", par)
+		}
+		if res.Stats.StatesExplored != ref.Stats.StatesExplored {
+			t.Errorf("par%d: states explored = %d, want %d",
+				par, res.Stats.StatesExplored, ref.Stats.StatesExplored)
+		}
+		if res.Stats.ExploreParallelism != par {
+			t.Errorf("par%d: stats echo %d workers", par, res.Stats.ExploreParallelism)
 		}
 	}
 }
 
 // TestModelReusesCommittedOnArtifacts pins solver_stats.model_reuses, the
 // branch decisions a state's witness answered with no Check, as a committed
-// counter: on every artifact version it is the same for every strategy,
-// worker count and backend. Over the 40 versions it equals the sequential
+// counter: on every artifact version it is the same for every worker count
+// and backend. Over the 40 versions it equals the sequential
 // run's solver calls, 11,137: the witness decides one arm of each
 // conditional, and a Check decides the other.
 func TestModelReusesCommittedOnArtifacts(t *testing.T) {
 	type config struct {
-		strategy, backend string
-		workers           int
+		backend string
+		workers int
 	}
-	var configs []config // the default, dfs/interval/1, first
-	for _, strategy := range SearchStrategies() {
-		for _, backend := range []string{"interval", "bitvec"} {
-			for _, workers := range []int{1, 4} {
-				configs = append(configs, config{strategy, backend, workers})
-			}
+	var configs []config // the default, interval/1, first
+	for _, backend := range []string{"interval", "bitvec"} {
+		for _, workers := range []int{1, 4} {
+			configs = append(configs, config{backend, workers})
 		}
 	}
 	var mu sync.Mutex
@@ -96,8 +71,7 @@ func TestModelReusesCommittedOnArtifacts(t *testing.T) {
 					req := Request{BaseSrc: art.Base, ModSrc: art.SourceFor(v), Proc: art.Proc}
 					var ref Stats
 					for i, c := range configs {
-						an := NewAnalyzer(WithSearchStrategy(c.strategy), WithSolverBackend(c.backend),
-							WithExploreParallelism(c.workers))
+						an := NewAnalyzer(WithSolverBackend(c.backend), WithExploreParallelism(c.workers))
 						res, err := an.Analyze(context.Background(), req)
 						if err != nil {
 							t.Fatalf("%+v: %v", c, err)

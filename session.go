@@ -92,8 +92,8 @@ type SessionRequest struct {
 }
 
 // NewSession opens a version-chain session seeded with the chain's first
-// version. The session inherits every option of the Analyzer (strategy,
-// parallelism, solver backend, bounds) and shares its parse/CFG cache and
+// version. The session inherits every option of the Analyzer (parallelism,
+// solver backend, bounds) and shares its parse/CFG cache and
 // solved-prefix cache.
 func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session, error) {
 	if err := ctx.Err(); err != nil {
