@@ -68,7 +68,6 @@ type analyzerConfig struct {
 	solverBackend    string
 	solverSMT        constraint.SMTOptions
 	solverPortfolio  []string
-	exploreWorkers   int
 	memoNodeBudget   int
 	internGCEpochs   int
 	cacheBytes       int64
@@ -210,20 +209,6 @@ func WithMergeBudget(n int) Option {
 	return func(c *analyzerConfig) { c.mergeBudget = n }
 }
 
-// WithExploreParallelism sets the number of workers draining a single
-// request's depth-first worklist (intra-query parallelism) — distinct from
-// WithParallelism, which bounds how many requests AnalyzeBatch runs at once.
-// Each worker owns its own constraint-solver context; all workers share the
-// analyzer's solved-prefix cache. Every worker count reports the same paths
-// in the same order: DiSE's pruning decisions are committed in depth-first
-// order on one goroutine, and full symbolic execution assembles its paths in
-// depth-first preorder. Zero or one means sequential exploration; values
-// outside [0, symexec.MaxExploreParallelism] fail the first analysis with
-// Kind InvalidConfig.
-func WithExploreParallelism(n int) Option {
-	return func(c *analyzerConfig) { c.exploreWorkers = n }
-}
-
 // NewAnalyzer builds an Analyzer from functional options.
 func NewAnalyzer(opts ...Option) *Analyzer {
 	var conf analyzerConfig
@@ -272,16 +257,15 @@ func (a *Analyzer) SolverCacheStats() constraint.CacheStats { return a.solverCac
 // of the step loop.
 func (a *Analyzer) engineConfig(ctx context.Context) symexec.Config {
 	cfg := symexec.Config{
-		DepthBound:         a.conf.depthBound,
-		MaxStates:          a.conf.maxStates,
-		SolverOptions:      solver.Options{NodeBudget: a.conf.solverNodeBudget},
-		SolverBackend:      a.conf.solverBackend,
-		SolverSMT:          a.conf.solverSMT,
-		SolverPortfolio:    a.conf.solverPortfolio,
-		SolverCache:        a.solverCache,
-		ExploreParallelism: a.conf.exploreWorkers,
-		MergeBound:         a.conf.mergeBound,
-		MergeBudget:        a.conf.mergeBudget,
+		DepthBound:      a.conf.depthBound,
+		MaxStates:       a.conf.maxStates,
+		SolverOptions:   solver.Options{NodeBudget: a.conf.solverNodeBudget},
+		SolverBackend:   a.conf.solverBackend,
+		SolverSMT:       a.conf.solverSMT,
+		SolverPortfolio: a.conf.solverPortfolio,
+		SolverCache:     a.solverCache,
+		MergeBound:      a.conf.mergeBound,
+		MergeBudget:     a.conf.mergeBudget,
 	}
 	if a.conf.intDomain != nil {
 		cfg.IntDomain = solver.Interval{Lo: a.conf.intDomain[0], Hi: a.conf.intDomain[1]}
@@ -348,14 +332,10 @@ type version struct {
 
 // resolveVersion runs one source text through the parse/CFG cache and
 // validates the procedure under analysis. stage labels errors ("base
-// version" / "modified version" / ""). precompute forces every graph
-// analysis up front, which a version an engine will execute needs (forks
-// share the graph under parallel exploration, and the memo needs stable
-// keys); the base side of a diff only reads the lazily-computed
-// reachability analyses from a single goroutine and skips that cost. Only
-// the per-request inter-procedural graphs are affected — cached graphs are
-// always precomputed before they are shared.
-func (a *Analyzer) resolveVersion(src, procName, stage string, interprocedural, precompute bool) (version, error) {
+// version" / "modified version" / ""). A per-request inter-procedural graph
+// is read by one goroutine only, so its analyses stay lazy; cached graphs
+// are precomputed before they are shared.
+func (a *Analyzer) resolveVersion(src, procName, stage string, interprocedural bool) (version, error) {
 	entry, err := a.cache.get(src)
 	if err != nil {
 		return version{}, errKind(ParseError, stage, err)
@@ -369,11 +349,7 @@ func (a *Analyzer) resolveVersion(src, procName, stage string, interprocedural, 
 		if err != nil {
 			return version{}, errKind(UnknownProc, stage, err)
 		}
-		g := cfg.Build(flat.Proc(procName))
-		if precompute {
-			g.Precompute()
-		}
-		return version{prog: flat, proc: flat.Proc(procName), graph: g}, nil
+		return version{prog: flat, proc: flat.Proc(procName), graph: cfg.Build(flat.Proc(procName))}, nil
 	}
 	proc := prog.Proc(procName)
 	// Validate before building CFGs: cfg.Build rejects unexpanded calls.
@@ -416,11 +392,11 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 		return nil, &Error{Kind: Cancelled, Err: err}
 	}
 
-	base, err := a.resolveVersion(req.BaseSrc, req.Proc, "base version", req.Interprocedural, false)
+	base, err := a.resolveVersion(req.BaseSrc, req.Proc, "base version", req.Interprocedural)
 	if err != nil {
 		return nil, err
 	}
-	mod, err := a.resolveVersion(req.ModSrc, req.Proc, "modified version", req.Interprocedural, true)
+	mod, err := a.resolveVersion(req.ModSrc, req.Proc, "modified version", req.Interprocedural)
 	if err != nil {
 		return nil, err
 	}

@@ -343,21 +343,17 @@ func BenchmarkSolverBackendsWBS(b *testing.B) { benchSolverBackends(b, "WBS") }
 // the most to win. Incremental must beat Cold here.
 func BenchmarkSolverBackendsOAE(b *testing.B) { benchSolverBackends(b, "OAE") }
 
-// --- exploration-scheduler A/B benchmarks -------------------------------------
+// --- exploration-scheduler benchmarks -----------------------------------------
 
-// benchSearchFullOAE measures full symbolic execution of the OAE base
-// program (9216 paths, the deepest execution tree of the three artifacts)
-// with par exploration workers. This is the workload intra-query
-// parallelism is built for: no pruning, so every worker's expansion is
-// useful and the speedup tracks the core count. Results are recorded in
-// BENCH_search.json.
-func benchSearchFullOAE(b *testing.B, par int) {
-	b.Helper()
+// BenchmarkSearchOAEFull measures full symbolic execution of the OAE base
+// program (9216 paths, the deepest execution tree of the three artifacts):
+// the scheduler's free depth-first walk with no pruning.
+func BenchmarkSearchOAEFull(b *testing.B) {
 	a, _ := artifacts.ByName("OAE")
 	prog := a.BaseProgram()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		engine, err := symexec.New(prog, a.Proc, symexec.Config{ExploreParallelism: par})
+		engine, err := symexec.New(prog, a.Proc, symexec.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -367,26 +363,16 @@ func benchSearchFullOAE(b *testing.B, par int) {
 	}
 }
 
-func BenchmarkSearchOAEFull(b *testing.B) {
-	b.Run("DFSPar1", func(b *testing.B) { benchSearchFullOAE(b, 1) })
-	b.Run("DFSPar4", func(b *testing.B) { benchSearchFullOAE(b, 4) })
-}
-
-// benchSearchDiSEOAE measures the directed (DiSE) search on OAE v1 with par
-// exploration workers. The pruning decisions commit in depth-first order at
-// every worker count, so parallelism here buys speculative Step expansion:
-// on a multi-core host the speculation overlaps the committed walk; on a
-// single core it is measurable overhead, recorded honestly in
-// BENCH_search.json.
-func benchSearchDiSEOAE(b *testing.B, par int) {
-	b.Helper()
+// BenchmarkSearchOAEDiSE measures the directed (DiSE) search on OAE v1: the
+// scheduler's committed walk with the pruner's decisions applied.
+func BenchmarkSearchOAEDiSE(b *testing.B) {
 	a, _ := artifacts.ByName("OAE")
 	v, _ := a.Find("v1")
 	baseProg := a.BaseProgram()
 	modProg := a.ProgramFor(v)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := idise.Analyze(baseProg, modProg, a.Proc, symexec.Config{ExploreParallelism: par})
+		res, err := idise.Analyze(baseProg, modProg, a.Proc, symexec.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -394,11 +380,6 @@ func benchSearchDiSEOAE(b *testing.B, par int) {
 			b.Fatalf("paths = %d, want 2304", got)
 		}
 	}
-}
-
-func BenchmarkSearchOAEDiSE(b *testing.B) {
-	b.Run("DFSPar1", func(b *testing.B) { benchSearchDiSEOAE(b, 1) })
-	b.Run("DFSPar4", func(b *testing.B) { benchSearchDiSEOAE(b, 4) })
 }
 
 // --- bounded-state-merging benchmarks ------------------------------------------

@@ -9,7 +9,7 @@
 //
 //	dise -base old.mini -mod new.mini -proc update [-tests] [-depth N] [-json]
 //	     [-timeout D] [-solver interval|bitvec|smtlib|portfolio] [-smt-solver PATH]
-//	     [-portfolio NAMES] [-explore-parallelism N] [-merge-bound N]
+//	     [-portfolio NAMES] [-merge-bound N]
 //
 // -solver smtlib talks SMT-LIB2 to an external solver subprocess (z3, cvc5,
 // ... — discovered on PATH or pinned with -smt-solver), degrading to the
@@ -17,9 +17,8 @@
 // races several backends per check. See the README's "Solver resilience"
 // section.
 //
-// Exploration is depth-first. -explore-parallelism N lets N workers expand
-// states of one analysis in parallel; the reported paths and their order do
-// not depend on N.
+// Exploration is depth-first, one engine and one solver context per
+// analysis.
 //
 // -merge-bound enables bounded state merging (0 = off, -1 = unbounded,
 // >= 2 = fuse at most N sibling states per join). Merged runs report
@@ -41,7 +40,6 @@
 // Subcommands:
 //
 //	dise exec -src prog.mini [-proc update] [-tree] [-tests] [-depth N]
-//	          [-explore-parallelism N]
 //	dise cfg -src new.mini [-base old.mini] [-proc update]
 //	dise tables [-artifact asw|wbs|oae] [-depth N]
 //
@@ -98,7 +96,6 @@ func main() {
 	solverName := flag.String("solver", "", fmt.Sprintf("constraint-solving backend %v (default %q)", dise.SolverBackends(), "interval"))
 	smtSolver := flag.String("smt-solver", "", "path to an SMT-LIB2 solver binary for the smtlib backend (default: discover z3/cvc5/... on PATH; absent binary degrades to the in-process fallback)")
 	portfolio := flag.String("portfolio", "", "comma-separated member backends for -solver portfolio (default interval,bitvec,smtlib)")
-	exploreParallelism := flag.Int("explore-parallelism", 0, "exploration workers per analysis (0 or 1 = sequential)")
 	mergeBound := flag.Int("merge-bound", 0, "bounded state merging at CFG joins: 0 = off, -1 = unbounded, >= 2 = fuse at most N siblings per merge (incompatible with -chain/-artifact)")
 	chain := flag.String("chain", "", "comma-separated version files: run a version-chain session over them in order")
 	artifact := flag.String("artifact", "", "run the built-in evolution chain of an artifact (asw, wbs or oae)")
@@ -115,7 +112,6 @@ func main() {
 		dise.WithSolverBackend(*solverName),
 		dise.WithSMTSolver(*smtSolver),
 		dise.WithPortfolioMembers(splitMembers(*portfolio)...),
-		dise.WithExploreParallelism(*exploreParallelism),
 		dise.WithStateMerging(*mergeBound),
 	)
 
@@ -137,7 +133,7 @@ func main() {
 	}
 
 	if *basePath == "" || *modPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: dise -base OLD -mod NEW [-proc NAME] [-tests] [-depth N] [-json] [-solver NAME] [-smt-solver PATH] [-portfolio NAMES] [-explore-parallelism N]")
+		fmt.Fprintln(os.Stderr, "usage: dise -base OLD -mod NEW [-proc NAME] [-tests] [-depth N] [-json] [-solver NAME] [-smt-solver PATH] [-portfolio NAMES]")
 		fmt.Fprintln(os.Stderr, "       dise -chain V1,V2,... | -artifact asw|wbs|oae  [-proc NAME] [-json]")
 		fmt.Fprintln(os.Stderr, "       dise exec|cfg|tables -h")
 		os.Exit(2)
@@ -179,7 +175,6 @@ func main() {
 	fmt.Printf("changed CFG nodes:    %d\n", res.ChangedNodes)
 	fmt.Printf("affected conditionals (source lines): %v\n", res.AffectedConditionalLines)
 	fmt.Printf("affected writes       (source lines): %v\n", res.AffectedWriteLines)
-	fmt.Printf("search:               depth-first, %d exploration worker(s)\n", res.Stats.ExploreParallelism)
 	fmt.Printf("states explored:      %d\n", res.Stats.StatesExplored)
 	fmt.Printf("solver calls:         %d\n", res.Stats.SolverCalls)
 	ss := res.Stats.Solver

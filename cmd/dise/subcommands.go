@@ -37,18 +37,14 @@ func runExec(ctx context.Context, args []string) {
 	depth := fs.Int("depth", 0, "depth bound (0 = default)")
 	tree := fs.Bool("tree", false, "print the symbolic execution tree instead of the summary")
 	tests := fs.Bool("tests", false, "also render test inputs for the path conditions")
-	exploreParallelism := fs.Int("explore-parallelism", 0, "exploration workers (0 or 1 = sequential)")
 	fs.Parse(args)
 
 	if *srcPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: dise exec -src FILE [-proc NAME] [-tree] [-tests] [-depth N] [-explore-parallelism N]")
+		fmt.Fprintln(os.Stderr, "usage: dise exec -src FILE [-proc NAME] [-tree] [-tests] [-depth N]")
 		os.Exit(2)
 	}
 	src, procName := readSource(*srcPath, *proc)
-	a := dise.NewAnalyzer(
-		dise.WithDepthBound(*depth),
-		dise.WithExploreParallelism(*exploreParallelism),
-	)
+	a := dise.NewAnalyzer(dise.WithDepthBound(*depth))
 
 	if *tree {
 		rendered, err := a.ExecutionTree(ctx, src, procName)
@@ -60,7 +56,6 @@ func runExec(ctx context.Context, args []string) {
 	sum, err := a.Execute(ctx, src, procName)
 	exitOn(err)
 	fmt.Printf("procedure:       %s\n", procName)
-	fmt.Printf("search:          depth-first, %d exploration worker(s)\n", sum.Stats.ExploreParallelism)
 	fmt.Printf("states explored: %d\n", sum.Stats.StatesExplored)
 	fmt.Printf("solver calls:    %d\n", sum.Stats.SolverCalls)
 	fmt.Printf("time:            %dms\n", sum.Stats.TimeMilliseconds)

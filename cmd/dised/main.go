@@ -10,7 +10,7 @@
 //	      [-max-sessions N] [-sessions-per-tenant N] [-session-ttl D]
 //	      [-max-inflight N] [-max-queue N] [-deadline D] [-max-deadline D]
 //	      [-solver NAME] [-smt-solver PATH] [-portfolio NAMES]
-//	      [-depth N] [-max-states N] [-explore-parallelism N]
+//	      [-depth N] [-max-states N]
 //	      [-max-trie-nodes N] [-max-trie-bytes N] [-intern-gc-epochs N]
 //	      [-cache-bytes N] [-merge-bound N] [-drain-timeout D]
 //
@@ -52,7 +52,6 @@ func main() {
 	solverName := flag.String("solver", "", fmt.Sprintf("constraint-solving backend %v (default %q)", dise.SolverBackends(), "interval"))
 	smtSolver := flag.String("smt-solver", "", "path to an SMT-LIB2 solver binary for the smtlib backend (default: discover on PATH; absent binary degrades to the in-process fallback)")
 	portfolio := flag.String("portfolio", "", "comma-separated member backends for -solver portfolio (default interval,bitvec,smtlib)")
-	exploreParallelism := flag.Int("explore-parallelism", 0, "exploration workers per analysis (0 or 1 = sequential)")
 	maxTrieNodes := flag.Int("max-trie-nodes", 0, "per-session memo-trie node budget; cold subtrees are evicted after each step (0 = unbounded)")
 	maxTrieBytes := flag.Int64("max-trie-bytes", 0, "global ceiling on all resident sessions' memo-trie bytes; LRU sessions are evicted under pressure (0 = unbounded)")
 	internGCEpochs := flag.Int("intern-gc-epochs", 0, "collect intern-table entries untouched for this many completed runs (0 = collection off)")
@@ -105,7 +104,6 @@ func main() {
 			dise.WithSolverBackend(*solverName),
 			dise.WithSMTSolver(*smtSolver),
 			dise.WithPortfolioMembers(splitMembers(*portfolio)...),
-			dise.WithExploreParallelism(*exploreParallelism),
 		},
 	})
 	defer svc.Close()

@@ -83,9 +83,6 @@ type Stats struct {
 	InfeasibleBranches int   `json:"infeasible_branches"`
 	TimeMilliseconds   int64 `json:"time_ms"`
 	SolverCalls        int   `json:"solver_calls"`
-	// ExploreParallelism echoes the exploration worker count the run used
-	// (WithExploreParallelism).
-	ExploreParallelism int `json:"explore_parallelism"`
 	// Solver breaks the solver work down by the incremental machinery of
 	// the constraint subsystem (internal/constraint).
 	Solver SolverStats `json:"solver_stats"`
@@ -124,9 +121,7 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 
 // MemoStats is the observability block of a version-chain session step: how
 // much of the previous version's recorded execution tree survived the edit,
-// and how many solver decisions were answered from it. Like the solver
-// counters, the replay/live split includes speculative work and may vary
-// with parallelism; the analysis outcome does not.
+// and how many solver decisions were answered from it.
 type MemoStats struct {
 	// Enabled distinguishes a session step from a cold Analyze.
 	Enabled bool `json:"enabled"`
@@ -221,26 +216,21 @@ func (m *MemoStats) Add(o MemoStats) {
 }
 
 // Add accumulates one run's cost statistics into an aggregate (counters
-// sum, the solver/memo blocks aggregate per their own Add semantics); the
-// parallelism echo keeps the first non-zero sample. Services use it to
-// expose cumulative solver_stats/memo_stats across requests.
+// sum, the solver/memo blocks aggregate per their own Add semantics).
+// Services use it to expose cumulative solver_stats/memo_stats across
+// requests.
 func (s *Stats) Add(o Stats) {
 	s.StatesExplored += o.StatesExplored
 	s.PathConditions += o.PathConditions
 	s.InfeasibleBranches += o.InfeasibleBranches
 	s.TimeMilliseconds += o.TimeMilliseconds
 	s.SolverCalls += o.SolverCalls
-	if s.ExploreParallelism == 0 {
-		s.ExploreParallelism = o.ExploreParallelism
-	}
 	s.Solver.Add(o.Solver)
 	s.Memo.Add(o.Memo)
 	s.Merge.Add(o.Merge)
 }
 
 func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
-	// Echo the worker count the scheduler resolved, not the raw config.
-	workers := cfg.ResolvedExploreParallelism()
 	var merge MergeStats
 	if cfg.MergeBound != 0 {
 		merge = MergeStats{
@@ -257,7 +247,6 @@ func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
 		InfeasibleBranches: s.InfeasibleBranches,
 		TimeMilliseconds:   s.Time.Milliseconds(),
 		SolverCalls:        s.Solver.Checks,
-		ExploreParallelism: workers,
 		Solver:             s.Solver,
 		Merge:              merge,
 	}

@@ -1,5 +1,5 @@
 // Package maporder enforces the determinism invariant behind every
-// byte-identical equivalence gate: output assembled by iterating a Go map
+// byte-identical equivalence gate: output built by iterating a Go map
 // must be sorted before it can escape.
 //
 // Go randomizes map iteration order per run. A `for range` over a map whose

@@ -158,10 +158,9 @@ type Stats struct {
 	CheckPanics int `json:"check_panics,omitempty"`
 }
 
-// Add accumulates o into s, field by field. Schedulers running one backend
-// instance per exploration worker use it to merge the per-worker counters at
-// join time, and services use it to sum per-request stats into cumulative
-// totals. The Backend name is taken from o when s has none.
+// Add accumulates o into s, field by field. Services use it to sum
+// per-request stats into cumulative totals. The Backend name is taken from o
+// when s has none.
 func (s *Stats) Add(o Stats) {
 	if s.Backend == "" {
 		s.Backend = o.Backend

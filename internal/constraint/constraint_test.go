@@ -319,10 +319,10 @@ func TestPrefixCacheUpgradeOnly(t *testing.T) {
 	}
 }
 
-// TestStatsAddCoversEveryCounter guards the per-worker stats merge with
+// TestStatsAddCoversEveryCounter guards the stats aggregation with
 // reflection: every numeric field of Stats must survive Add, so a future
 // counter added to the struct but forgotten in Add fails here instead of
-// silently under-reporting in merged parallel-run stats.
+// silently under-reporting in cumulative service stats.
 func TestStatsAddCoversEveryCounter(t *testing.T) {
 	var a, b Stats
 	av := reflect.ValueOf(&a).Elem()

@@ -21,9 +21,8 @@ import (
 // symexec.Pruner hook — an outer search loop driving Engine.Step directly,
 // over map-based affected-node sets walked node by node. The reworked
 // Runner, with its bitset sets and whole-set reachability algebra, must
-// reproduce it byte for byte (paths, order, pruning counters) sequentially
-// and — because pruning decisions are committed in depth-first order on one
-// goroutine — under parallel speculation too.
+// reproduce it byte for byte: paths, order, pruning counters and the
+// engine's whole Stats.
 
 type oracleRunner struct {
 	engine    *symexec.Engine
@@ -181,8 +180,8 @@ func keysInto(out []int, sets ...map[int]bool) []int {
 }
 
 // runOracle runs the pre-refactor recursion on one version pair and returns
-// its paths and pruning counters.
-func runOracle(t *testing.T, baseProg, modProg *ast.Program, proc string) ([]string, PruneStats) {
+// its paths, pruning counters and engine counters.
+func runOracle(t *testing.T, baseProg, modProg *ast.Program, proc string) ([]string, PruneStats, symexec.Stats) {
 	t.Helper()
 	engine, err := symexec.New(modProg, proc, symexec.Config{})
 	if err != nil {
@@ -193,19 +192,7 @@ func runOracle(t *testing.T, baseProg, modProg *ast.Program, proc string) ([]str
 	affected := ComputeAffected(baseGraph, engine.Graph, d, Options{})
 	o := newOracle(engine, affected)
 	paths := pathStrings(o.run())
-	return paths, o.stats
-}
-
-// schedulerPaths runs the reworked scheduler-based search with the given
-// parallelism on the same version.
-func schedulerPaths(t *testing.T, art artifacts.Artifact, v artifacts.Version, par int) ([]string, PruneStats) {
-	t.Helper()
-	baseProg, modProg := art.BaseProgram(), art.ProgramFor(v)
-	res, err := Analyze(baseProg, modProg, art.Proc, symexec.Config{ExploreParallelism: par})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pathStrings(res.Summary), res.Prune
+	return paths, o.stats, engine.Stats()
 }
 
 func pathStrings(s *symexec.Summary) []string {
@@ -217,9 +204,10 @@ func pathStrings(s *symexec.Summary) []string {
 }
 
 // TestSchedulerEquivalenceOnArtifacts is the scheduler acceptance gate over
-// the paper's full artifact catalog: for all 40 ASW/WBS/OAE versions, one
-// and four workers yield the identical affected-path sequence — not just
-// set — and the same pruning counters as the pre-refactor recursion.
+// the paper's full artifact catalog: for all 40 ASW/WBS/OAE versions the
+// search yields the identical affected-path sequence — not just set — the
+// same pruning counters and the same engine Stats (Time aside) as the
+// pre-refactor recursion.
 func TestSchedulerEquivalenceOnArtifacts(t *testing.T) {
 	for _, art := range artifacts.All() {
 		art := art
@@ -228,16 +216,23 @@ func TestSchedulerEquivalenceOnArtifacts(t *testing.T) {
 				v := v
 				t.Run(v.Name, func(t *testing.T) {
 					t.Parallel()
-					want, wantStats := runOracle(t, art.BaseProgram(), art.ProgramFor(v), art.Proc)
-					for _, par := range []int{1, 4} {
-						got, stats := schedulerPaths(t, art, v, par)
-						if !reflect.DeepEqual(want, got) {
-							t.Errorf("par%d: %d paths, oracle has %d — affected paths diverged from the pre-refactor search",
-								par, len(got), len(want))
-						}
-						if stats != wantStats {
-							t.Errorf("par%d: prune stats %+v, oracle %+v", par, stats, wantStats)
-						}
+					base, mod := art.BaseProgram(), art.ProgramFor(v)
+					want, wantPrune, wantStats := runOracle(t, base, mod, art.Proc)
+					res, err := Analyze(base, mod, art.Proc, symexec.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := pathStrings(res.Summary); !reflect.DeepEqual(want, got) {
+						t.Errorf("%d paths, oracle has %d — affected paths diverged from the pre-refactor search",
+							len(got), len(want))
+					}
+					if res.Prune != wantPrune {
+						t.Errorf("prune stats %+v, oracle %+v", res.Prune, wantPrune)
+					}
+					stats := res.Summary.Stats
+					stats.Time = 0
+					if stats != wantStats {
+						t.Errorf("stats %+v, oracle %+v", stats, wantStats)
 					}
 				})
 			}
@@ -255,7 +250,7 @@ func TestSchedulerEquivalenceOnArtifacts(t *testing.T) {
 func TestSchedulerPruneStatsMatchOracle(t *testing.T) {
 	check := func(t *testing.T, name string, base, mod *ast.Program, proc string) PruneStats {
 		t.Helper()
-		wantPaths, want := runOracle(t, base, mod, proc)
+		wantPaths, want, _ := runOracle(t, base, mod, proc)
 		res, err := Analyze(base, mod, proc, symexec.Config{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -336,30 +331,5 @@ func TestReachabilityCheckAllocFree(t *testing.T) {
 	}
 	if r.PruneStats.Resets == 0 {
 		t.Error("the check never reset an explored node")
-	}
-}
-
-// TestParallelDiSEStatsDeterministic pins the satellite contract for the
-// directed search: repeated parallel runs report identical core exploration
-// counters and paths, whatever speculation the workers performed.
-func TestParallelDiSEStatsDeterministic(t *testing.T) {
-	base, mod := mustParse(t, fig2BaseSource), mustParse(t, fig2ModSource)
-	seq, err := Analyze(base, mod, "update", symexec.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		par, err := Analyze(mustParse(t, fig2BaseSource), mustParse(t, fig2ModSource), "update",
-			symexec.Config{ExploreParallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Summary.Stats.StatesExplored != seq.Summary.Stats.StatesExplored {
-			t.Fatalf("run %d: committed states %d, want %d",
-				i, par.Summary.Stats.StatesExplored, seq.Summary.Stats.StatesExplored)
-		}
-		if !reflect.DeepEqual(pathStrings(par.Summary), pathStrings(seq.Summary)) {
-			t.Fatalf("run %d: parallel paths differ from sequential", i)
-		}
 	}
 }

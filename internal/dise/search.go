@@ -23,16 +23,13 @@ import (
 // The pruning decisions above are order-sensitive (which concrete path
 // represents an affected-node sequence depends on the order decisions are
 // made), and the paper's Theorem 3.10 one-path-per-affected-sequence
-// guarantee is stated over depth-first exploration. The scheduler commits
-// this pruner's decisions in canonical depth-first tree order on one
-// goroutine at every parallelism level; parallel workers only expand states
-// speculatively ahead of that committed walk (see
-// internal/symexec/scheduler.go), so the reported affected path conditions
-// are byte-identical to the classic sequential search.
+// guarantee is stated over depth-first exploration. The scheduler's
+// committed walk (internal/symexec/scheduler.go) is that depth-first
+// recursion: it expands each state on the engine's one solver context and
+// calls this pruner's hooks in execution order on one goroutine.
 
 // Runner executes the directed search over a symbolic execution engine for
-// the modified program version. It implements symexec.Pruner; the engine's
-// Config fixes the parallelism.
+// the modified program version. It implements symexec.Pruner.
 type Runner struct {
 	Engine   *symexec.Engine
 	Affected *Affected

@@ -27,6 +27,10 @@
 //
 // "else if" chains are parsed as nested If statements with single-statement
 // else blocks, matching the structure of the paper's Fig. 2 example.
+//
+// Nesting is bounded (maxNesting): each parenthesised expression, "!",
+// unary "-", block and if enters one level, and a source nested deeper is
+// rejected with one error instead of exhausting the goroutine stack.
 package parser
 
 import (
@@ -40,6 +44,10 @@ import (
 	"dise/internal/lang/token"
 )
 
+// maxNesting bounds the parser's recursion depth, counted in nesting
+// levels (see enter).
+const maxNesting = 10000
+
 // Parser holds parse state over a pre-scanned token stream.
 type Parser struct {
 	toks []token.Token
@@ -48,6 +56,10 @@ type Parser struct {
 	// recovered is set right after panic-mode recovery so that the next
 	// failing expect() is suppressed instead of producing a cascade.
 	recovered bool
+	// depth is the current nesting level; tooDeep is set once it passed
+	// maxNesting, after which nothing further is parsed or reported.
+	depth   int
+	tooDeep bool
 }
 
 // Parse parses a complete program from source text.
@@ -135,6 +147,9 @@ func (p *Parser) expect(k token.Kind) token.Token {
 }
 
 func (p *Parser) errorf(format string, args ...any) {
+	if p.tooDeep {
+		return
+	}
 	p.errs = append(p.errs, fmt.Errorf("%s: %s", p.cur().Pos, fmt.Sprintf(format, args...)))
 	// Recover: skip ahead to a statement boundary so a single typo does not
 	// produce a cascade of errors.
@@ -144,6 +159,25 @@ func (p *Parser) errorf(format string, args ...any) {
 	p.accept(token.SEMICOLON)
 	p.recovered = true
 }
+
+// enter descends one nesting level: a parenthesised expression, a "!" or
+// unary "-", a block or an if. Past maxNesting it records one error and
+// skips to the end of input, and the caller must not descend. Every enter is
+// paired with a leave.
+func (p *Parser) enter() bool {
+	p.depth++
+	if p.depth <= maxNesting {
+		return true
+	}
+	if !p.tooDeep {
+		p.errs = append(p.errs, fmt.Errorf("%s: nesting deeper than %d levels", p.cur().Pos, maxNesting))
+		p.tooDeep = true
+		p.pos = len(p.toks) - 1 // the EOF token
+	}
+	return false
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 func (p *Parser) parseProgram() *ast.Program {
 	prog := &ast.Program{}
@@ -204,6 +238,10 @@ func (p *Parser) parseProcedure() *ast.Procedure {
 func (p *Parser) parseBlock() *ast.Block {
 	pos := p.expect(token.LBRACE).Pos
 	blk := &ast.Block{TokPos: pos}
+	defer p.leave()
+	if !p.enter() {
+		return blk
+	}
 	for !p.at(token.RBRACE) && !p.at(token.EOF) {
 		blk.Stmts = append(blk.Stmts, p.parseStmt())
 	}
@@ -266,6 +304,10 @@ func (p *Parser) parseStmt() ast.Stmt {
 
 func (p *Parser) parseIf() ast.Stmt {
 	pos := p.expect(token.KWIF).Pos
+	defer p.leave()
+	if !p.enter() {
+		return &ast.Skip{TokPos: pos}
+	}
 	p.expect(token.LPAREN)
 	cond := p.parseExpr()
 	p.expect(token.RPAREN)
@@ -310,6 +352,10 @@ func (p *Parser) parseAnd() ast.Expr {
 func (p *Parser) parseNot() ast.Expr {
 	if p.at(token.NOT) {
 		pos := p.next().Pos
+		defer p.leave()
+		if !p.enter() {
+			return &ast.BoolLit{TokPos: pos}
+		}
 		x := p.parseNot()
 		return &ast.Unary{Op: token.NOT, X: x, TokPos: pos}
 	}
@@ -349,6 +395,10 @@ func (p *Parser) parseTerm() ast.Expr {
 func (p *Parser) parseUnary() ast.Expr {
 	if p.at(token.MINUS) {
 		pos := p.next().Pos
+		defer p.leave()
+		if !p.enter() {
+			return &ast.IntLit{TokPos: pos}
+		}
 		x := p.parseUnary()
 		// Fold "-<literal>" immediately so negative constants stay literals.
 		if lit, ok := x.(*ast.IntLit); ok {
@@ -380,6 +430,10 @@ func (p *Parser) parseAtom() ast.Expr {
 		return &ast.Ident{Name: t.Lit, TokPos: t.Pos}
 	case token.LPAREN:
 		p.next()
+		defer p.leave()
+		if !p.enter() {
+			return &ast.IntLit{TokPos: t.Pos}
+		}
 		e := p.parseExpr()
 		p.expect(token.RPAREN)
 		return e

@@ -250,3 +250,45 @@ func TestMustParsePanics(t *testing.T) {
 	}()
 	MustParse("proc p( {")
 }
+
+// TestNestingLimit pins the recursion bound: for each construct that enters
+// a nesting level, a program nested exactly maxNesting levels deep (the
+// procedure body counts as one) parses, and one level more gives exactly
+// one error.
+func TestNestingLimit(t *testing.T) {
+	constructs := []struct {
+		name string
+		src  func(levels int) string // a program nested levels deep
+	}{
+		{"parentheses", func(n int) string {
+			return "proc p() { a = " + strings.Repeat("(", n-1) + "1" + strings.Repeat(")", n-1) + "; }"
+		}},
+		{"not", func(n int) string {
+			return "proc p() { b = " + strings.Repeat("!", n-1) + "true; }"
+		}},
+		{"unary minus", func(n int) string {
+			return "proc p(int x) { a = " + strings.Repeat("-", n-1) + "x; }"
+		}},
+		{"blocks", func(n int) string {
+			return "proc p() " + strings.Repeat("{", n) + strings.Repeat("}", n)
+		}},
+		{"else-if chain", func(n int) string {
+			// The body, n-2 ifs, and the innermost then-block.
+			return "proc p(int x) { if (x > 0) { skip; }" + strings.Repeat(" else if (x > 0) { skip; }", n-3) + " }"
+		}},
+	}
+	for _, c := range constructs {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := Parse(c.src(maxNesting)); err != nil {
+				t.Fatalf("%d levels: %v", maxNesting, err)
+			}
+			_, err := Parse(c.src(maxNesting + 1))
+			if err == nil {
+				t.Fatalf("%d levels parsed", maxNesting+1)
+			}
+			if msg := err.Error(); strings.Count(msg, "\n") != 0 || !strings.HasSuffix(msg, ": nesting deeper than 10000 levels") {
+				t.Errorf("%d levels: want exactly one nesting error, got %q", maxNesting+1, msg)
+			}
+		})
+	}
+}

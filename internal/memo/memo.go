@@ -53,12 +53,11 @@
 //
 // # Concurrency
 //
-// One exploration expands each execution-tree state exactly once, and the
-// scheduler publishes states to workers under its own synchronization, so
-// each trie node is written by exactly one goroutine per run with
-// happens-before edges to its children's writers. The Pruned marker is the
-// one field written from the committed walk while a speculative worker may
-// be writing result fields; the fields are distinct words.
+// One writer per run: an exploration runs on one engine and one goroutine,
+// which expands each execution-tree state exactly once, so every trie node
+// a run touches is written by that goroutine alone. Between runs the tree's
+// owner (a session, which serializes its steps) rekeys and trims it. A tree
+// is never shared by two concurrent runs.
 package memo
 
 import (

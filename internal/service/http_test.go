@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,6 +186,25 @@ func TestServiceErrorMapping(t *testing.T) {
 		if status != c.status || code != c.code {
 			t.Errorf("%s: status %d code %q, want %d %q", c.name, status, code, c.status, c.code)
 		}
+	}
+}
+
+// TestServiceSurvivesDeeplyNestedInput pins that a pathologically nested
+// source is a parse error, not a crash: a million nested parentheses would
+// overflow a recursive-descent parser's stack and take the process, with
+// every resident session, down.
+func TestServiceSurvivesDeeplyNestedInput(t *testing.T) {
+	_, srv := newTestServer(t, Config{})
+	const depth = 1000000
+	src := "proc p() { a = " + strings.Repeat("(", depth) + "1" + strings.Repeat(")", depth) + "; }"
+	status, code := post(t, srv.Client(), srv.URL+"/v1/analyze",
+		AnalyzeRequest{Tenant: "t", BaseSrc: src, ModSrc: src, Proc: "p"}, nil)
+	if status != 422 || code != "parse_error" {
+		t.Errorf("status %d code %q, want 422 %q", status, code, "parse_error")
+	}
+	var h HealthResponse
+	if status := getJSON(t, srv.Client(), srv.URL+"/healthz", &h); status != 200 || h.Status != "ok" {
+		t.Errorf("healthz after the nested input: status %d, %+v", status, h)
 	}
 }
 

@@ -254,7 +254,7 @@ type MemoryBreakdown struct {
 	ParseCacheBytes  int64 `json:"parse_cache_bytes_approx"`
 }
 
-// snapshot assembles the /metrics payload.
+// snapshot builds the /metrics payload.
 func (s *Service) snapshot() Metrics {
 	var out Metrics
 	out.UptimeMillis = s.cfg.now().Sub(s.started).Milliseconds()

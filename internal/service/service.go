@@ -83,7 +83,7 @@ type Config struct {
 	// version chains, so it is never a session default.
 	DefaultMergeBound int
 	// AnalyzerOptions configures the shared Analyzer (solver backend,
-	// exploration parallelism, bounds, cache capacities).
+	// bounds, cache capacities).
 	AnalyzerOptions []dise.Option
 
 	// now overrides the clock in tests (nil means time.Now).

@@ -286,8 +286,8 @@ const (
 )
 
 // internShards spreads the table over independently locked shards, picked by
-// fingerprint, so concurrent engines (parallel exploration workers, batch
-// analyses) rarely contend. 64 shards keep the worst case to a short
+// fingerprint, so concurrent engines (batch analyses, service requests)
+// rarely contend. 64 shards keep the worst case to a short
 // critical section around one map operation.
 const internShards = 64
 

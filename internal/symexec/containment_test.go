@@ -81,17 +81,3 @@ func TestCheckPCPanicContained(t *testing.T) {
 		t.Fatalf("stats: %+v", e.Stats())
 	}
 }
-
-// The scheduler's merged stats must surface containment events from every
-// worker fork.
-func TestCheckPanicsMergedAcrossWorkers(t *testing.T) {
-	registerPanickyBackends()
-	e := newEngine(t, fig2Source, "update", Config{
-		SolverBackend:      "test-panic-every-2",
-		ExploreParallelism: 4,
-	})
-	summary := NewExplorer(e, ExploreOptions{}).Run()
-	if summary.Stats.Solver.CheckPanics == 0 {
-		t.Fatalf("merged stats lost CheckPanics: %+v", summary.Stats)
-	}
-}

@@ -44,7 +44,7 @@ type Config struct {
 	// meta-backend by registry name; empty selects its default member set.
 	SolverPortfolio []string
 	// SolverCache, when non-nil, is a shared prefix-result cache: engines
-	// given the same cache (e.g. the worker pool of a batch analysis over
+	// given the same cache (e.g. the requests of a batch analysis over
 	// variants of one base program) reuse each other's solved path-condition
 	// prefixes.
 	SolverCache *constraint.PrefixCache
@@ -60,15 +60,8 @@ type Config struct {
 	// decided with no Backend.Check call at all (counted in Stats.MemoHits) —
 	// and records the verdicts of live solves into it for the next version.
 	// The trie must already be keyed in this engine's version space (the
-	// session's Rekey pass); engines sharing a run (forks) share the trie.
+	// session's Rekey pass).
 	Memo *memo.Tree
-	// ExploreParallelism is the number of workers draining one exploration's
-	// depth-first worklist (intra-query parallelism). Each worker owns an engine fork
-	// with a private solver assertion stack; all forks share one prefix
-	// cache. Zero or one means sequential exploration; negative values and
-	// values above MaxExploreParallelism fail engine construction (each
-	// worker is a live solver context, so the count must stay sane).
-	ExploreParallelism int
 	// MergeBound enables bounded state merging (merge.go): at CFG join
 	// points, sibling states whose environments differ only in value
 	// bindings are fused into one state whose environment maps each
@@ -93,20 +86,6 @@ type Config struct {
 // at a join whole, however many states arrive.
 const MergeUnbounded = -1
 
-// MaxExploreParallelism bounds Config.ExploreParallelism: workers beyond any
-// plausible core count only add coordination overhead and solver-context
-// memory.
-const MaxExploreParallelism = 256
-
-// ResolvedExploreParallelism returns the worker count the scheduler will
-// actually run: the configured one, with 0 (and 1) meaning sequential.
-func (c Config) ResolvedExploreParallelism() int {
-	if c.ExploreParallelism < 1 {
-		return 1
-	}
-	return c.ExploreParallelism
-}
-
 // Stats are the cost counters reported in the paper's Table 2: states
 // explored, time, and the number of path conditions (len(Summary.Paths)).
 type Stats struct {
@@ -126,8 +105,6 @@ type Stats struct {
 	Solver constraint.Stats
 
 	// Memo counters of a version-chain session run (zero without Config.Memo).
-	// Like the solver counters they include speculative work, so their split
-	// may vary with parallelism; the exploration outcome does not.
 	//
 	// MemoHits counts branch feasibility decisions answered by a recorded
 	// verdict from the execution-tree trie — decisions that made no
@@ -163,9 +140,8 @@ type Stats struct {
 // solver state attached to their common prefix (propagation snapshots,
 // cached verdicts, witness models), which is what makes branch feasibility
 // checks incremental instead of from-scratch re-solves of the whole path
-// condition. An engine serves one goroutine; parallel exploration runs one
-// engine fork per worker (Fork), each with its own solver context, sharing
-// a prefix cache.
+// condition. An engine serves one goroutine and one exploration; concurrent
+// analyses build one engine each and share a prefix cache.
 type Engine struct {
 	Prog    *ast.Program
 	Proc    *ast.Procedure
@@ -175,14 +151,13 @@ type Engine struct {
 	config  Config
 	domains map[string]solver.Interval
 	// lows is the witness of the empty path condition: the least element of
-	// every input domain. Every initial state starts from it; forks share it.
+	// every input domain. Every initial state starts from it.
 	lows         *solver.Model
 	stats        Stats
 	depthBound   int
 	interruptErr error
 	// memoKeys maps this graph's node IDs to their stable keys, resolved at
-	// build time when Config.Memo is set (read-only thereafter; forks share
-	// it).
+	// build time when Config.Memo is set (read-only thereafter).
 	memoKeys map[int]string
 	// memoGen is the trie's step generation captured when the initial state
 	// is built; every trie node this run touches is stamped with it, which
@@ -237,10 +212,6 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	if err := CheckNoCalls(proc); err != nil {
 		return nil, err
 	}
-	if config.ExploreParallelism < 0 || config.ExploreParallelism > MaxExploreParallelism {
-		return nil, fmt.Errorf("symexec: explore parallelism %d out of range [0, %d] (0 or 1 = sequential)",
-			config.ExploreParallelism, MaxExploreParallelism)
-	}
 	if config.MergeBound != 0 {
 		if config.MergeBound == 1 || config.MergeBound < MergeUnbounded {
 			return nil, fmt.Errorf("symexec: merge bound %d out of range (0 = off, %d = unbounded, >= 2 = bounded)",
@@ -252,12 +223,6 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 		if config.MergeBudget < 0 {
 			return nil, fmt.Errorf("symexec: merge budget %d is negative (0 = unlimited)", config.MergeBudget)
 		}
-	}
-	if config.ExploreParallelism > 1 && config.SolverCache == nil {
-		// Parallel exploration forks the engine, one solver context per
-		// worker; give the forks a common prefix cache so they reuse each
-		// other's solved prefixes even when the caller did not provide one.
-		config.SolverCache = constraint.NewPrefixCache(0)
 	}
 	if g == nil {
 		g = cfg.Build(proc)
@@ -275,7 +240,7 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	}
 	if config.Memo != nil {
 		// Resolve the stable keys here, on the construction goroutine, so
-		// forks (and the graph cache) only ever read them.
+		// the exploration (and the graph cache) only ever read them.
 		e.memoKeys = g.StableKeys()
 	}
 	intDomain := config.IntDomain
@@ -316,38 +281,6 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 	}
 	e.Backend = backend
 	return e, nil
-}
-
-// Fork returns a new engine over the same procedure, graph and
-// configuration, with a fresh constraint-backend context (its own assertion
-// stack) and zeroed counters. The graph, program and domains are shared —
-// they are read-only after construction — and the fork's backend shares the
-// original's prefix cache when one is configured. Parallel exploration runs
-// one fork per worker.
-func (e *Engine) Fork() (*Engine, error) {
-	ne := &Engine{
-		Prog:       e.Prog,
-		Proc:       e.Proc,
-		Graph:      e.Graph,
-		config:     e.config,
-		domains:    e.domains,
-		lows:       e.lows,
-		depthBound: e.depthBound,
-		memoKeys:   e.memoKeys,
-	}
-	backend, err := constraint.New(e.config.SolverBackend, constraint.Options{
-		Domains:    e.domains,
-		NodeBudget: e.config.SolverOptions.NodeBudget,
-		Interrupt:  e.config.SolverOptions.Interrupt,
-		Cache:      e.config.SolverCache,
-		SMT:        e.config.SolverSMT,
-		Portfolio:  e.config.SolverPortfolio,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("symexec: %w", err)
-	}
-	ne.Backend = backend
-	return ne, nil
 }
 
 // MemoSignature digests everything a recorded solver verdict's validity
@@ -423,20 +356,14 @@ func (e *Engine) solverStats() constraint.Stats {
 	return s
 }
 
-// ResetStats zeroes all counters (engine and solver).
-func (e *Engine) ResetStats() {
-	e.stats = Stats{}
-	e.Backend.ResetStats()
-}
-
 // InterruptErr returns the error that aborted the exploration, or nil. It is
 // set the first time Config.Interrupt returns non-nil; once set, Step
 // produces no further successors.
 func (e *Engine) InterruptErr() error { return e.interruptErr }
 
 // BudgetExhausted reports whether the MaxStates safety valve has tripped,
-// recording the event in the stats. Search loops (full and directed) consult
-// it before expanding a state.
+// recording the event in the stats. The scheduler's walks (free, committed
+// and merged) consult it before expanding a state.
 func (e *Engine) BudgetExhausted() bool {
 	if e.config.MaxStates > 0 && e.stats.StatesExplored >= e.config.MaxStates {
 		e.stats.MaxStatesHit = true
@@ -454,9 +381,9 @@ func (e *Engine) DepthBound() int { return e.depthBound }
 // sibling states share their PC prefix (path conditions are extended by
 // append-on-fork), so a step to a sibling pops one frame and pushes one,
 // and a descent pushes exactly one — the push/pop discipline of incremental
-// solving. A parallel worker picking up an arbitrary stacked state remains
-// correct, just with more stack traffic; this PC-diff is what lets the
-// scheduler expand states in any order.
+// solving. The walk also moves from a finished subtree back up to an
+// ancestor's pending sibling (and the merge queue between arbitrary
+// states), so the diff, not a single push or pop, decides the stack.
 func (e *Engine) syncStack(pc []sym.Expr) {
 	n := 0
 	//diselint:ignore interruptloop bounded: advances one frame per iteration, capped by min(len(stack), len(pc))
@@ -810,11 +737,9 @@ func (e *Engine) Collect(s *State) Path {
 }
 
 // RunFull performs full (traditional) symbolic execution: every feasible
-// path up to the depth bound, explored by the scheduler depth-first with the
-// configured intra-query parallelism. This is the "Full Symbc" control
-// technique of the paper's evaluation. Every parallelism level emits the same
-// paths in the same order: sequential runs in pop order, parallel runs in
-// canonical tree order, which is that same depth-first preorder.
+// path up to the depth bound, explored by the scheduler depth-first and
+// emitted in that preorder. This is the "Full Symbc" control technique of
+// the paper's evaluation.
 func (e *Engine) RunFull() *Summary {
 	start := time.Now()
 	summary := NewExplorer(e, ExploreOptions{}).Run()

@@ -47,9 +47,8 @@ package symexec
 // affected-branch coverage and per-branch test feasibility, not identical
 // path sets).
 //
-// Merged exploration is sequential: one engine, one solver context. The
-// merge queue replaces the depth-first worklist, and a Pruner (DiSE's
-// directed search) is driven from the same goroutine in heap order.
+// The merge queue replaces the depth-first walk, and a Pruner (DiSE's
+// directed search) is driven in heap order.
 
 import (
 	"container/heap"
@@ -135,27 +134,25 @@ func mergeableJoin(n *cfg.Node) bool {
 	return false
 }
 
-// runMerged drains the merge queue on the caller's engine. It serves both
+// runMerged drains the merge queue on the explorer's engine. It serves both
 // driving modes: with a Pruner it applies the pruner's decisions (all hooks
 // on this goroutine, like the committed walk); without one it collects
 // terminal paths itself.
-func (x *Explorer) runMerged() {
-	e := x.engines[0]
-	p := x.opts.Pruner
+func (x *Explorer) runMerged(s0 *State) {
+	e, p := x.e, x.opts.Pruner
 	iteBefore := sym.ITENodesBuilt()
 	defer func() { x.iteNodes = int(sym.ITENodesBuilt() - iteBefore) }()
 
 	rpo := rpoIndex(e.Graph)
 	q := mergeQueue{}
-	x.mergeSeq++
-	heap.Push(&q, &mergeItem{state: x.root.state, rpo: rpo[x.root.state.Node.ID], seq: x.mergeSeq})
+	x.pushMerge(&q, rpo, s0)
 
 	//diselint:ignore interruptloop bounded: every pop either terminates a path or advances Depth toward the depth bound; Engine.Step polls Config.Interrupt
 	for q.Len() > 0 {
 		if p != nil && p.Stopped() {
 			return
 		}
-		if x.overBudget() {
+		if e.BudgetExhausted() {
 			return
 		}
 		// Pop the whole batch pending at the minimum's node.
@@ -170,8 +167,8 @@ func (x *Explorer) runMerged() {
 			states = x.mergeBatch(batch, e.config.MergeBound, e.config.MergeBudget)
 		}
 		for _, s := range states {
-			x.expandMerged(s, e, rpo, &q)
-			if x.interrupted() {
+			x.expandMerged(s, rpo, &q)
+			if e.interruptErr != nil {
 				return
 			}
 		}
@@ -180,8 +177,8 @@ func (x *Explorer) runMerged() {
 
 // expandMerged expands one state, pushing its feasible successors back into
 // the merge queue (or handing them to the pruner first, in committed mode).
-func (x *Explorer) expandMerged(s *State, e *Engine, rpo []int, q *mergeQueue) {
-	p := x.opts.Pruner
+func (x *Explorer) expandMerged(s *State, rpo []int, q *mergeQueue) {
+	e, p := x.e, x.opts.Pruner
 	if p == nil && e.Terminal(s) {
 		x.summary.Paths = append(x.summary.Paths, e.Collect(s))
 		return
@@ -189,17 +186,10 @@ func (x *Explorer) expandMerged(s *State, e *Engine, rpo []int, q *mergeQueue) {
 	if p != nil && !p.Enter(s) {
 		return
 	}
-	before := coreOf(e.stats)
 	step := e.Step(s)
-	delta := coreOf(e.stats).sub(before)
-	x.mu.Lock()
-	x.coreStats.add(delta)
-	x.created += len(step.Feasible)
-	x.mu.Unlock()
 	if e.interruptErr != nil {
 		// Aborted mid-step: the empty successor list does not mean the path
 		// is maximal, so the pruner must not collect it.
-		x.fail(e.interruptErr)
 		return
 	}
 	if p != nil {
@@ -359,10 +349,8 @@ func (x *Explorer) mergeStates(group []*State) *State {
 		}
 	}
 
-	x.mu.Lock()
 	x.merges++
 	x.mergedSaved += len(group) - 1
-	x.mu.Unlock()
 
 	return &State{
 		Node:  rep.Node,

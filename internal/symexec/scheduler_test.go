@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-
-	"dise/internal/lang/parser"
 )
 
 // loopSource exercises depth-bound hits and back edges.
@@ -36,8 +34,8 @@ proc p(int x) {
 // --- scheduler vs. pre-refactor recursion ------------------------------------
 
 // oracleRunFull is a transliteration of the recursive depth-first
-// exploration the scheduler replaced. The scheduler at parallelism 1 must
-// reproduce it byte for byte: same paths, same order, same counters.
+// exploration the scheduler replaced. The scheduler must reproduce it byte
+// for byte: same paths, same order, same counters.
 func oracleRunFull(e *Engine) *Summary {
 	summary := &Summary{}
 	var rec func(s *State)
@@ -79,110 +77,82 @@ var schedulerSubjects = []struct {
 	{"infeasible", infeasibleSource, "p"},
 }
 
+// TestSchedulerDFSMatchesRecursiveOracle pins the full-SE scheduler to the
+// recursive oracle: exactly the oracle's paths, in its depth-first order,
+// with its whole Stats (every engine and solver counter; Time aside).
 func TestSchedulerDFSMatchesRecursiveOracle(t *testing.T) {
 	for _, subject := range schedulerSubjects {
 		t.Run(subject.name, func(t *testing.T) {
 			config := Config{DepthBound: 40}
 			want := oracleRunFull(newEngine(t, subject.src, subject.proc, config))
 			got := newEngine(t, subject.src, subject.proc, config).RunFull()
-			if !reflect.DeepEqual(pathKeys(want), pathKeys(got)) {
-				t.Errorf("paths differ:\noracle: %v\nsched:  %v", pathKeys(want), pathKeys(got))
+			if !reflect.DeepEqual(pathKeys(got), pathKeys(want)) {
+				t.Errorf("emission differs from the depth-first oracle:\n got %v\nwant %v", pathKeys(got), pathKeys(want))
 			}
-			wc, gc := coreOf(want.Stats), coreOf(got.Stats)
-			if wc != gc {
-				t.Errorf("core stats differ: oracle %+v, scheduler %+v", wc, gc)
-			}
-			if want.Stats.PathsExplored != got.Stats.PathsExplored {
-				t.Errorf("paths explored: oracle %d, scheduler %d",
-					want.Stats.PathsExplored, got.Stats.PathsExplored)
-			}
-			if want.Stats.Solver.Checks != got.Stats.Solver.Checks {
-				t.Errorf("solver checks: oracle %d, scheduler %d",
-					want.Stats.Solver.Checks, got.Stats.Solver.Checks)
+			if gs := untimed(got.Stats); gs != want.Stats {
+				t.Errorf("stats %+v, oracle %+v", gs, want.Stats)
 			}
 		})
 	}
 }
 
-// TestSchedulerParallelismEquivalence pins the full-SE scheduler
-// equivalence: at every parallelism level the scheduler emits exactly the
-// recursive oracle's paths, in the oracle's depth-first order (sequential
-// runs by popping the stack, parallel runs by canonical assembly), with the
-// same committed counters. Count-only runs (ExploreOptions.CountOnly) keep
-// the counters and collect no paths.
+// TestSchedulerParallelismEquivalence pins the scheduler's output under
+// parallelism across analyses, the only parallelism left: with 1 or 4
+// engines exploring the same subject at once, each on its own goroutine and
+// all sharing the process-wide intern table (as batch analyses and service
+// requests do), every run emits exactly the recursive oracle's paths, in
+// depth-first order, with its whole Stats. Count-only runs
+// (ExploreOptions.CountOnly) run alongside; they keep the counters and
+// collect no paths.
 func TestSchedulerParallelismEquivalence(t *testing.T) {
+	type run struct {
+		countOnly bool
+		summary   *Summary
+	}
 	for _, subject := range schedulerSubjects {
 		t.Run(subject.name, func(t *testing.T) {
-			reference := oracleRunFull(newEngine(t, subject.src, subject.proc, Config{DepthBound: 40}))
+			config := Config{DepthBound: 40}
+			reference := oracleRunFull(newEngine(t, subject.src, subject.proc, config))
 			want := pathKeys(reference)
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("par%d", par)
-				config := Config{DepthBound: 40, ExploreParallelism: par}
-				sum := newEngine(t, subject.src, subject.proc, config).RunFull()
-				if got := pathKeys(sum); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: emission differs from the depth-first oracle:\n got %v\nwant %v", name, got, want)
+				// Engines are built here, on the test goroutine, since
+				// newEngine may stop the test.
+				runs := make(chan run, 2*par)
+				for i := 0; i < par; i++ {
+					full := newEngine(t, subject.src, subject.proc, config)
+					counting := NewExplorer(newEngine(t, subject.src, subject.proc, config), ExploreOptions{CountOnly: true})
+					go func() { runs <- run{summary: full.RunFull()} }()
+					go func() { runs <- run{countOnly: true, summary: counting.Run()} }()
 				}
-				if gc, rc := coreOf(sum.Stats), coreOf(reference.Stats); gc != rc {
-					t.Errorf("%s: core stats %+v, want %+v", name, gc, rc)
-				}
-				if sum.Stats.PathsExplored != reference.Stats.PathsExplored {
-					t.Errorf("%s: paths explored %d, want %d",
-						name, sum.Stats.PathsExplored, reference.Stats.PathsExplored)
-				}
-				// A count-only exploration does the same work and collects
-				// nothing.
-				counted := NewExplorer(newEngine(t, subject.src, subject.proc, config), ExploreOptions{CountOnly: true}).Run()
-				if len(counted.Paths) != 0 || coreOf(counted.Stats) != coreOf(reference.Stats) ||
-					counted.Stats.PathsExplored != reference.Stats.PathsExplored {
-					t.Errorf("%s: count-only run: %d paths, core %+v, %d explored; want 0, %+v, %d", name,
-						len(counted.Paths), coreOf(counted.Stats), counted.Stats.PathsExplored,
-						coreOf(reference.Stats), reference.Stats.PathsExplored)
+				for i := 0; i < 2*par; i++ {
+					r := <-runs
+					if gs := untimed(r.summary.Stats); gs != reference.Stats {
+						t.Errorf("%s (count-only %v): stats %+v, oracle %+v", name, r.countOnly, gs, reference.Stats)
+					}
+					if r.countOnly {
+						if len(r.summary.Paths) != 0 {
+							t.Errorf("%s: count-only run collected %d paths, want 0", name, len(r.summary.Paths))
+						}
+					} else if got := pathKeys(r.summary); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: emission differs from the depth-first oracle:\n got %v\nwant %v", name, got, want)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestSchedulerParallelStatsDeterministic pins the merged-stats contract:
-// the core exploration counters are identical across repeated parallel runs
-// (and equal to the sequential ones), whatever the worker interleaving.
-func TestSchedulerParallelStatsDeterministic(t *testing.T) {
-	seq := newEngine(t, fig2Source, "update", Config{}).RunFull()
-	for i := 0; i < 5; i++ {
-		par := newEngine(t, fig2Source, "update", Config{ExploreParallelism: 4}).RunFull()
-		if pc, sc := coreOf(par.Stats), coreOf(seq.Stats); pc != sc {
-			t.Fatalf("run %d: parallel core stats %+v, want %+v", i, pc, sc)
-		}
-		if par.Stats.PathsExplored != seq.Stats.PathsExplored {
-			t.Fatalf("run %d: paths explored %d, want %d",
-				i, par.Stats.PathsExplored, seq.Stats.PathsExplored)
-		}
-		if par.Stats.Solver.Checks == 0 {
-			t.Fatal("merged solver stats lost the per-worker counters")
-		}
-	}
-}
-
-func TestForkSharesGraphButNotSolverContext(t *testing.T) {
-	e := newEngine(t, fig2Source, "update", Config{})
-	f, err := e.Fork()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Graph != e.Graph || f.Prog != e.Prog {
-		t.Error("fork must share the read-only graph and program")
-	}
-	if f.Backend == e.Backend {
-		t.Error("fork must own a fresh solver context")
-	}
-	if f.Stats().StatesExplored != 0 {
-		t.Error("fork must start with zeroed counters")
-	}
+// untimed returns s with the wall-clock Time zeroed, the one field of Stats
+// that differs between two runs of the same exploration.
+func untimed(s Stats) Stats {
+	s.Time = 0
+	return s
 }
 
 // TestMaxStatesValveUnderScheduler pins the safety-valve behavior through
-// the worklist: the run stops, MaxStatesHit is set, and at parallelism 1 the
-// trip point matches the recursive engine's.
+// the scheduler: the run stops, MaxStatesHit is set, and the trip point and
+// counters match the recursive engine's.
 func TestMaxStatesValveUnderScheduler(t *testing.T) {
 	oracleEngine := newEngine(t, fig2Source, "update", Config{MaxStates: 10})
 	want := oracleRunFull(oracleEngine)
@@ -193,19 +163,7 @@ func TestMaxStatesValveUnderScheduler(t *testing.T) {
 	if !reflect.DeepEqual(pathKeys(want), pathKeys(got)) {
 		t.Errorf("budget-limited paths differ:\noracle: %v\nsched:  %v", pathKeys(want), pathKeys(got))
 	}
-}
-
-func TestExploreParallelismValidated(t *testing.T) {
-	prog, err := parser.Parse(testXSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{-1, MaxExploreParallelism + 1} {
-		if _, err := New(prog, "testX", Config{ExploreParallelism: n}); err == nil {
-			t.Errorf("ExploreParallelism=%d must fail engine construction", n)
-		}
-	}
-	if _, err := New(prog, "testX", Config{ExploreParallelism: MaxExploreParallelism}); err != nil {
-		t.Errorf("ExploreParallelism=%d must be accepted: %v", MaxExploreParallelism, err)
+	if gs := untimed(got.Stats); gs != want.Stats {
+		t.Errorf("stats %+v, oracle %+v", gs, want.Stats)
 	}
 }

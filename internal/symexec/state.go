@@ -5,9 +5,8 @@
 // a symbolic environment mapping program variables to symbolic expressions,
 // and a path condition; Step forks a state at conditional branches,
 // consulting the constraint solver to prune infeasible branches exactly as
-// described in §2.1 of the paper), an exploration scheduler that drains a
-// depth-first worklist of states with optional intra-query parallelism
-// (scheduler.go), and on top of those
+// described in §2.1 of the paper), an exploration scheduler that walks the
+// states depth-first on one engine (scheduler.go), and on top of those
 // the full ("traditional") symbolic execution used as the control in the
 // paper's evaluation (§4.2.2). The directed search of DiSE plugs into the
 // same scheduler as a Pruner (see internal/dise).

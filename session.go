@@ -92,8 +92,8 @@ type SessionRequest struct {
 }
 
 // NewSession opens a version-chain session seeded with the chain's first
-// version. The session inherits every option of the Analyzer (parallelism,
-// solver backend, bounds) and shares its parse/CFG cache and
+// version. The session inherits every option of the Analyzer (solver
+// backend, bounds, memo budget) and shares its parse/CFG cache and
 // solved-prefix cache.
 func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session, error) {
 	if err := ctx.Err(); err != nil {
@@ -106,9 +106,7 @@ func (a *Analyzer) NewSession(ctx context.Context, req SessionRequest) (*Session
 	if a.conf.mergeBound != 0 {
 		return nil, &Error{Kind: InvalidConfig, Err: errMergeSession}
 	}
-	// Every session version becomes an engine's graph (the seed run, or a
-	// later Advance's mod side), so precompute unconditionally.
-	v, err := a.resolveVersion(req.InitialSrc, req.Proc, "initial version", req.Interprocedural, true)
+	v, err := a.resolveVersion(req.InitialSrc, req.Proc, "initial version", req.Interprocedural)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +174,7 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 		return nil, &Error{Kind: Cancelled, Err: err}
 	}
 
-	next, err := s.a.resolveVersion(nextSrc, s.proc, "next version", s.interprocedural, true)
+	next, err := s.a.resolveVersion(nextSrc, s.proc, "next version", s.interprocedural)
 	if err != nil {
 		return nil, err
 	}

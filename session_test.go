@@ -2,7 +2,6 @@ package dise
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,7 +31,6 @@ type comparableResult struct {
 	StatesExplored           int
 	PathConditions           int
 	InfeasibleBranches       int
-	ExploreParallelism       int
 }
 
 func comparable(r *Result) comparableResult {
@@ -44,56 +42,50 @@ func comparable(r *Result) comparableResult {
 		StatesExplored:           r.Stats.StatesExplored,
 		PathConditions:           r.Stats.PathConditions,
 		InfeasibleBranches:       r.Stats.InfeasibleBranches,
-		ExploreParallelism:       r.Stats.ExploreParallelism,
 	}
 }
 
 // TestSessionMatchesColdAnalyzeOnArtifacts is the exactness gate of the
 // version-chain session: over the full evolution chains of all three
-// artifacts (40 chain steps), with one and four exploration workers, the
-// warm Session.Advance result is byte-identical to a cold pairwise Analyze
-// of the same version pair on a fresh Analyzer — and the warm chain really
-// is warm (trie reuse from the second step on). Exploration is depth-first,
-// which the "dfs" in the subtest names records.
+// artifacts (40 chain steps), the warm Session.Advance result is
+// byte-identical to a cold pairwise Analyze of the same version pair on a
+// fresh Analyzer — and the warm chain really is warm (trie reuse from the
+// second step on).
 func TestSessionMatchesColdAnalyzeOnArtifacts(t *testing.T) {
 	ctx := context.Background()
 	for _, art := range artifacts.All() {
 		art := art
-		for _, par := range []int{1, 4} {
-			par := par
-			t.Run(fmt.Sprintf("%s/dfs/par%d", art.Name, par), func(t *testing.T) {
-				t.Parallel()
-				warm := NewAnalyzer(WithExploreParallelism(par))
-				cold := NewAnalyzer(WithExploreParallelism(par))
-				srcs := chainSources(art)
-				sess, err := warm.NewSession(ctx, SessionRequest{InitialSrc: srcs[0], Proc: art.Proc})
+		t.Run(art.Name, func(t *testing.T) {
+			t.Parallel()
+			warm, cold := NewAnalyzer(), NewAnalyzer()
+			srcs := chainSources(art)
+			sess, err := warm.NewSession(ctx, SessionRequest{InitialSrc: srcs[0], Proc: art.Proc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i < len(srcs); i++ {
+				warmRes, err := sess.Advance(ctx, srcs[i])
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("step %d: warm Advance: %v", i, err)
 				}
-				for i := 1; i < len(srcs); i++ {
-					warmRes, err := sess.Advance(ctx, srcs[i])
-					if err != nil {
-						t.Fatalf("step %d: warm Advance: %v", i, err)
-					}
-					coldRes, err := cold.Analyze(ctx, Request{BaseSrc: srcs[i-1], ModSrc: srcs[i], Proc: art.Proc})
-					if err != nil {
-						t.Fatalf("step %d: cold Analyze: %v", i, err)
-					}
-					if got, want := comparable(warmRes), comparable(coldRes); !reflect.DeepEqual(got, want) {
-						t.Fatalf("step %d (%s): warm session diverged from cold analysis\nwarm: %+v\ncold: %+v",
-							i, art.Versions[i-1].Name, got, want)
-					}
-					m := warmRes.Stats.Memo
-					if !m.Enabled || m.Step != i {
-						t.Fatalf("step %d: memo stats not populated: %+v", i, m)
-					}
-					if i > 1 && m.StatesReplayed == 0 {
-						t.Errorf("step %d (%s): warm chain replayed no recorded states: %+v",
-							i, art.Versions[i-1].Name, m)
-					}
+				coldRes, err := cold.Analyze(ctx, Request{BaseSrc: srcs[i-1], ModSrc: srcs[i], Proc: art.Proc})
+				if err != nil {
+					t.Fatalf("step %d: cold Analyze: %v", i, err)
 				}
-			})
-		}
+				if got, want := comparable(warmRes), comparable(coldRes); !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d (%s): warm session diverged from cold analysis\nwarm: %+v\ncold: %+v",
+						i, art.Versions[i-1].Name, got, want)
+				}
+				m := warmRes.Stats.Memo
+				if !m.Enabled || m.Step != i {
+					t.Fatalf("step %d: memo stats not populated: %+v", i, m)
+				}
+				if i > 1 && m.StatesReplayed == 0 {
+					t.Errorf("step %d (%s): warm chain replayed no recorded states: %+v",
+						i, art.Versions[i-1].Name, m)
+				}
+			}
+		})
 	}
 }
 

@@ -9,19 +9,19 @@ import (
 )
 
 // TestStatsAdd pins the aggregation semantics of the facade stats hooks:
-// counters sum, the backend/parallelism echoes keep the first sample, the memo
-// block counts enabled steps and tracks the largest trie.
+// counters sum, the backend echo keeps the first sample, the memo block
+// counts enabled steps and tracks the largest trie.
 func TestStatsAdd(t *testing.T) {
 	var agg Stats
 	agg.Add(Stats{
 		StatesExplored: 10, PathConditions: 3, InfeasibleBranches: 2,
-		TimeMilliseconds: 5, SolverCalls: 7, ExploreParallelism: 1,
+		TimeMilliseconds: 5, SolverCalls: 7,
 		Solver: SolverStats{Backend: "interval", Checks: 7, Sat: 5, Unsat: 2, CacheHits: 1},
 		Memo:   MemoStats{Enabled: true, Step: 4, MemoHits: 6, StatesReplayed: 8, TrieNodes: 50},
 	})
 	agg.Add(Stats{
 		StatesExplored: 5, PathConditions: 1, InfeasibleBranches: 1,
-		TimeMilliseconds: 2, SolverCalls: 3, ExploreParallelism: 4,
+		TimeMilliseconds: 2, SolverCalls: 3,
 		Solver: SolverStats{Backend: "bitvec", Checks: 3, Sat: 3, ModelReuses: 2},
 		Memo:   MemoStats{Enabled: true, Step: 9, MemoHits: 1, StatesExploredLive: 4, TrieNodes: 40},
 	})
@@ -29,7 +29,7 @@ func TestStatsAdd(t *testing.T) {
 
 	want := Stats{
 		StatesExplored: 16, PathConditions: 4, InfeasibleBranches: 3,
-		TimeMilliseconds: 7, SolverCalls: 10, ExploreParallelism: 1,
+		TimeMilliseconds: 7, SolverCalls: 10,
 		Solver: SolverStats{Backend: "interval", Checks: 10, Sat: 8, Unsat: 2, CacheHits: 1, ModelReuses: 2},
 		Memo: MemoStats{
 			Enabled: true, Step: 2, MemoHits: 7,
@@ -60,7 +60,7 @@ func TestMergeStatsAdd(t *testing.T) {
 // carry data. A cold run's JSON must not serialize trees of zeros for
 // machinery it never engaged.
 func TestStatsMarshalOmitsZeroBlocks(t *testing.T) {
-	bare, err := json.Marshal(Stats{StatesExplored: 3, ExploreParallelism: 1})
+	bare, err := json.Marshal(Stats{StatesExplored: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
