@@ -116,7 +116,7 @@ func WithCacheCapacity(n int) Option { return func(c *analyzerConfig) { c.cacheC
 
 // WithSolverBackend selects the constraint-solving backend by name:
 // "interval" (the default incremental interval-propagation adapter),
-// "bitvec" (the pure-Go fixed-width bitvector solver with wraparound
+// "bitvec" (the pure-Go 64-bit bitvector solver with wraparound
 // semantics), or "interval-noreuse" (the non-incremental baseline used for
 // A/B measurement). An unknown name fails the first analysis with a
 // descriptive error. See SolverBackends for the accepted names.
@@ -249,7 +249,7 @@ func (a *Analyzer) CacheStats() CacheStats { return a.cache.stats() }
 
 // SolverCacheStats reports hit/miss counters of the shared solved-prefix
 // cache of the constraint subsystem.
-func (a *Analyzer) SolverCacheStats() constraint.CacheStats { return a.solverCache.Stats() }
+func (a *Analyzer) SolverCacheStats() CacheStats { return a.solverCache.Stats() }
 
 // engineConfig builds the per-request engine configuration. The context's
 // Err is polled once per executed CFG node and once per solver search node,

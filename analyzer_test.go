@@ -88,22 +88,38 @@ func TestAnalyzerCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// cancelOnPoll is a context that cancels itself on its n-th Err poll. The
+// engine polls Err once per explored state, so the cancellation lands at
+// the same point of the exploration however fast the host explores.
+type cancelOnPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int64
+	polls  atomic.Int64
+}
+
+func (c *cancelOnPoll) Err() error {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestAnalyzerCancelMidSearch checks the acceptance criterion for
 // cancellation: a context cancelled while a deep exploration is running
-// aborts it within one scheduling quantum of the step loop, i.e. orders of
-// magnitude before the exploration would have finished (~0.5s for the OAE
-// artifact's 9216 paths).
+// aborts it within one scheduling quantum of the step loop. The context
+// cancels itself on the 1000th poll, early in OAE's exploration (33,790
+// states under Execute, 8,452 under Analyze of v1); a timer cannot place
+// the cancellation mid-search, since DiSE of v1 finishes in about 10 ms.
 func TestAnalyzerCancelMidSearch(t *testing.T) {
 	base, mod, proc := wideArtifact(t)
 	a := NewAnalyzer()
 
 	for _, mode := range []string{"Execute", "Analyze"} {
 		t.Run(mode, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
+			inner, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			ctx := &cancelOnPoll{Context: inner, cancel: cancel, n: 1000}
 			start := time.Now()
 			var err error
 			if mode == "Execute" {
@@ -114,14 +130,18 @@ func TestAnalyzerCancelMidSearch(t *testing.T) {
 			elapsed := time.Since(start)
 			var e *Error
 			if !errors.As(err, &e) || e.Kind != Cancelled {
-				t.Fatalf("want Cancelled, got %v (after %v)", err, elapsed)
+				t.Fatalf("want Cancelled, got %v (after %v, %d polls)", err, elapsed, ctx.polls.Load())
 			}
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("must unwrap to context.Canceled: %v", err)
 			}
-			// The full exploration takes hundreds of ms; a prompt abort
-			// returns well under that. Generous bound to stay robust on slow
-			// CI machines.
+			// The step loop stops at the first poll that sees the
+			// cancellation; the facade may poll a few times on the way out,
+			// where going on exploring would poll thousands of times more.
+			if polls := ctx.polls.Load(); polls > ctx.n+10 {
+				t.Errorf("%d polls after the cancellation at poll %d, want the exploration to stop", polls-ctx.n, ctx.n)
+			}
+			// Generous bound to stay robust on slow CI machines.
 			if elapsed > 250*time.Millisecond {
 				t.Errorf("cancellation took %v; want prompt abort", elapsed)
 			}

@@ -3,8 +3,9 @@ package dise
 // Backend equivalence over the paper's artifacts: the interval backend
 // (with and without incremental reuse) and the bitvector backend must
 // produce identical affected-path sets for every version of ASW, WBS and
-// OAE. This is the acceptance gate of the constraint subsystem — swapping
-// the solver must never change WHAT DiSE reports, only how fast.
+// OAE, and every backend's witnesses must satisfy their path conditions.
+// This is the acceptance gate of the constraint subsystem — swapping the
+// solver must never change WHAT DiSE reports, only how fast.
 
 import (
 	"context"
@@ -30,9 +31,11 @@ func TestUnknownSolverBackendError(t *testing.T) {
 	}
 }
 
-// affectedPathSet runs DiSE with the given backend and returns the path
-// conditions as a set (exploration order is identical too, but the set
-// comparison keeps the failure output readable).
+// affectedPathSet runs DiSE with the given backend, checks that every
+// path's witness satisfies every conjunct of its path condition under
+// solver.EvalInt01 (whose int64 arithmetic is also bitvec's), and returns
+// the path conditions as a set (exploration order is identical too, but
+// the set comparison keeps the failure output readable).
 func affectedPathSet(t *testing.T, backend, baseSrc, modSrc, proc string) map[string]int {
 	t.Helper()
 	a := NewAnalyzer(WithSolverBackend(backend))
@@ -40,6 +43,7 @@ func affectedPathSet(t *testing.T, backend, baseSrc, modSrc, proc string) map[st
 	if err != nil {
 		t.Fatalf("[%s] analyze: %v", backend, err)
 	}
+	checkWitnesses(t, backend, res.internal.Summary.Paths)
 	set := map[string]int{}
 	for _, p := range res.Paths {
 		set[p.PathCondition]++

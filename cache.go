@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dise/internal/cfg"
+	"dise/internal/constraint"
 	"dise/internal/lang/ast"
 	"dise/internal/lang/parser"
 	"dise/internal/lang/types"
@@ -40,16 +41,12 @@ func (c *cachedProgram) graph(proc *ast.Procedure) *cfg.Graph {
 }
 
 // CacheStats reports the effectiveness and footprint of an Analyzer's
-// parse/CFG cache. Bytes is an approximate retained size (a documented
-// multiple of the cached source lengths — the AST, type info and CFGs scale
-// with the source); Evictions counts entries pushed out by either bound.
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes_approx"`
-	Evictions int64 `json:"evictions"`
-}
+// parse/CFG cache and of its shared solved-prefix cache. For the parse
+// cache, Bytes is an approximate retained size (a documented multiple of
+// the cached source lengths — the AST, type info and CFGs scale with the
+// source); Evictions counts entries pushed out by either bound. It is the
+// constraint package's cache counter set itself, JSON tags included.
+type CacheStats = constraint.CacheStats
 
 // programCache is a bounded, concurrency-safe LRU of parsed programs keyed
 // by the SHA-256 of their source text. The entry-count capacity always

@@ -9,96 +9,41 @@ import (
 	"dise/internal/sym"
 )
 
-func mustBuilder(t *testing.T, width int) *Builder {
-	t.Helper()
-	b, err := NewBuilder(width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestBuilderHashConsingAndFolding(t *testing.T) {
-	b := mustBuilder(t, 32)
-	x := b.Var("X")
-	if b.Var("X") != x {
-		t.Error("variables must be interned")
-	}
-	e1 := b.Add(x, b.Const(1))
-	e2 := b.Add(x, b.Const(1))
-	if e1 != e2 {
-		t.Error("structurally equal terms must be the same pointer")
-	}
-	// Constant folding, with wraparound at the width.
-	if got := b.Add(b.Const(1), b.Const(2)); got.Op != BVConst || got.Val != 3 {
-		t.Errorf("1+2 must fold to 3, got %v", got)
-	}
-	maxs := b.Const(b.MaxS())
-	if got := b.Add(maxs, b.Const(1)); got.Op != BVConst || b.ToSigned(got.Val) != b.MinS() {
-		t.Errorf("MaxS+1 must fold to MinS (wrap), got %v", got)
-	}
-	// Division by zero must stay symbolic (it is a run-time error, not a value).
-	if got := b.SDiv(b.Const(1), b.Const(0)); got.Op != BVSDiv {
-		t.Errorf("1/0 must not fold, got %v", got)
-	}
-}
-
-func TestBuilderEvalWraparound(t *testing.T) {
-	b := mustBuilder(t, 8)
-	x := b.Var("X")
-	env := map[string]uint64{"X": b.Mask(200)}
+func TestBitvecWraparoundScenario(t *testing.T) {
+	// Each query is satisfiable ONLY with 64-bit wraparound — the scenario
+	// class the unbounded interval domain cannot express: its saturating
+	// arithmetic proves X + 1 > X for all X.
+	maxS := int64(math.MaxInt64)
+	doms := map[string]solver.Interval{"X": {Lo: maxS - 10, Hi: maxS}}
+	x := sym.V("X")
 	cases := []struct {
-		name string
-		e    *BVExpr
-		want int64
+		name  string
+		query sym.Expr
+		want  int64
 	}{
-		{"add wraps", b.Add(x, b.Const(100)), b.ToSigned(b.Mask(300))}, // 300 mod 256 = 44
-		{"mul wraps", b.Mul(x, b.Const(2)), b.ToSigned(b.Mask(400))},   // 400 mod 256 = -112 signed
-		{"neg", b.Neg(b.Const(1)), -1},
-		{"slt: 200 is -56 signed < 100", b.Slt(x, b.Const(100)), 1},
+		{"X+1 < X", sym.Cmp(sym.OpLT, sym.Add(x, sym.One), x), maxS},
+		{"X*2 < 0", sym.Cmp(sym.OpLT, sym.Mul(x, sym.Int(2)), sym.Zero), maxS - 10},
+		// X = MaxS-10 makes X+11 MinInt64, and -MinInt64 wraps to MinInt64.
+		{"-(X+11) > 0", sym.Cmp(sym.OpGT, sym.NegE(sym.Add(x, sym.Int(11))), sym.Zero), maxS - 9},
 	}
 	for _, tc := range cases {
-		v, err := b.Eval(tc.e, env)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		b := mustBackend(t, BackendBitvec, Options{Domains: doms})
+		b.Push()
+		b.Assert(tc.query)
+		res := b.Check()
+		if !res.Sat {
+			t.Errorf("%s must be sat under wraparound (result %+v, stats %+v)", tc.name, res, b.Stats())
+			continue
 		}
-		got := int64(v)
-		if !tc.e.Op.IsBool() {
-			got = b.ToSigned(v)
+		if got := res.Model.Map()["X"]; got != tc.want {
+			t.Errorf("%s: model X = %d, want %d", tc.name, got, tc.want)
 		}
-		if got != tc.want {
-			t.Errorf("%s = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-	if _, err := b.Eval(b.SDiv(x, b.Const(0)), env); err == nil {
-		t.Error("division by zero must error")
-	}
-}
-
-func TestBitvecWraparoundScenario(t *testing.T) {
-	// X + 1 < X (signed) is satisfiable ONLY with wraparound: X = MaxS.
-	// This is the scenario class the unbounded interval domain cannot
-	// express — its saturating arithmetic proves X + 1 > X for all X.
-	b := mustBackend(t, BackendBitvec, Options{Width: 16, Domains: map[string]solver.Interval{
-		"X": {Lo: -32768, Hi: 32767},
-	}})
-	x := sym.V("X")
-	b.Push()
-	b.Assert(sym.Cmp(sym.OpLT, sym.Add(x, sym.One), x))
-	res := b.Check()
-	if !res.Sat {
-		t.Fatalf("X+1 < X must be sat under wraparound (result %+v, stats %+v)", res, b.Stats())
-	}
-	if got := res.Model.Map()["X"]; got != 32767 {
-		t.Errorf("model X = %d, want 32767 (MaxS)", got)
 	}
 
-	// The interval backend, by design, says unsat for the same query.
-	iv := mustBackend(t, BackendInterval, Options{Domains: map[string]solver.Interval{
-		"X": {Lo: -32768, Hi: 32767},
-	}})
+	// The interval backend, by design, says unsat for X+1 < X.
+	iv := mustBackend(t, BackendInterval, Options{Domains: doms})
 	iv.Push()
-	iv.Assert(sym.Cmp(sym.OpLT, sym.Add(x, sym.One), x))
+	iv.Assert(cases[0].query)
 	if res := iv.Check(); res.Sat || res.Unknown {
 		t.Errorf("interval backend must refute X+1 < X (unbounded semantics), got %+v", res)
 	}
@@ -167,33 +112,25 @@ func TestBitvecBoundaryDomains(t *testing.T) {
 	})
 }
 
-func TestBitvecCacheKeyedByWidth(t *testing.T) {
-	// Regression: two bitvec backends of different widths sharing one
-	// PrefixCache must not exchange verdicts. X + 100 < X over [0,100] is
-	// sat at width 8 (X=100 wraps to -56) but unsat at width 64.
-	cache := NewPrefixCache(16)
+func TestBitvecCacheKeyedByBackend(t *testing.T) {
+	// Regression: a bitvec and an interval backend sharing one PrefixCache
+	// must not exchange verdicts. X + 1 < X over [MaxInt64-1, MaxInt64] is
+	// sat under wraparound (X = MaxInt64) and unsat under the interval
+	// backend's unbounded semantics. Both orders: whichever backend solves
+	// first caches its verdict, and the other must not read it back.
 	x := sym.V("X")
-	query := sym.Cmp(sym.OpLT, sym.Add(x, sym.Int(100)), x)
-	doms := map[string]solver.Interval{"X": {Lo: 0, Hi: 100}}
-	check := func(width int) Result {
-		b := mustBackend(t, BackendBitvec, Options{Width: width, Domains: doms, Cache: cache})
-		b.Push()
-		b.Assert(query)
-		return b.Check()
-	}
-	if res := check(8); !res.Sat {
-		t.Errorf("width 8: X+100 < X must be sat (wraparound), got %+v", res)
-	}
-	if res := check(64); res.Sat {
-		t.Errorf("width 64: X+100 < X must be unsat, got %+v (cache key missing width?)", res)
-	}
-}
-
-func TestBitvecWidthValidation(t *testing.T) {
-	if _, err := New(BackendBitvec, Options{Width: 4}); err == nil {
-		t.Error("width 4 must be rejected")
-	}
-	if _, err := New(BackendBitvec, Options{Width: 128}); err == nil {
-		t.Error("width 128 must be rejected")
+	query := sym.Cmp(sym.OpLT, sym.Add(x, sym.One), x)
+	doms := map[string]solver.Interval{"X": {Lo: math.MaxInt64 - 1, Hi: math.MaxInt64}}
+	for _, order := range [][]string{{BackendBitvec, BackendInterval}, {BackendInterval, BackendBitvec}} {
+		cache := NewPrefixCache(16)
+		for _, name := range order {
+			b := mustBackend(t, name, Options{Domains: doms, Cache: cache})
+			b.Push()
+			b.Assert(query)
+			res := b.Check()
+			if want := name == BackendBitvec; res.Sat != want || res.Unknown {
+				t.Errorf("order %v: %s: X+1 < X sat = %v, want %v (%+v)", order, name, res.Sat, want, res)
+			}
+		}
 	}
 }

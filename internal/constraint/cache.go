@@ -39,8 +39,7 @@ func (k prefixKey) extendFP(fp1, fp2 uint64) prefixKey {
 }
 
 // extend chains the key with one more string-keyed component (the domain
-// digest seed and native bitvector assertions, which have no sym
-// fingerprint).
+// digest seed and a backend name, which have no sym fingerprint).
 func (k prefixKey) extend(s string) prefixKey {
 	a := fnv.New64a()
 	writeU64(a, k.h1)
@@ -203,15 +202,18 @@ func (c *PrefixCache) put(key prefixKey, ent prefixEntry) {
 	}
 }
 
-// CacheStats reports the effectiveness and footprint of a PrefixCache.
-// Bytes is the approximate retained size of the live entries; Evictions
-// counts entries pushed out by either bound, cumulatively.
+// CacheStats reports the effectiveness and footprint of a bounded LRU
+// cache: a PrefixCache, and the dise facade's parse/CFG cache, which
+// declares it as dise.CacheStats. Bytes is the approximate retained size of
+// the live entries; Evictions counts entries pushed out by either bound,
+// cumulatively. The JSON tags are the wire format of the service's
+// parse_cache and prefix_cache blocks.
 type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Entries   int
-	Bytes     int64
-	Evictions int64
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes_approx"`
+	Evictions int64 `json:"evictions"`
 }
 
 // Stats snapshots hit/miss counters.

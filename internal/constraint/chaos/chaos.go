@@ -226,4 +226,3 @@ func (w *wrapped) Check() constraint.Result {
 }
 
 func (w *wrapped) Stats() constraint.Stats { return w.inner.Stats() }
-func (w *wrapped) ResetStats()             { w.inner.ResetStats() }

@@ -23,9 +23,9 @@
 //   - "interval" (the default): an incremental adapter over the
 //     finite-domain interval-propagation solver in internal/solver,
 //     preserving the Choco-like semantics the DiSE paper ran with;
-//   - "bitvec": a pure-Go fixed-width bitvector solver with wraparound
-//     arithmetic (bvexpr.go), deciding overflow scenarios the unbounded
-//     interval domain cannot express.
+//   - "bitvec": a pure-Go 64-bit two's-complement solver over the same sym
+//     expressions, with wraparound arithmetic (bitvec.go), deciding
+//     overflow scenarios the unbounded interval domain cannot express.
 //
 // Two more ship as self-registering subpackages (imported for side effect
 // by the dise facade): "smtlib", a supervised external SMT-LIB2 process
@@ -57,7 +57,7 @@ const (
 	// equivalence tests, and mirrors what the engine did before the
 	// subsystem existed.
 	BackendIntervalNoReuse = "interval-noreuse"
-	// BackendBitvec is the pure-Go fixed-width bitvector solver.
+	// BackendBitvec is the pure-Go 64-bit bitvector solver.
 	BackendBitvec = "bitvec"
 )
 
@@ -81,10 +81,6 @@ type Options struct {
 	// requests of an AnalyzeBatch sharing a base version — hit each other's
 	// entries. When nil the interval backend creates a private cache.
 	Cache *PrefixCache
-	// Width is the bit width of the bitvector backend (8..64). Zero means
-	// 64, which makes bitvec agree with the interval backend on programs
-	// whose arithmetic stays far from the width boundary.
-	Width int
 	// SMT configures the external-process "smtlib" backend (solver binary,
 	// deadlines, restart/breaker policy). The zero value selects
 	// auto-discovery with serviceable defaults; irrelevant to the pure-Go
@@ -212,8 +208,6 @@ type Backend interface {
 	Check() Result
 	// Stats returns accumulated counters.
 	Stats() Stats
-	// ResetStats zeroes the counters.
-	ResetStats()
 }
 
 // registry holds the backend constructors added by Register, keyed by
@@ -255,7 +249,7 @@ func New(name string, opts Options) (Backend, error) {
 	case BackendIntervalNoReuse:
 		return newIntervalBackend(opts, false), nil
 	case BackendBitvec:
-		return newBitvecBackend(opts)
+		return newBitvecBackend(opts), nil
 	}
 	registryMu.RLock()
 	ctor := registry[name]

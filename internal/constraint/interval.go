@@ -138,11 +138,6 @@ func (b *intervalBackend) Stats() Stats {
 	return st
 }
 
-func (b *intervalBackend) ResetStats() {
-	b.stats = Stats{Backend: b.stats.Backend}
-	b.inner.ResetStats()
-}
-
 func (b *intervalBackend) Check() Result {
 	b.stats.Checks++
 	res := b.check()

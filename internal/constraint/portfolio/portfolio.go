@@ -249,8 +249,3 @@ func (b *backend) Stats() constraint.Stats {
 	}
 	return st
 }
-
-func (b *backend) ResetStats() {
-	b.stats = constraint.Stats{}
-	b.each(func(m constraint.Backend) { m.ResetStats() })
-}

@@ -40,7 +40,6 @@ func (s *slowpoke) Check() constraint.Result {
 }
 
 func (s *slowpoke) Stats() constraint.Stats { return s.inner.Stats() }
-func (s *slowpoke) ResetStats()             { s.inner.ResetStats() }
 
 // panicky is a test member that panics on the Nth Check.
 type panicky struct {
@@ -62,7 +61,6 @@ func (p *panicky) Check() constraint.Result {
 }
 
 func (p *panicky) Stats() constraint.Stats { return p.inner.Stats() }
-func (p *panicky) ResetStats()             { p.inner.ResetStats() }
 
 var registerOnce sync.Once
 

@@ -54,15 +54,17 @@ func (p *tokens) intValue() (int64, error) {
 		if op := p.next(); op != "-" {
 			return 0, fmt.Errorf("smtlib: unsupported model value form (%s ...)", op)
 		}
+		// Parse the negated literal whole: the magnitude of MinInt64
+		// overflows int64 on its own.
 		n := p.next()
-		v, err := strconv.ParseInt(n, 10, 64)
+		v, err := strconv.ParseInt("-"+n, 10, 64)
 		if err != nil {
 			return 0, fmt.Errorf("smtlib: bad negated model value %q", n)
 		}
 		if err := p.expect(")"); err != nil {
 			return 0, err
 		}
-		return -v, nil
+		return v, nil
 	}
 	v, err := strconv.ParseInt(t, 10, 64)
 	if err != nil {

@@ -130,16 +130,21 @@ func bexpr(w *strings.Builder, e sym.Expr, declared map[string]bool) error {
 	return nil
 }
 
+// intLit renders an int64 as an SMT-LIB Int term: a numeral, or (- N) for
+// a negative value, which parseValues reads back.
+func intLit(v int64) string {
+	if v < 0 {
+		// int64 min negates safely through the uint64 detour.
+		return "(- " + strconv.FormatUint(uint64(-(v+1))+1, 10) + ")"
+	}
+	return strconv.FormatInt(v, 10)
+}
+
 // iexpr renders e at sort Int.
 func iexpr(w *strings.Builder, e sym.Expr, declared map[string]bool) error {
 	switch e := e.(type) {
 	case *sym.IntConst:
-		if e.V < 0 {
-			// int64 min negates safely through the uint64 detour.
-			w.WriteString("(- " + strconv.FormatUint(uint64(-(e.V+1))+1, 10) + ")")
-		} else {
-			w.WriteString(strconv.FormatInt(e.V, 10))
-		}
+		w.WriteString(intLit(e.V))
 		return nil
 	case *sym.Var:
 		if !declared[e.Name] {

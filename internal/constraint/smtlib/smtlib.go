@@ -98,14 +98,6 @@ func New(opts constraint.Options) (constraint.Backend, error) {
 	return b, nil
 }
 
-// intLit renders an int64 as an SMT-LIB term.
-func intLit(v int64) string {
-	if v < 0 {
-		return fmt.Sprintf("(- %d)", uint64(-(v+1))+1)
-	}
-	return fmt.Sprintf("%d", v)
-}
-
 func (b *backend) Push() {
 	b.fallback.Push()
 	b.stats.PushedFrames++
@@ -233,9 +225,4 @@ func (b *backend) Stats() constraint.Stats {
 	st.Propagations += fb.Propagations
 	st.BoxSnapshots += fb.BoxSnapshots
 	return st
-}
-
-func (b *backend) ResetStats() {
-	b.stats = constraint.Stats{}
-	b.fallback.ResetStats()
 }

@@ -3,6 +3,7 @@ package smtlib
 import (
 	"errors"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -532,6 +533,14 @@ func TestParseValues(t *testing.T) {
 	}
 	if m["X"] != 3 || m["Y"] != -2 {
 		t.Fatalf("model %v", m)
+	}
+	// The int64 extremes, as the printer renders them.
+	m, err = parseValues("((X (- 9223372036854775808)) (Y 9223372036854775807))", []string{"X", "Y"})
+	if err != nil {
+		t.Fatalf("parseValues of the int64 extremes: %v", err)
+	}
+	if m["X"] != math.MinInt64 || m["Y"] != math.MaxInt64 {
+		t.Fatalf("model %v, want X = MinInt64, Y = MaxInt64", m)
 	}
 	for _, bad := range []string{
 		"((X 3))",              // Y missing

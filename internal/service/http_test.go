@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -305,6 +306,24 @@ func TestServiceMetricsAndHealth(t *testing.T) {
 	}
 	if m.Memory.HeapInuseBytes == 0 || m.Memory.SessionsPerGB <= 0 {
 		t.Fatalf("memory stats: %+v", m.Memory)
+	}
+
+	// Both cache blocks carry exactly the five cache counters, by name.
+	var raw struct {
+		ParseCache  map[string]json.RawMessage `json:"parse_cache"`
+		PrefixCache map[string]json.RawMessage `json:"prefix_cache"`
+	}
+	getJSON(t, srv.Client(), srv.URL+"/metrics", &raw)
+	want := []string{"bytes_approx", "entries", "evictions", "hits", "misses"}
+	for name, block := range map[string]map[string]json.RawMessage{"parse_cache": raw.ParseCache, "prefix_cache": raw.PrefixCache} {
+		keys := make([]string, 0, len(block))
+		for k := range block {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if strings.Join(keys, ",") != strings.Join(want, ",") {
+			t.Errorf("/metrics %s keys = %v, want %v", name, keys, want)
+		}
 	}
 }
 

@@ -214,22 +214,13 @@ type Metrics struct {
 		InfeasibleBranches int   `json:"infeasible_branches"`
 		AnalysisMillis     int64 `json:"analysis_ms"`
 	} `json:"totals"`
-	ParseCache  dise.CacheStats  `json:"parse_cache"`
-	PrefixCache PrefixCacheStats `json:"prefix_cache"`
+	ParseCache  dise.CacheStats `json:"parse_cache"`
+	PrefixCache dise.CacheStats `json:"prefix_cache"`
 
 	Memory MemoryStats `json:"memory"`
 	// MemoryBreakdown attributes long-lived memory to its subsystems
 	// (intern table, memo tries, shared caches).
 	MemoryBreakdown MemoryBreakdown `json:"memory_breakdown"`
-}
-
-// PrefixCacheStats mirrors constraint.CacheStats with JSON tags.
-type PrefixCacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes_approx"`
-	Evictions int64 `json:"evictions"`
 }
 
 // MemoryBreakdown decomposes the process's long-lived memory by subsystem,
@@ -287,8 +278,7 @@ func (s *Service) snapshot() Metrics {
 	out.Totals.AnalysisMillis = totals.TimeMilliseconds
 
 	out.ParseCache = s.analyzer.CacheStats()
-	pc := s.analyzer.SolverCacheStats()
-	out.PrefixCache = PrefixCacheStats{Hits: pc.Hits, Misses: pc.Misses, Entries: pc.Entries, Bytes: pc.Bytes, Evictions: pc.Evictions}
+	out.PrefixCache = s.analyzer.SolverCacheStats()
 
 	intern := sym.InternTableStats()
 	out.MemoryBreakdown = MemoryBreakdown{
@@ -299,7 +289,7 @@ func (s *Service) snapshot() Metrics {
 		InternCollected:  intern.Collected,
 		TrieNodes:        out.Sessions.TrieNodes,
 		TrieBytes:        out.Sessions.TrieBytes,
-		PrefixCacheBytes: pc.Bytes,
+		PrefixCacheBytes: out.PrefixCache.Bytes,
 		ParseCacheBytes:  out.ParseCache.Bytes,
 	}
 

@@ -138,9 +138,6 @@ func NewIndexed(opts Options, inputs map[string]Interval) *Solver {
 // Stats returns accumulated counters.
 func (s *Solver) Stats() Stats { return s.stats }
 
-// ResetStats zeroes the counters.
-func (s *Solver) ResetStats() { s.stats = Stats{} }
-
 // Check decides satisfiability of the conjunction of constraints, with each
 // variable restricted to the domain in domains. Variables that occur in the
 // constraints but not in domains get DefaultDomain. A map over exactly the
