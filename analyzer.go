@@ -11,10 +11,9 @@ import (
 	"dise/internal/constraint"
 	idise "dise/internal/dise"
 
-	// The external-solver and portfolio backends register themselves with
-	// the constraint registry, making "smtlib" and "portfolio" valid
-	// WithSolverBackend names for every consumer of the facade.
-	_ "dise/internal/constraint/portfolio"
+	// The external-solver backend registers itself with the constraint
+	// registry, making "smtlib" a valid WithSolverBackend name for every
+	// consumer of the facade.
 	_ "dise/internal/constraint/smtlib"
 	"dise/internal/evaluation"
 	"dise/internal/inline"
@@ -67,7 +66,6 @@ type analyzerConfig struct {
 	cacheCapacity    int
 	solverBackend    string
 	solverSMT        constraint.SMTOptions
-	solverPortfolio  []string
 	memoNodeBudget   int
 	internGCEpochs   int
 	cacheBytes       int64
@@ -117,27 +115,21 @@ func WithCacheCapacity(n int) Option { return func(c *analyzerConfig) { c.cacheC
 // WithSolverBackend selects the constraint-solving backend by name:
 // "interval" (the default incremental interval-propagation adapter),
 // "bitvec" (the pure-Go 64-bit bitvector solver with wraparound
-// semantics), or "interval-noreuse" (the non-incremental baseline used for
-// A/B measurement). An unknown name fails the first analysis with a
-// descriptive error. See SolverBackends for the accepted names.
+// semantics), "interval-noreuse" (the non-incremental baseline used for
+// A/B measurement) or "smtlib" (an external SMT-LIB2 solver process with
+// an in-process interval fallback). An unknown name fails the first
+// analysis with a descriptive error. See SolverBackends for the accepted
+// names.
 func WithSolverBackend(name string) Option {
 	return func(c *analyzerConfig) { c.solverBackend = name }
 }
 
-// WithSMTSolver points the "smtlib" backend (and any portfolio containing
-// it) at an explicit solver binary instead of PATH discovery. The empty
-// path keeps discovery; a missing or broken binary is never an error —
-// every affected check degrades to the in-process fallback and is counted
-// in the solver stats (ext_unknowns).
+// WithSMTSolver points the "smtlib" backend at an explicit solver binary
+// instead of PATH discovery. The empty path keeps discovery; a missing or
+// broken binary is never an error — every affected check degrades to the
+// in-process fallback and is counted in the solver stats (ext_unknowns).
 func WithSMTSolver(path string) Option {
 	return func(c *analyzerConfig) { c.solverSMT.SolverPath = path }
-}
-
-// WithPortfolioMembers selects the member backends the "portfolio"
-// meta-backend races on every check. Empty keeps the default member set
-// (interval, bitvec, smtlib). Member names are validated on first use.
-func WithPortfolioMembers(names ...string) Option {
-	return func(c *analyzerConfig) { c.solverPortfolio = append([]string(nil), names...) }
 }
 
 // SolverBackends lists the names accepted by WithSolverBackend (and by the
@@ -257,15 +249,14 @@ func (a *Analyzer) SolverCacheStats() CacheStats { return a.solverCache.Stats() 
 // of the step loop.
 func (a *Analyzer) engineConfig(ctx context.Context) symexec.Config {
 	cfg := symexec.Config{
-		DepthBound:      a.conf.depthBound,
-		MaxStates:       a.conf.maxStates,
-		SolverOptions:   solver.Options{NodeBudget: a.conf.solverNodeBudget},
-		SolverBackend:   a.conf.solverBackend,
-		SolverSMT:       a.conf.solverSMT,
-		SolverPortfolio: a.conf.solverPortfolio,
-		SolverCache:     a.solverCache,
-		MergeBound:      a.conf.mergeBound,
-		MergeBudget:     a.conf.mergeBudget,
+		DepthBound:    a.conf.depthBound,
+		MaxStates:     a.conf.maxStates,
+		SolverOptions: solver.Options{NodeBudget: a.conf.solverNodeBudget},
+		SolverBackend: a.conf.solverBackend,
+		SolverSMT:     a.conf.solverSMT,
+		SolverCache:   a.solverCache,
+		MergeBound:    a.conf.mergeBound,
+		MergeBudget:   a.conf.mergeBudget,
 	}
 	if a.conf.intDomain != nil {
 		cfg.IntDomain = solver.Interval{Lo: a.conf.intDomain[0], Hi: a.conf.intDomain[1]}

@@ -4,8 +4,10 @@ package dise
 // (with and without incremental reuse) and the bitvector backend must
 // produce identical affected-path sets for every version of ASW, WBS and
 // OAE, and every backend's witnesses must satisfy their path conditions.
-// This is the acceptance gate of the constraint subsystem — swapping the
-// solver must never change WHAT DiSE reports, only how fast.
+// This is the acceptance gate of the constraint subsystem — on these
+// artifacts, swapping the solver must never change WHAT DiSE reports, only
+// how fast. (The backends' arithmetics differ at the int64 edges; README
+// "Known limitations" lists programs where their verdicts part.)
 
 import (
 	"context"
@@ -78,7 +80,7 @@ proc p(int x, int y) {
   }
 }
 `
-	for _, backend := range []string{"interval", "interval-noreuse", "bitvec"} {
+	for _, backend := range []string{"interval", "interval-noreuse", "bitvec", "smtlib"} {
 		t.Run(backend, func(t *testing.T) {
 			a := NewAnalyzer(WithSolverBackend(backend))
 			sum, err := a.Execute(context.Background(), src, "p")

@@ -8,14 +8,13 @@
 // Usage:
 //
 //	dise -base old.mini -mod new.mini -proc update [-tests] [-depth N] [-json]
-//	     [-timeout D] [-solver interval|bitvec|smtlib|portfolio] [-smt-solver PATH]
-//	     [-portfolio NAMES] [-merge-bound N]
+//	     [-timeout D] [-solver interval|interval-noreuse|bitvec|smtlib]
+//	     [-smt-solver PATH] [-merge-bound N]
 //
 // -solver smtlib talks SMT-LIB2 to an external solver subprocess (z3, cvc5,
 // ... — discovered on PATH or pinned with -smt-solver), degrading to the
-// in-process interval fallback on any solver failure; -solver portfolio
-// races several backends per check. See the README's "Solver resilience"
-// section.
+// in-process interval fallback on any solver failure. See the README's
+// "Solver resilience" section.
 //
 // Exploration is depth-first, one engine and one solver context per
 // analysis.
@@ -95,7 +94,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the result as machine-readable JSON")
 	solverName := flag.String("solver", "", fmt.Sprintf("constraint-solving backend %v (default %q)", dise.SolverBackends(), "interval"))
 	smtSolver := flag.String("smt-solver", "", "path to an SMT-LIB2 solver binary for the smtlib backend (default: discover z3/cvc5/... on PATH; absent binary degrades to the in-process fallback)")
-	portfolio := flag.String("portfolio", "", "comma-separated member backends for -solver portfolio (default interval,bitvec,smtlib)")
 	mergeBound := flag.Int("merge-bound", 0, "bounded state merging at CFG joins: 0 = off, -1 = unbounded, >= 2 = fuse at most N siblings per merge (incompatible with -chain/-artifact)")
 	chain := flag.String("chain", "", "comma-separated version files: run a version-chain session over them in order")
 	artifact := flag.String("artifact", "", "run the built-in evolution chain of an artifact (asw, wbs or oae)")
@@ -111,7 +109,6 @@ func main() {
 		dise.WithDepthBound(*depth),
 		dise.WithSolverBackend(*solverName),
 		dise.WithSMTSolver(*smtSolver),
-		dise.WithPortfolioMembers(splitMembers(*portfolio)...),
 		dise.WithStateMerging(*mergeBound),
 	)
 
@@ -133,7 +130,7 @@ func main() {
 	}
 
 	if *basePath == "" || *modPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: dise -base OLD -mod NEW [-proc NAME] [-tests] [-depth N] [-json] [-solver NAME] [-smt-solver PATH] [-portfolio NAMES]")
+		fmt.Fprintln(os.Stderr, "usage: dise -base OLD -mod NEW [-proc NAME] [-tests] [-depth N] [-json] [-solver NAME] [-smt-solver PATH] [-merge-bound N]")
 		fmt.Fprintln(os.Stderr, "       dise -chain V1,V2,... | -artifact asw|wbs|oae  [-proc NAME] [-json]")
 		fmt.Fprintln(os.Stderr, "       dise exec|cfg|tables -h")
 		os.Exit(2)
@@ -235,20 +232,6 @@ type chainConfig struct {
 	artifact string
 	proc     string
 	asJSON   bool
-}
-
-// splitMembers parses the comma-separated -portfolio flag value.
-func splitMembers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, m := range strings.Split(s, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // chainStep is the machine-readable record of one Session.Advance.

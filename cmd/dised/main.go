@@ -9,7 +9,7 @@
 //	dised [-addr HOST:PORT] [-port-file PATH]
 //	      [-max-sessions N] [-sessions-per-tenant N] [-session-ttl D]
 //	      [-max-inflight N] [-max-queue N] [-deadline D] [-max-deadline D]
-//	      [-solver NAME] [-smt-solver PATH] [-portfolio NAMES]
+//	      [-solver NAME] [-smt-solver PATH]
 //	      [-depth N] [-max-states N]
 //	      [-max-trie-nodes N] [-max-trie-bytes N] [-intern-gc-epochs N]
 //	      [-cache-bytes N] [-merge-bound N] [-drain-timeout D]
@@ -28,7 +28,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"slices"
 	"syscall"
 	"time"
 
@@ -51,7 +51,6 @@ func main() {
 	maxStates := flag.Int("max-states", 0, "states explored per request before BudgetExhausted (0 = no cap)")
 	solverName := flag.String("solver", "", fmt.Sprintf("constraint-solving backend %v (default %q)", dise.SolverBackends(), "interval"))
 	smtSolver := flag.String("smt-solver", "", "path to an SMT-LIB2 solver binary for the smtlib backend (default: discover on PATH; absent binary degrades to the in-process fallback)")
-	portfolio := flag.String("portfolio", "", "comma-separated member backends for -solver portfolio (default interval,bitvec,smtlib)")
 	maxTrieNodes := flag.Int("max-trie-nodes", 0, "per-session memo-trie node budget; cold subtrees are evicted after each step (0 = unbounded)")
 	maxTrieBytes := flag.Int64("max-trie-bytes", 0, "global ceiling on all resident sessions' memo-trie bytes; LRU sessions are evicted under pressure (0 = unbounded)")
 	internGCEpochs := flag.Int("intern-gc-epochs", 0, "collect intern-table entries untouched for this many completed runs (0 = collection off)")
@@ -59,16 +58,21 @@ func main() {
 	mergeBound := flag.Int("merge-bound", 0, "default bounded state merging for one-shot /v1/analyze requests without a merge_bound (0 = off, -1 = unbounded, >= 2 = bounded); sessions never merge")
 	flag.Parse()
 
+	if *solverName != "" && !slices.Contains(dise.SolverBackends(), *solverName) {
+		fmt.Fprintf(os.Stderr, "dised: %v: -solver %q is not a backend (have %v)\n",
+			dise.ErrInvalidConfig, *solverName, dise.SolverBackends())
+		os.Exit(2)
+	}
 	if *mergeBound == 1 || *mergeBound < -1 {
 		fmt.Fprintf(os.Stderr, "dised: %v: -merge-bound %d out of range (0 = off, -1 = unbounded, >= 2 = bounded)\n",
 			dise.ErrInvalidConfig, *mergeBound)
 		os.Exit(2)
 	}
 
-	// The memory bounds are validated up front: a negative bound is the same
-	// class of unusable configuration as an unknown solver backend, so it
-	// fails startup with the facade's InvalidConfig kind instead of
-	// surfacing on the first request.
+	// The memory bounds are validated up front, like the solver name above:
+	// a negative bound is an unusable configuration, so it fails startup
+	// with the facade's InvalidConfig kind instead of surfacing on the
+	// first request.
 	for _, b := range []struct {
 		name  string
 		value int64
@@ -103,7 +107,6 @@ func main() {
 			dise.WithMaxStates(*maxStates),
 			dise.WithSolverBackend(*solverName),
 			dise.WithSMTSolver(*smtSolver),
-			dise.WithPortfolioMembers(splitMembers(*portfolio)...),
 		},
 	})
 	defer svc.Close()
@@ -154,18 +157,4 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "dised: drained, exiting")
 	}
-}
-
-// splitMembers parses the comma-separated -portfolio flag value.
-func splitMembers(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, m := range strings.Split(s, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -179,6 +181,43 @@ func TestGracefulShutdownSIGTERM(t *testing.T) {
 	}
 	if out := stderr.String(); !strings.Contains(out, "drained, exiting") {
 		t.Fatalf("shutdown log missing the drain marker:\n%s", out)
+	}
+}
+
+// TestUnknownSolverFailsStartup pins the up-front check of -solver: a name
+// no backend is registered under must stop the daemon before it listens,
+// with exit 2 and an InvalidConfig message naming the accepted backends —
+// not start a daemon whose every analysis then fails.
+func TestUnknownSolverFailsStartup(t *testing.T) {
+	const name = "portfolio"
+	bin := buildDised(t)
+	portFile := filepath.Join(t.TempDir(), "port")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-port-file", portFile, "-solver", name)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting dised: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("dised -solver %s: %v, want exit status 2; stderr:\n%s", name, err, stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("dised kept running with -solver %s; stderr:\n%s", name, stderr.String())
+	}
+	if _, err := os.Stat(portFile); !os.IsNotExist(err) {
+		t.Fatalf("dised wrote its port file before rejecting the solver (stat: %v)", err)
+	}
+	for _, want := range []string{"invalid configuration", strconv.Quote(name), "[interval interval-noreuse bitvec smtlib]"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+		}
 	}
 }
 

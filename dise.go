@@ -167,8 +167,9 @@ type MergeStats struct {
 	// states contributes k-1 to MergedStatesSaved.
 	Merges            int `json:"merges"`
 	MergedStatesSaved int `json:"merged_states_saved"`
-	// IteNodes counts the ite expressions interned while fusing divergent
-	// environment bindings — the footprint merging trades exploration for.
+	// IteNodes counts the distinct ite expressions the run's merges built
+	// when fusing divergent environment bindings — the footprint merging
+	// trades exploration for.
 	IteNodes int `json:"ite_nodes"`
 }
 

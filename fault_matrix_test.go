@@ -2,10 +2,10 @@ package dise
 
 // The fault-injection acceptance gate of the solver-resilience work: under
 // every chaos schedule — crashing, hanging, garbage-talking and
-// write-failing external solvers, a missing binary, and the portfolio
-// racing all of it — the affected-path sets of all 40 artifact versions
-// must stay byte-identical to the plain interval backend's. External
-// failure may only ever move the degradation counters, never a verdict.
+// write-failing external solvers, and a missing binary — the affected-path
+// sets of all 40 artifact versions must stay byte-identical to the plain
+// interval backend's. External failure may only ever move the degradation
+// counters, never a verdict.
 
 import (
 	"sync"
@@ -29,7 +29,6 @@ var chaosMatrixBackends = []string{
 	"chaos-hang",      // process goes silent on every 3rd check-sat
 	"chaos-garbage",   // process answers nonsense on every 3rd check-sat
 	"chaos-err-write", // stack-sync writes fail on schedule
-	"portfolio",       // interval + bitvec + smtlib raced
 }
 
 func registerChaosMatrixBackends() {

@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 // contract.
 var enginePkgs = []string{
 	"symexec", "solver", "dise", "constraint",
-	"constraint/smtlib", "constraint/portfolio", "constraint/chaos",
+	"constraint/smtlib", "constraint/chaos",
 }
 
 // hookWords are identifier fragments that witness a cancellation check.

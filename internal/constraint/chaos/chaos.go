@@ -11,9 +11,8 @@
 //     replies garbage, or fails writes. This exercises the full
 //     supervision ladder (deadline, kill, restart, backoff, breaker).
 //
-//   - Backend level (Wrap): a constraint.Backend wrapper that panics,
-//     hangs, or degrades to Unknown on schedule. This exercises the
-//     engine's panic containment and the portfolio's member isolation.
+//   - Backend level (Wrap): a constraint.Backend wrapper whose Check
+//     panics on schedule. This exercises the engine's panic containment.
 //     Backend-level faults never fabricate verdicts: a lying Backend
 //     would (correctly) corrupt any consumer, which is not the contract
 //     under test.
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"dise/internal/constraint"
 	"dise/internal/sym"
@@ -40,16 +38,13 @@ const (
 	// Crash kills the conversation: at transport level the process exits
 	// without replying; at backend level Check panics.
 	Crash Fault = "crash"
-	// Hang never answers: the transport goes silent; a wrapped backend
-	// sleeps past any reasonable deadline before answering Unknown.
+	// Hang never answers: the transport goes silent (transport level
+	// only).
 	Hang Fault = "hang"
 	// Garbage replies nonsense to check-sat (transport level only).
 	Garbage Fault = "garbage"
 	// ErrWrite fails the write of stack-sync commands (transport only).
 	ErrWrite Fault = "err-write"
-	// Unknown degrades the Nth Check to an Unknown verdict (backend
-	// level only) — the polite failure.
-	Unknown Fault = "unknown"
 )
 
 // Plan is a deterministic fault schedule: inject Fault on every Nth
@@ -59,9 +54,6 @@ const (
 type Plan struct {
 	Fault  Fault
 	EveryN int
-	// HangFor bounds a Hang at backend level (a transport hang is ended
-	// by the supervisor's deadline instead). Defaults to 50ms.
-	HangFor time.Duration
 }
 
 func (p Plan) String() string { return fmt.Sprintf("%s/every-%d", p.Fault, p.EveryN) }
@@ -189,13 +181,10 @@ func (t *transport) Kill() {
 	t.dieLocked()
 }
 
-// Wrap decorates a Backend with scheduled backend-level faults. Only
-// Crash (panic), Hang (bounded sleep, then Unknown), and Unknown are
-// meaningful here; other faults pass Checks through unchanged.
+// Wrap decorates a Backend with scheduled backend-level faults. Only Crash
+// (Check panics) is meaningful here; other faults pass Checks through
+// unchanged.
 func Wrap(inner constraint.Backend, plan Plan) constraint.Backend {
-	if plan.HangFor <= 0 {
-		plan.HangFor = 50 * time.Millisecond
-	}
 	return &wrapped{inner: inner, plan: plan}
 }
 
@@ -211,16 +200,8 @@ func (w *wrapped) Assert(c sym.Expr) { w.inner.Assert(c) }
 
 func (w *wrapped) Check() constraint.Result {
 	w.n++
-	if w.plan.due(w.n) {
-		switch w.plan.Fault {
-		case Crash:
-			panic(fmt.Sprintf("chaos: injected panic on check %d", w.n))
-		case Hang:
-			time.Sleep(w.plan.HangFor)
-			return constraint.Result{Unknown: true}
-		case Unknown:
-			return constraint.Result{Unknown: true}
-		}
+	if w.plan.Fault == Crash && w.plan.due(w.n) {
+		panic(fmt.Sprintf("chaos: injected panic on check %d", w.n))
 	}
 	return w.inner.Check()
 }

@@ -102,31 +102,6 @@ func TestTransportHealthySchedule(t *testing.T) {
 	}
 }
 
-func TestWrapUnknownAndHang(t *testing.T) {
-	for _, plan := range []Plan{
-		{Fault: Unknown, EveryN: 2},
-		{Fault: Hang, EveryN: 2, HangFor: time.Millisecond},
-	} {
-		inner, err := constraint.New(constraint.BackendInterval,
-			constraint.Options{Domains: map[string]solver.Interval{"X": {Lo: 0, Hi: 10}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := Wrap(inner, plan)
-		b.Push()
-		b.Assert(xGT(5))
-		if res := b.Check(); !res.Sat {
-			t.Fatalf("plan %v: first check should pass through, got %+v", plan, res)
-		}
-		if res := b.Check(); !res.Unknown {
-			t.Fatalf("plan %v: second check should degrade, got %+v", plan, res)
-		}
-		if res := b.Check(); !res.Sat {
-			t.Fatalf("plan %v: third check should pass through, got %+v", plan, res)
-		}
-	}
-}
-
 func TestWrapCrashPanics(t *testing.T) {
 	inner, err := constraint.New(constraint.BackendInterval,
 		constraint.Options{Domains: map[string]solver.Interval{"X": {Lo: 0, Hi: 10}}})

@@ -25,17 +25,16 @@
 //     preserving the Choco-like semantics the DiSE paper ran with;
 //   - "bitvec": a pure-Go 64-bit two's-complement solver over the same sym
 //     expressions, with wraparound arithmetic (bitvec.go), deciding
-//     overflow scenarios the unbounded interval domain cannot express.
+//     overflow scenarios the saturating interval domain cannot express.
 //
-// Two more ship as self-registering subpackages (imported for side effect
+// A third ships as a self-registering subpackage (imported for side effect
 // by the dise facade): "smtlib", a supervised external SMT-LIB2 process
-// with an in-process fallback (internal/constraint/smtlib), and
-// "portfolio", which races several member backends per Check
-// (internal/constraint/portfolio). Further backends are added by
-// implementing Backend and calling Register from an init function. Every
-// backend treats an exhausted budget or an interrupt as an Unknown result,
-// which callers treat as unsatisfiable — identical semantics across
-// backends, as SPF does (paper §4.1).
+// with an in-process fallback (internal/constraint/smtlib). Further
+// backends are added by implementing Backend and calling Register from an
+// init function. Every backend treats an exhausted budget or an interrupt
+// as an Unknown result, which callers treat as unsatisfiable — identical
+// semantics across backends, as SPF does (paper §4.1). Each Check is
+// answered by the one backend the engine was configured with.
 package constraint
 
 import (
@@ -86,10 +85,6 @@ type Options struct {
 	// auto-discovery with serviceable defaults; irrelevant to the pure-Go
 	// backends.
 	SMT SMTOptions
-	// Portfolio lists the member backend names of the "portfolio"
-	// meta-backend. Empty selects its default member set; irrelevant to
-	// every other backend.
-	Portfolio []string
 }
 
 // Result is the outcome of a Check.
@@ -133,11 +128,11 @@ type Stats struct {
 	FrameMemoHits int `json:"frame_memo_hits"` // always 0; kept until bench/solver.go stops reading it
 
 	// Resilience counters of the external-process machinery (the smtlib
-	// backend's supervision ladder and the portfolio's member isolation).
-	// They are cost/health observability only: every degradation step ends
-	// in a verdict from the in-process fallback, so these counters moving
-	// never changes an exploration's outcome. All zero — and omitted from
-	// JSON — for purely in-process backends.
+	// backend's supervision ladder). They are cost/health observability
+	// only: every degradation step ends in a verdict from the in-process
+	// fallback, so these counters moving never changes an exploration's
+	// outcome. All zero — and omitted from JSON — for purely in-process
+	// backends.
 	ExtSolves       int `json:"ext_solves,omitempty"`        // check-sat conversations attempted with an external solver
 	ExtAnswers      int `json:"ext_answers,omitempty"`       // definitive external verdicts adopted (sat ones model-validated)
 	ExtUnknowns     int `json:"ext_unknowns,omitempty"`      // Checks the external layer could not decide (absent binary, crash, timeout, garbage, breaker open, "unknown" reply)
@@ -145,7 +140,6 @@ type Stats struct {
 	ExtRestarts     int `json:"ext_restarts,omitempty"`      // external solver processes spawned (first launch included)
 	ExtBreakerTrips int `json:"ext_breaker_trips,omitempty"` // circuit-breaker opens after consecutive failures
 	FallbackSolves  int `json:"fallback_solves,omitempty"`   // verdicts supplied by the in-process fallback backend
-	MemberFailures  int `json:"member_failures,omitempty"`   // portfolio members excluded after a panic
 
 	// CheckPanics counts Check calls that panicked and were contained by
 	// the symbolic-execution engine (recovered, reported Unknown, kept
@@ -184,7 +178,6 @@ func (s *Stats) Add(o Stats) {
 	s.ExtRestarts += o.ExtRestarts
 	s.ExtBreakerTrips += o.ExtBreakerTrips
 	s.FallbackSolves += o.FallbackSolves
-	s.MemberFailures += o.MemberFailures
 	s.CheckPanics += o.CheckPanics
 }
 
@@ -220,10 +213,9 @@ var (
 
 // Register adds a backend constructor under name, making it available to
 // New (and so to every -solver flag and facade option). It is intended to
-// be called from init functions of backend subpackages — smtlib and
-// portfolio register themselves this way — and panics on a duplicate or
-// built-in name: two packages claiming one name is a wiring bug, not a
-// runtime condition.
+// be called from init functions of backend subpackages — smtlib registers
+// itself this way — and panics on a duplicate or built-in name: two
+// packages claiming one name is a wiring bug, not a runtime condition.
 func Register(name string, ctor func(Options) (Backend, error)) {
 	if name == "" || ctor == nil {
 		panic("constraint: Register needs a name and a constructor")
@@ -275,8 +267,8 @@ func Names() []string {
 }
 
 // Tally folds one result into the verdict counters. Backends outside this
-// package (smtlib, portfolio) use it to keep their Sat/Unsat/Unknown
-// bookkeeping identical to the built-ins'.
+// package (smtlib) use it to keep their Sat/Unsat/Unknown bookkeeping
+// identical to the built-ins'.
 func (s *Stats) Tally(r Result) {
 	switch {
 	case r.Sat:

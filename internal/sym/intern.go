@@ -488,27 +488,16 @@ func newNeg(x Expr) *Neg {
 }
 
 // newITE interns ite(c, t, e), canonicalizing the children first. No
-// simplification — the ITE smart constructor in simplify.go does that. Each
-// first-sight build bumps the package ITE counter behind the ite_nodes stat.
+// simplification — the ITE smart constructor in simplify.go does that.
 func newITE(c, t, e Expr) *Ite {
 	c, t, e = Intern(c), Intern(t), Intern(e)
 	ch, th, eh := c.header(), t.header(), e.header()
 	fp := fpIte(fp128{ch.fp, ch.fp2}, fp128{th.fp, th.fp2}, fp128{eh.fp, eh.fp2})
 	return internNode(fp, ikey{kind: kITE, l: c, r: t, x: e}, func(h *hdr) Expr {
 		h.vars = mergeVars(mergeVars(ch.vars, th.vars), eh.vars)
-		iteBuilt.Add(1)
 		return &Ite{Cond: c, Then: t, Else: e, h: h}
 	}).(*Ite)
 }
-
-// iteBuilt counts ITE nodes ever built into the table (re-interning after a
-// collection counts again). ITENodesBuilt exposes it so the engine can
-// report the ITE construction work of one run as a before/after delta —
-// approximate under concurrent runs, exact for a single engine.
-var iteBuilt atomic.Uint64
-
-// ITENodesBuilt returns the cumulative count of distinct ITE nodes interned.
-func ITENodesBuilt() uint64 { return iteBuilt.Load() }
 
 // Intern returns the canonical node structurally equal to e, interning its
 // sub-expressions bottom-up as needed. It preserves structure exactly — no

@@ -40,9 +40,6 @@ type Config struct {
 	// backend (binary path, per-check deadline, restart budget, circuit
 	// breaker); ignored by backends that never leave the process.
 	SolverSMT constraint.SMTOptions
-	// SolverPortfolio selects the member backends of the "portfolio"
-	// meta-backend by registry name; empty selects its default member set.
-	SolverPortfolio []string
 	// SolverCache, when non-nil, is a shared prefix-result cache: engines
 	// given the same cache (e.g. the requests of a batch analysis over
 	// variants of one base program) reuse each other's solved path-condition
@@ -124,8 +121,8 @@ type Stats struct {
 	// MergedStatesSaved counts states absorbed by merges — for each merge
 	// of k siblings, k-1 states that were not separately explored.
 	MergedStatesSaved int
-	// IteNodes counts the distinct sym.ITE nodes interned during the run
-	// (approximate when other runs intern concurrently).
+	// IteNodes counts the distinct sym.Ite nodes the run's merges built
+	// when fusing divergent bindings.
 	IteNodes int
 }
 
@@ -274,7 +271,6 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 		Interrupt:  config.SolverOptions.Interrupt,
 		Cache:      config.SolverCache,
 		SMT:        config.SolverSMT,
-		Portfolio:  config.SolverPortfolio,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("symexec: %w", err)

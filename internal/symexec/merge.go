@@ -140,8 +140,7 @@ func mergeableJoin(n *cfg.Node) bool {
 // terminal paths itself.
 func (x *Explorer) runMerged(s0 *State) {
 	e, p := x.e, x.opts.Pruner
-	iteBefore := sym.ITENodesBuilt()
-	defer func() { x.iteNodes = int(sym.ITENodesBuilt() - iteBefore) }()
+	x.iteNodes = map[*sym.Ite]struct{}{}
 
 	rpo := rpoIndex(e.Graph)
 	q := mergeQueue{}
@@ -318,7 +317,14 @@ func (x *Explorer) mergeStates(group []*State) *State {
 	for i := range entries {
 		acc := bindings[len(group)-1][i].val
 		for j := len(group) - 2; j >= 0; j-- {
-			acc = sym.ITE(deltas[j], bindings[j][i].val, acc)
+			then := bindings[j][i].val
+			fused := sym.ITE(deltas[j], then, acc)
+			// ITE hands back an arm when the arms agree; only a node this
+			// fusion built counts.
+			if ite, ok := fused.(*sym.Ite); ok && fused != then && fused != acc {
+				x.iteNodes[ite] = struct{}{}
+			}
+			acc = fused
 		}
 		entries[i] = envEntry{name: bindings[0][i].name, val: acc}
 	}

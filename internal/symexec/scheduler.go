@@ -27,6 +27,8 @@ package symexec
 // (the facade's AnalyzeBatch and the daemon's admission slots), whose
 // engines share a constraint.PrefixCache.
 
+import "dise/internal/sym"
+
 // ChildVerdict is a Pruner's decision about one feasible successor state.
 type ChildVerdict int
 
@@ -84,8 +86,8 @@ type Explorer struct {
 	// State-merging counters (merge.go); zero without Config.MergeBound.
 	merges      int
 	mergedSaved int
-	iteNodes    int
-	mergeSeq    uint64 // merge-queue insertions, the tie-break of equal RPO
+	iteNodes    map[*sym.Ite]struct{} // distinct ite nodes this run's fusions built
+	mergeSeq    uint64                // merge-queue insertions, the tie-break of equal RPO
 
 	summary *Summary
 }
@@ -113,7 +115,7 @@ func (x *Explorer) Run() *Summary {
 	st := x.e.Stats()
 	st.Merges = x.merges
 	st.MergedStatesSaved = x.mergedSaved
-	st.IteNodes = x.iteNodes
+	st.IteNodes = len(x.iteNodes)
 	x.summary.Stats = st
 	return x.summary
 }

@@ -176,6 +176,32 @@ func TestMergedFullSEEquivalenceOnArtifacts(t *testing.T) {
 	}
 }
 
+// TestMergeStatsRepeatable pins the merge counters as properties of one run:
+// the same merged exploration, repeated in one process, reports the same
+// counters, ite_nodes included — the second run builds no new ite node in
+// the process-wide intern table, yet its fusions still produce as many.
+func TestMergeStatsRepeatable(t *testing.T) {
+	art, ok := artifacts.ByName("OAE")
+	if !ok {
+		t.Fatal("OAE artifact missing")
+	}
+	a := NewAnalyzer(WithStateMerging(MergeUnbounded))
+	var runs [2]MergeStats
+	for i := range runs {
+		sum, err := a.Execute(context.Background(), art.Base, art.Proc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = sum.Stats.Merge
+	}
+	if runs[0].IteNodes == 0 {
+		t.Fatalf("first run reports no ite nodes: %+v", runs[0])
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("identical merged runs report different merge stats:\nfirst  %+v\nsecond %+v", runs[0], runs[1])
+	}
+}
+
 func fullCoverage(s *Summary) (cov map[int]bool, anyErr bool) {
 	cov = map[int]bool{}
 	for _, p := range s.summary.Paths {

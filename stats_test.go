@@ -117,7 +117,7 @@ func TestStatsMarshalOmitsZeroBlocks(t *testing.T) {
 	optional := []string{
 		"ext_solves", "ext_answers", "ext_unknowns", "ext_timeouts",
 		"ext_restarts", "ext_breaker_trips", "fallback_solves",
-		"member_failures", "check_panics",
+		"check_panics",
 	}
 	want := append(append([]string(nil), always...), optional...)
 	if keys := solverStatsKeys(t, Stats{Solver: solver}); !reflect.DeepEqual(keys, want) {
