@@ -550,10 +550,11 @@ func (a *Analyzer) AffectedCFGDot(ctx context.Context, baseSrc, modSrc, procName
 	}
 	g := res.internal.ModGraph
 	highlight := map[int]string{}
-	for id := range res.internal.Affected.ACN {
+	acn, awn := res.internal.Affected.ACN, res.internal.Affected.AWN
+	for id := acn.Next(0); id >= 0; id = acn.Next(id + 1) {
 		highlight[id] = "lightcoral"
 	}
-	for id := range res.internal.Affected.AWN {
+	for id := awn.Next(0); id >= 0; id = awn.Next(id + 1) {
 		highlight[id] = "lightblue"
 	}
 	return g.Dot(cfg.DotOptions{Title: procName, Highlight: highlight}), nil

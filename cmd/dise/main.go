@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -99,6 +100,14 @@ func main() {
 	artifact := flag.String("artifact", "", "run the built-in evolution chain of an artifact (asw, wbs or oae)")
 	timeout := flag.Duration("timeout", 0, "abort the analysis after this long, reporting the Cancelled kind (0 = no timeout)")
 	flag.Parse()
+
+	// An unknown backend is a flag error: reject it before reading any
+	// source, with the exit code of every other bad flag value.
+	if *solverName != "" && !slices.Contains(dise.SolverBackends(), *solverName) {
+		fmt.Fprintf(os.Stderr, "dise: %v: -solver %q is not a backend (have %v)\n",
+			dise.ErrInvalidConfig, *solverName, dise.SolverBackends())
+		os.Exit(2)
+	}
 
 	if *timeout > 0 {
 		var cancel context.CancelFunc

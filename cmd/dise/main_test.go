@@ -148,3 +148,19 @@ func TestSubcommandRejectsUnknownFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownSolverRejectedBeforeReading checks that -solver is validated
+// with the flags: an unknown backend exits 2 with the accepted names, even
+// though the -base and -mod files do not exist.
+func TestUnknownSolverRejectedBeforeReading(t *testing.T) {
+	dir := t.TempDir()
+	out, code := run(t, "-base", filepath.Join(dir, "missing-old.mini"), "-mod", filepath.Join(dir, "missing-new.mini"), "-solver", "portfolio")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, out)
+	}
+	for _, want := range []string{"invalid configuration", `"portfolio"`, "interval"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -21,18 +21,38 @@ import (
 	"dise/internal/service"
 )
 
-// buildDised compiles the daemon once per test binary run.
+// disedBin is the daemon under test, built once by TestMain; empty when no
+// go toolchain is on PATH.
+var disedBin string
+
+func TestMain(m *testing.M) {
+	if _, err := exec.LookPath("go"); err != nil {
+		os.Exit(m.Run()) // the daemon tests skip themselves
+	}
+	dir, err := os.MkdirTemp("", "dised-cmd")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	disedBin = filepath.Join(dir, "dised")
+	if out, err := exec.Command("go", "build", "-o", disedBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// buildDised returns the daemon TestMain built, skipping the test when
+// there is none.
 func buildDised(t *testing.T) string {
 	t.Helper()
-	if _, err := exec.LookPath("go"); err != nil {
+	if disedBin == "" {
 		t.Skip("go toolchain not on PATH")
 	}
-	bin := filepath.Join(t.TempDir(), "dised")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
+	return disedBin
 }
 
 // startDised boots the daemon on a random port and waits for the port file.

@@ -16,13 +16,18 @@
 //     is end.
 //
 // The package also provides the relational analyses the DiSE algorithms
-// consume: IsCFGPath (Definition 3.2), post-dominance (Definition 3.8),
-// control dependence (Definition 3.9), and strongly connected components for
-// the CheckLoops procedure (paper Fig. 6).
+// consume: IsCFGPath (Definition 3.2), post-dominance (Definition 3.8) as a
+// post-dominator tree, control dependence (Definition 3.9) as one list of
+// dependents per branch, and strongly connected components for the
+// CheckLoops procedure (paper Fig. 6). Each is computed once per graph and
+// takes space proportional to the graph and the relation it lists, except
+// reachability, which keeps an n-bit row per strongly connected component.
 package cfg
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dise/internal/lang/ast"
 )
@@ -90,8 +95,7 @@ type Edge struct {
 type Node struct {
 	ID   int
 	Kind NodeKind
-	Line int    // source line of the originating statement (0 for begin/end)
-	Text string // short label: the statement or condition text
+	Line int // source line of the originating statement (0 for begin/end)
 
 	// Stmt is the originating AST statement; nil for begin/end/error nodes.
 	Stmt ast.Stmt
@@ -100,8 +104,9 @@ type Node struct {
 
 	// Def is the variable written at a Write node ("" = ⊥, Definition 3.6).
 	Def string
-	// Use is the set of variables read at this node (Definition 3.7).
-	Use map[string]bool
+	// Use is the set of variables read at this node (Definition 3.7),
+	// sorted and without duplicates.
+	Use []string
 
 	// Succs are outgoing edges in order; a Cond node has exactly two, the
 	// true edge first. Other nodes have at most one.
@@ -136,10 +141,31 @@ func (n *Node) FalseSucc() *Node {
 	return nil
 }
 
+// Text renders the node's short label: the statement or condition text.
+// It is built on each call; nothing in the analyses reads it.
+func (n *Node) Text() string {
+	switch s := n.Stmt.(type) {
+	case *ast.Assert:
+		return "assert " + s.Cond.String()
+	case *ast.If, *ast.While:
+		return n.Cond.String()
+	case *ast.Skip:
+		return "skip"
+	case *ast.Return:
+		return "return"
+	case nil:
+		if n.Kind == KindError {
+			return "assert-fail"
+		}
+		return n.Kind.String()
+	}
+	return n.Stmt.String()
+}
+
 // String renders "n3(write l7: PedalCmd = ...)".
 func (n *Node) String() string {
 	if n.Line > 0 {
-		return fmt.Sprintf("n%d(%s l%d: %s)", n.ID, n.Kind, n.Line, n.Text)
+		return fmt.Sprintf("n%d(%s l%d: %s)", n.ID, n.Kind, n.Line, n.Text())
 	}
 	return fmt.Sprintf("n%d(%s)", n.ID, n.Kind)
 }
@@ -157,11 +183,23 @@ type Graph struct {
 	stmtNode map[ast.Stmt]*Node
 
 	// Lazily computed analyses; see analysis.go.
-	reach      []Bitset
-	pdom       []Bitset
-	sccID      []int
-	sccList    [][]*Node
-	stableKeys map[int]string
+	reach []Bitset
+	// The post-dominator tree as preorder intervals: n's subtree is the
+	// preorder range [pdPre[n], pdPre[n]+pdSize[n]); pdPre[n] = -1 marks a
+	// node that does not reach End.
+	pdPre, pdSize []int32
+	// cdNodes[cdStart[n]:cdStart[n+1]] are the nodes control dependent on
+	// n, in ID order.
+	cdStart []int32
+	cdNodes []*Node
+	// sccNodes[sccStart[c]:sccStart[c+1]] are the members of component c,
+	// in the order Tarjan's algorithm pops them.
+	sccID    []int32
+	sccStart []int32
+	sccNodes []*Node
+
+	keysOnce   sync.Once
+	stableKeys []string
 }
 
 // Reserved stable keys of the nodes that exist independently of any source
@@ -173,40 +211,35 @@ const (
 	StableKeyError = "!assert-fail"
 )
 
-// ensureStableKeys computes the node → stable-key map. Statement nodes take
-// the structural path key of their originating statement (ast.StmtKeys);
-// begin, end and the assert-failure sink take the reserved keys above.
-func (g *Graph) ensureStableKeys() {
-	if g.stableKeys != nil {
-		return
-	}
-	keys := make(map[int]string, len(g.Nodes))
-	stmtKeys := ast.StmtKeys(g.Proc)
-	for _, n := range g.Nodes {
-		switch {
-		case n == g.Begin:
-			keys[n.ID] = StableKeyBegin
-		case n == g.End:
-			keys[n.ID] = StableKeyEnd
-		case n == g.Error:
-			keys[n.ID] = StableKeyError
-		default:
-			keys[n.ID] = stmtKeys[n.Stmt]
+// StableKeys returns the stable key of every node, indexed by node ID: an
+// identity derived from the originating statement's structural position
+// (ast.StmtKeys), not from node numbering or source lines; begin, end and
+// the assert-failure sink take the reserved keys above. Two builds of the
+// same source assign identical keys, and the cross-version correspondence
+// map of internal/diff relates the keys of unchanged statements between two
+// program versions — which is what lets the memoized execution-tree trie
+// (internal/memo) recognize a node across an edit. The keys are built on
+// the first call, once per graph and safely under concurrent callers; only
+// version-chain sessions ask for them. The returned slice is the graph's
+// own: callers must treat it as read-only.
+func (g *Graph) StableKeys() []string {
+	g.keysOnce.Do(func() {
+		keys := make([]string, len(g.Nodes))
+		stmtKeys := ast.StmtKeys(g.Proc)
+		for _, n := range g.Nodes {
+			switch {
+			case n == g.Begin:
+				keys[n.ID] = StableKeyBegin
+			case n == g.End:
+				keys[n.ID] = StableKeyEnd
+			case n == g.Error:
+				keys[n.ID] = StableKeyError
+			default:
+				keys[n.ID] = stmtKeys[n.Stmt]
+			}
 		}
-	}
-	g.stableKeys = keys
-}
-
-// StableKeys returns the map from node ID to the node's stable key: an
-// identity derived from the originating statement's structural position, not
-// from node numbering or source lines. Two builds of the same source assign
-// identical keys, and the cross-version correspondence map of internal/diff
-// relates the keys of unchanged statements between two program versions —
-// which is what lets the memoized execution-tree trie (internal/memo)
-// recognize a node across an edit. The returned map is the graph's cache:
-// callers must treat it as read-only.
-func (g *Graph) StableKeys() map[int]string {
-	g.ensureStableKeys()
+		g.stableKeys = keys
+	})
 	return g.stableKeys
 }
 
@@ -245,6 +278,8 @@ func (g *Graph) StatementNodes() []*Node {
 // builder accumulates nodes while walking the AST.
 type builder struct {
 	g *Graph
+	// uses is useList's scratch buffer.
+	uses []string
 	// pendingEnd records edges that must target the end node (returns and the
 	// assert-failure sink) but are created before the end node exists.
 	pendingEnd []dangling
@@ -252,12 +287,14 @@ type builder struct {
 
 // Build constructs the CFG for procedure pr.
 func Build(pr *ast.Procedure) *Graph {
-	g := &Graph{Proc: pr, stmtNode: map[ast.Stmt]*Node{}}
+	stmts := 0
+	ast.Walk(pr.Body.Stmts, func(ast.Stmt) { stmts++ })
+	g := &Graph{Proc: pr, Nodes: make([]*Node, 0, stmts+3), stmtNode: make(map[ast.Stmt]*Node, stmts)}
 	b := &builder{g: g}
-	g.Begin = b.newNode(KindBegin, 0, "begin", nil)
+	g.Begin = b.newNode(KindBegin, 0, nil)
 	// Build the body; collect dangling exits that flow to end.
 	entry, exits := b.buildStmts(pr.Body.Stmts)
-	g.End = b.newNode(KindEnd, 0, "end", nil)
+	g.End = b.newNode(KindEnd, 0, nil)
 	if entry == nil {
 		// Empty body: begin flows straight to end.
 		b.edge(g.Begin, g.End, EdgeNext)
@@ -281,20 +318,42 @@ type dangling struct {
 	label EdgeLabel
 }
 
-func (b *builder) newNode(kind NodeKind, line int, text string, stmt ast.Stmt) *Node {
-	n := &Node{
-		ID:   len(b.g.Nodes),
-		Kind: kind,
-		Line: line,
-		Text: text,
-		Stmt: stmt,
-		Use:  map[string]bool{},
-	}
+func (b *builder) newNode(kind NodeKind, line int, stmt ast.Stmt) *Node {
+	n := &Node{ID: len(b.g.Nodes), Kind: kind, Line: line, Stmt: stmt}
 	b.g.Nodes = append(b.g.Nodes, n)
 	if stmt != nil {
 		b.g.stmtNode[stmt] = n
 	}
 	return n
+}
+
+// condNode creates the Cond node of an if, while or assert statement.
+func (b *builder) condNode(s ast.Stmt, cond ast.Expr) *Node {
+	n := b.newNode(KindCond, s.Pos().Line, s)
+	n.Cond = cond
+	n.Use = b.useList(cond)
+	n.Succs = make([]Edge, 0, 2)
+	return n
+}
+
+// useList returns the variables e reads, sorted and distinct.
+func (b *builder) useList(e ast.Expr) []string {
+	b.uses = b.uses[:0]
+	b.appendVars(e)
+	slices.Sort(b.uses)
+	return slices.Clone(slices.Compact(b.uses))
+}
+
+func (b *builder) appendVars(e ast.Expr) {
+	switch e := e.(type) {
+	case *ast.Ident:
+		b.uses = append(b.uses, e.Name)
+	case *ast.Unary:
+		b.appendVars(e.X)
+	case *ast.Binary:
+		b.appendVars(e.L)
+		b.appendVars(e.R)
+	}
 }
 
 func (b *builder) edge(from, to *Node, label EdgeLabel) {
@@ -322,19 +381,17 @@ func (b *builder) buildStmts(stmts []ast.Stmt) (*Node, []dangling) {
 	for _, s := range stmts {
 		switch s := s.(type) {
 		case *ast.Assign:
-			n := b.newNode(KindWrite, s.Pos().Line, s.String(), s)
+			n := b.newNode(KindWrite, s.Pos().Line, s)
 			n.Def = s.Name
-			for v := range ast.Vars(s.Value) {
-				n.Use[v] = true
-			}
+			n.Use = b.useList(s.Value)
 			attach(n)
 			exits = []dangling{{n, EdgeNext}}
 		case *ast.Skip:
-			n := b.newNode(KindNop, s.Pos().Line, "skip", s)
+			n := b.newNode(KindNop, s.Pos().Line, s)
 			attach(n)
 			exits = []dangling{{n, EdgeNext}}
 		case *ast.Return:
-			n := b.newNode(KindNop, s.Pos().Line, "return", s)
+			n := b.newNode(KindNop, s.Pos().Line, s)
 			attach(n)
 			b.pendingEnd = append(b.pendingEnd, dangling{n, EdgeNext})
 			// No fall-through: statements after return are unreachable and,
@@ -342,24 +399,16 @@ func (b *builder) buildStmts(stmts []ast.Stmt) (*Node, []dangling) {
 			// wiring the remainder of this block.
 			return entry, nil
 		case *ast.Assert:
-			n := b.newNode(KindCond, s.Pos().Line, "assert "+s.Cond.String(), s)
-			n.Cond = s.Cond
-			for v := range ast.Vars(s.Cond) {
-				n.Use[v] = true
-			}
+			n := b.condNode(s, s.Cond)
 			attach(n)
 			if b.g.Error == nil {
-				b.g.Error = b.newNode(KindError, 0, "assert-fail", nil)
+				b.g.Error = b.newNode(KindError, 0, nil)
 				b.pendingEnd = append(b.pendingEnd, dangling{b.g.Error, EdgeNext})
 			}
 			b.edge(n, b.g.Error, EdgeFalse)
 			exits = []dangling{{n, EdgeTrue}}
 		case *ast.If:
-			n := b.newNode(KindCond, s.Pos().Line, s.Cond.String(), s)
-			n.Cond = s.Cond
-			for v := range ast.Vars(s.Cond) {
-				n.Use[v] = true
-			}
+			n := b.condNode(s, s.Cond)
 			attach(n)
 			thenEntry, thenExits := b.buildStmts(s.Then.Stmts)
 			if thenEntry != nil {
@@ -380,11 +429,7 @@ func (b *builder) buildStmts(stmts []ast.Stmt) (*Node, []dangling) {
 				exits = append(exits, dangling{n, EdgeFalse})
 			}
 		case *ast.While:
-			n := b.newNode(KindCond, s.Pos().Line, s.Cond.String(), s)
-			n.Cond = s.Cond
-			for v := range ast.Vars(s.Cond) {
-				n.Use[v] = true
-			}
+			n := b.condNode(s, s.Cond)
 			attach(n)
 			bodyEntry, bodyExits := b.buildStmts(s.Body.Stmts)
 			if bodyEntry != nil {

@@ -3,7 +3,9 @@ package cfg
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,18 +132,18 @@ func TestFig2DefUse(t *testing.T) {
 	if n0.Def != "" {
 		t.Errorf("cond node Def = %q, want ⊥ (empty)", n0.Def)
 	}
-	if !n0.Use["PedalPos"] || len(n0.Use) != 1 {
+	if !slices.Contains(n0.Use, "PedalPos") || len(n0.Use) != 1 {
 		t.Errorf("cond node Use = %v, want {PedalPos}", n0.Use)
 	}
 	w7 := nodeAt(t, g, 7) // PedalCmd = PedalCmd + 1
 	if w7.Def != "PedalCmd" {
 		t.Errorf("Def(line 7) = %q, want PedalCmd", w7.Def)
 	}
-	if !w7.Use["PedalCmd"] || len(w7.Use) != 1 {
+	if !slices.Contains(w7.Use, "PedalCmd") || len(w7.Use) != 1 {
 		t.Errorf("Use(line 7) = %v, want {PedalCmd}", w7.Use)
 	}
 	w11 := nodeAt(t, g, 11) // PedalCmd = PedalPos
-	if w11.Def != "PedalCmd" || !w11.Use["PedalPos"] {
+	if w11.Def != "PedalCmd" || !slices.Contains(w11.Use, "PedalPos") {
 		t.Errorf("line 11 Def=%q Use=%v, want PedalCmd / {PedalPos}", w11.Def, w11.Use)
 	}
 	vars := g.Vars()
@@ -246,6 +248,19 @@ func TestControlDependence(t *testing.T) {
 	}
 	if len(deps) != 2 {
 		t.Errorf("direct control dependents of n0 = %v, want exactly {w7, c8}", deps)
+	}
+
+	// A loop head depends on itself: its body edge leads back to it, its
+	// exit edge does not.
+	lg := buildProc(t, "proc p(int x) {\n  while (x > 0) {\n    x = x - 1;\n  }\n  y = x;\n}", "p")
+	head, body := nodeAt(t, lg, 2), nodeAt(t, lg, 3)
+	if got := lg.ControlDependents(head); !slices.Equal(got, []*Node{head, body}) {
+		t.Errorf("loop head's control dependents = %v, want itself and the body", got)
+	}
+	// A conditional whose two edges reach the same node controls nothing.
+	eg := buildProc(t, "proc p(int x) {\n  if (x > 0) {\n  } else {\n  }\n  y = x;\n}", "p")
+	if got := eg.ControlDependents(nodeAt(t, eg, 2)); len(got) != 0 {
+		t.Errorf("control dependents of a branch with one target = %v, want none", got)
 	}
 }
 
@@ -466,7 +481,7 @@ func TestBitsetOps(t *testing.T) {
 	if changed := c.Or(b); changed {
 		t.Error("second or should be a no-op")
 	}
-	d := b.Clone()
+	d := slices.Clone(b)
 	d.And(c)
 	if d.Count() != 3 {
 		t.Errorf("and result count = %d, want 3", d.Count())
@@ -592,5 +607,32 @@ func TestPrecomputeLongProcedure(t *testing.T) {
 	}
 	if elapsed > 250*time.Millisecond {
 		t.Errorf("Precompute of %d statements took %v, want under 250ms", n, elapsed)
+	}
+}
+
+// TestStableKeysConcurrent calls StableKeys on one precomputed graph from
+// several goroutines at once, as sessions sharing a cached graph do: each
+// caller must get the same keys, built once. Run it under -race.
+func TestStableKeysConcurrent(t *testing.T) {
+	g := fig2Graph(t)
+	g.Precompute()
+	const callers = 8
+	got := make([][]string, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.StableKeys()
+		}()
+	}
+	wg.Wait()
+	for i, keys := range got {
+		if len(keys) != g.Size() || &keys[0] != &got[0][0] {
+			t.Fatalf("caller %d got %d keys at %p, caller 0 %d at %p", i, len(keys), &keys[0], len(got[0]), &got[0][0])
+		}
+	}
+	if got[0][g.Begin.ID] != StableKeyBegin || got[0][g.End.ID] != StableKeyEnd || got[0][nodeAt(t, g, 6).ID] != "s0" {
+		t.Errorf("keys = %v", got[0])
 	}
 }

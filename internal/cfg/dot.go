@@ -37,9 +37,9 @@ func (g *Graph) Dot(opts DotOptions) string {
 			shape, label = "octagon", "assert-fail"
 		case KindCond:
 			shape = "diamond"
-			label = fmt.Sprintf("n%d\\n%d: %s", n.ID, n.Line, escapeDot(n.Text))
+			label = fmt.Sprintf("n%d\\n%d: %s", n.ID, n.Line, escapeDot(n.Text()))
 		default:
-			label = fmt.Sprintf("n%d\\n%d: %s", n.ID, n.Line, escapeDot(n.Text))
+			label = fmt.Sprintf("n%d\\n%d: %s", n.ID, n.Line, escapeDot(n.Text()))
 		}
 		attrs := fmt.Sprintf("shape=%s, label=\"%s\"", shape, label)
 		if color, ok := opts.Highlight[n.ID]; ok {

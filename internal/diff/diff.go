@@ -9,17 +9,27 @@
 // package dise lifts these marks onto CFG nodes.
 //
 // The algorithm aligns statement lists with a longest-common-subsequence
-// over deep statement equality (rendered text), then pairs the remaining
-// statements of equal kind in order, recursing into the branches of paired
-// if/while statements. This matches the paper's description of "source line
-// or abstract syntax tree diff" precision: it is deliberately syntactic and
+// over deep statement equality, then pairs the remaining statements of
+// equal kind in order, recursing into the branches of paired if/while
+// statements. This matches the paper's description of "source line or
+// abstract syntax tree diff" precision: it is deliberately syntactic and
 // conservative, with no semantic matching.
+//
+// Deep equality is an integer comparison: every statement and expression of
+// both versions is hash-consed, bottom-up and once per Procedures call, to
+// an id over its kind, names, operators and children, ignoring positions,
+// so that two ids are equal exactly when the two subtrees print the same
+// String() text. The LCS runs only on what remains of a statement list
+// after trimming the common prefix and a common suffix that cannot change
+// the alignment (see diffBlocks), over one flat table.
 package diff
 
 import (
 	"sort"
+	"sync"
 
 	"dise/internal/lang/ast"
+	"dise/internal/lang/token"
 )
 
 // Mark classifies a statement relative to the other program version.
@@ -64,15 +74,181 @@ type Result struct {
 
 // Procedures diffs two versions of a procedure.
 func Procedures(base, mod *ast.Procedure) *Result {
+	in := interners.Get().(*interner)
+	defer in.release()
+	in.block(base.Body)
+	nb := len(in.stmts)
+	in.block(mod.Body)
+	nm := len(in.stmts) - nb
 	r := &Result{
 		Base:      base,
 		Mod:       mod,
-		BaseMarks: map[ast.Stmt]Mark{},
-		ModMarks:  map[ast.Stmt]Mark{},
-		Pairs:     map[ast.Stmt]ast.Stmt{},
+		BaseMarks: make(map[ast.Stmt]Mark, nb),
+		ModMarks:  make(map[ast.Stmt]Mark, nm),
+		Pairs:     make(map[ast.Stmt]ast.Stmt, min(nb, nm)),
 	}
-	r.diffBlocks(base.Body.Stmts, mod.Body.Stmts)
+	d := &differ{Result: r, ids: in}
+	d.diffBlocks(base.Body.Stmts, mod.Body.Stmts)
 	return r
+}
+
+// interners keeps emptied interners for reuse: their tables keep their
+// capacity, so a diff of a procedure no larger than earlier ones grows no
+// table.
+var interners = sync.Pool{New: func() any { return newInterner() }}
+
+// release empties the interner and returns it to the pool, unless its
+// tables grew so large that clearing them would cost small diffs more than
+// fresh tables do.
+func (in *interner) release() {
+	if len(in.cells) > 1<<12 {
+		return
+	}
+	clear(in.names)
+	clear(in.cells)
+	clear(in.stmts)
+	interners.Put(in)
+}
+
+// differ carries one Procedures call: the result under construction and the
+// statement ids of both versions.
+type differ struct {
+	*Result
+	ids *interner
+}
+
+// interner hash-conses syntax trees: a subtree's id is determined by its
+// kind, its names and operators and its children's ids, positions ignored.
+// Two subtrees get equal ids exactly when their String() texts are equal:
+// the printer writes every kind, name and operator and brackets every
+// nested operand, so the text determines the tree, except that "-5" prints
+// both the literal -5 and the negation of the literal 5 (the parser folds
+// the latter), which expr maps to one id.
+type interner struct {
+	names map[string]int32 // identifiers, and the keywords true and false
+	cells map[cell]int32
+	stmts map[ast.Stmt]int32
+}
+
+// cell is one hash-consed node: its kind, operator and up to two child
+// ids. Lists are cons cells whose tail is -1 when empty; an integer
+// literal keeps its two 32-bit halves in a and b.
+type cell struct {
+	kind cellKind
+	op   token.Kind
+	a, b int32
+}
+
+type cellKind uint8
+
+const (
+	cellInt cellKind = iota
+	cellUnary
+	cellBinary
+	cellAssign
+	cellIf
+	cellBranches // an if's then block and else block (-1 when absent)
+	cellWhile
+	cellAssert
+	cellSkip
+	cellReturn
+	cellCall
+	cellArgs // cons cell of a call's argument list
+	cellBlock
+	cellStmts // cons cell of a block's statement list
+)
+
+func newInterner() *interner {
+	return &interner{names: map[string]int32{}, cells: map[cell]int32{}, stmts: map[ast.Stmt]int32{}}
+}
+
+// name returns the id of a name; names and cells share one id space.
+func (in *interner) name(s string) int32 {
+	id, ok := in.names[s]
+	if !ok {
+		id = int32(len(in.names) + len(in.cells))
+		in.names[s] = id
+	}
+	return id
+}
+
+func (in *interner) cell(c cell) int32 {
+	id, ok := in.cells[c]
+	if !ok {
+		id = int32(len(in.names) + len(in.cells))
+		in.cells[c] = id
+	}
+	return id
+}
+
+func (in *interner) int(v int64) int32 {
+	return in.cell(cell{kind: cellInt, a: int32(v), b: int32(v >> 32)})
+}
+
+// expr returns the id of an expression.
+func (in *interner) expr(e ast.Expr) int32 {
+	switch e := e.(type) {
+	case *ast.IntLit:
+		return in.int(e.Value)
+	case *ast.BoolLit:
+		return in.name(e.String())
+	case *ast.Ident:
+		return in.name(e.Name)
+	case *ast.Unary:
+		if lit, ok := e.X.(*ast.IntLit); ok && e.Op == token.MINUS && lit.Value > 0 {
+			return in.int(-lit.Value) // prints as the literal -v
+		}
+		return in.cell(cell{kind: cellUnary, op: e.Op, a: in.expr(e.X)})
+	case *ast.Binary:
+		return in.cell(cell{kind: cellBinary, op: e.Op, a: in.expr(e.L), b: in.expr(e.R)})
+	}
+	panic("diff: unknown expression")
+}
+
+// block returns the id of a block, recording the id of every statement in
+// it.
+func (in *interner) block(b *ast.Block) int32 {
+	list := int32(-1)
+	for i := len(b.Stmts) - 1; i >= 0; i-- {
+		list = in.cell(cell{kind: cellStmts, a: in.stmt(b.Stmts[i]), b: list})
+	}
+	return in.cell(cell{kind: cellBlock, a: list})
+}
+
+// stmt returns the id of a statement and records it in in.stmts.
+func (in *interner) stmt(s ast.Stmt) int32 {
+	var id int32
+	switch s := s.(type) {
+	case *ast.Assign:
+		id = in.cell(cell{kind: cellAssign, a: in.name(s.Name), b: in.expr(s.Value)})
+	case *ast.If:
+		els := int32(-1)
+		if s.Else != nil {
+			els = in.block(s.Else)
+		}
+		branches := in.cell(cell{kind: cellBranches, a: in.block(s.Then), b: els})
+		id = in.cell(cell{kind: cellIf, a: in.expr(s.Cond), b: branches})
+	case *ast.While:
+		id = in.cell(cell{kind: cellWhile, a: in.expr(s.Cond), b: in.block(s.Body)})
+	case *ast.Assert:
+		id = in.cell(cell{kind: cellAssert, a: in.expr(s.Cond)})
+	case *ast.Skip:
+		id = in.cell(cell{kind: cellSkip})
+	case *ast.Return:
+		id = in.cell(cell{kind: cellReturn})
+	case *ast.Call:
+		args := int32(-1)
+		for i := len(s.Args) - 1; i >= 0; i-- {
+			args = in.cell(cell{kind: cellArgs, a: in.expr(s.Args[i]), b: args})
+		}
+		id = in.cell(cell{kind: cellCall, a: in.name(s.Callee), b: args})
+	case *ast.Block:
+		id = in.block(s)
+	default:
+		panic("diff: unknown statement")
+	}
+	in.stmts[s] = id
+	return id
 }
 
 // markSubtree marks s and all nested statements with m in the given map.
@@ -108,31 +284,81 @@ func (r *Result) pairBlocks(bs, ms []ast.Stmt) {
 	}
 }
 
-// key returns the canonical text of a statement, used as deep-equality key.
-func key(s ast.Stmt) string { return s.String() }
+// same reports whether two statements are deeply equal.
+func (d *differ) same(b, m ast.Stmt) bool { return d.ids.stmts[b] == d.ids.stmts[m] }
 
-// diffBlocks aligns two statement lists.
-func (r *Result) diffBlocks(bs, ms []ast.Stmt) {
-	anchors := lcs(bs, ms)
-	// Walk gap regions between anchors (plus the tail gap).
+// diffBlocks aligns two statement lists: the anchors of a longest common
+// subsequence of deeply equal statements pair as unchanged subtrees, and
+// the gaps between them go to diffGap.
+//
+// The LCS is the traceback of the classic table, which takes a match
+// whenever the two current statements are equal and otherwise, on a tie,
+// skips the base statement. Two trims leave its anchors unchanged. The
+// common prefix is what the traceback takes first. A common suffix S can
+// be cut off when its first statement occurs nowhere in the two lists that
+// remain, A and B: every table entry inside A×B exceeds the trimmed table's
+// by |S|, since LCS(X+S, Y+S) = LCS(X, Y) + |S|, so the traceback makes the
+// same choices there; and once it leaves A×B on one side, S[0] matches
+// nothing left on the other side, whose statements it then skips up to S.
+// Without that condition, base "x = 1; y = 2;" against mod "y = 2; y = 2;"
+// would pair "y = 2;" with the second mod statement instead of the first.
+func (d *differ) diffBlocks(bs, ms []ast.Stmt) {
+	p := 0
+	for p < len(bs) && p < len(ms) && d.same(bs[p], ms[p]) {
+		d.pairSubtrees(bs[p], ms[p])
+		p++
+	}
+	bs, ms = bs[p:], ms[p:]
+	s := 0
+	for s < len(bs) && s < len(ms) && d.same(bs[len(bs)-1-s], ms[len(ms)-1-s]) {
+		s++
+	}
+	for ; s > 0; s-- {
+		first := d.ids.stmts[bs[len(bs)-s]]
+		if !d.occurs(first, bs[:len(bs)-s]) && !d.occurs(first, ms[:len(ms)-s]) {
+			break
+		}
+	}
+	for k := 1; k <= s; k++ {
+		d.pairSubtrees(bs[len(bs)-k], ms[len(ms)-k])
+	}
+	bs, ms = bs[:len(bs)-s], ms[:len(ms)-s]
 	prevB, prevM := 0, 0
-	for _, a := range anchors {
-		r.diffGap(bs[prevB:a.bi], ms[prevM:a.mi])
-		r.pairSubtrees(bs[a.bi], ms[a.mi])
+	for _, a := range d.lcs(bs, ms) {
+		d.diffGap(bs[prevB:a.bi], ms[prevM:a.mi])
+		d.pairSubtrees(bs[a.bi], ms[a.mi])
 		prevB, prevM = a.bi+1, a.mi+1
 	}
-	r.diffGap(bs[prevB:], ms[prevM:])
+	d.diffGap(bs[prevB:], ms[prevM:])
+}
+
+// occurs reports whether a statement with the given id is in list.
+func (d *differ) occurs(id int32, list []ast.Stmt) bool {
+	for _, s := range list {
+		if d.ids.stmts[s] == id {
+			return true
+		}
+	}
+	return false
 }
 
 // diffGap pairs non-identical statements between anchors: same-kind
 // statements pair up in order as changed (recursing into compound bodies);
 // everything left is removed/added.
-func (r *Result) diffGap(bs, ms []ast.Stmt) {
+func (d *differ) diffGap(bs, ms []ast.Stmt) {
+	// last[k] is the index of the last mod statement of kind k, -1 if none.
+	var last [numKinds]int
+	for k := range last {
+		last[k] = -1
+	}
+	for i, m := range ms {
+		last[kindOf(m)] = i
+	}
 	bi, mi := 0, 0
 	for bi < len(bs) && mi < len(ms) {
 		b, m := bs[bi], ms[mi]
-		if sameKind(b, m) {
-			r.pairChanged(b, m)
+		if kindOf(b) == kindOf(m) {
+			d.pairChanged(b, m)
 			bi++
 			mi++
 			continue
@@ -140,153 +366,145 @@ func (r *Result) diffGap(bs, ms []ast.Stmt) {
 		// Kinds differ: decide which side to consume. If the base kind still
 		// occurs later on the mod side, the mod statement is an insertion;
 		// otherwise the base statement was removed.
-		if kindAppearsLater(ms[mi+1:], b) {
-			markSubtree(r.ModMarks, m, Added)
+		if last[kindOf(b)] > mi {
+			markSubtree(d.ModMarks, m, Added)
 			mi++
 		} else {
-			markSubtree(r.BaseMarks, b, Removed)
+			markSubtree(d.BaseMarks, b, Removed)
 			bi++
 		}
 	}
 	for ; bi < len(bs); bi++ {
-		markSubtree(r.BaseMarks, bs[bi], Removed)
+		markSubtree(d.BaseMarks, bs[bi], Removed)
 	}
 	for ; mi < len(ms); mi++ {
-		markSubtree(r.ModMarks, ms[mi], Added)
+		markSubtree(d.ModMarks, ms[mi], Added)
 	}
 }
 
 // pairChanged pairs two same-kind statements that differ somewhere,
 // recursing into compound statements so that only the genuinely changed
 // parts are marked.
-func (r *Result) pairChanged(b, m ast.Stmt) {
-	r.Pairs[b] = m
+func (d *differ) pairChanged(b, m ast.Stmt) {
+	d.Pairs[b] = m
 	switch b := b.(type) {
 	case *ast.If:
 		mi := m.(*ast.If)
 		mark := Unchanged
-		if b.Cond.String() != mi.Cond.String() {
+		if d.ids.expr(b.Cond) != d.ids.expr(mi.Cond) {
 			mark = Changed
 		}
-		r.BaseMarks[b] = mark
-		r.ModMarks[mi] = mark
-		r.diffBlocks(b.Then.Stmts, mi.Then.Stmts)
+		d.BaseMarks[b] = mark
+		d.ModMarks[mi] = mark
+		d.diffBlocks(b.Then.Stmts, mi.Then.Stmts)
 		switch {
 		case b.Else != nil && mi.Else != nil:
-			r.diffBlocks(b.Else.Stmts, mi.Else.Stmts)
+			d.diffBlocks(b.Else.Stmts, mi.Else.Stmts)
 		case b.Else != nil:
 			for _, s := range b.Else.Stmts {
-				markSubtree(r.BaseMarks, s, Removed)
+				markSubtree(d.BaseMarks, s, Removed)
 			}
 		case mi.Else != nil:
 			for _, s := range mi.Else.Stmts {
-				markSubtree(r.ModMarks, s, Added)
+				markSubtree(d.ModMarks, s, Added)
 			}
 		}
 	case *ast.While:
 		mw := m.(*ast.While)
 		mark := Unchanged
-		if b.Cond.String() != mw.Cond.String() {
+		if d.ids.expr(b.Cond) != d.ids.expr(mw.Cond) {
 			mark = Changed
 		}
-		r.BaseMarks[b] = mark
-		r.ModMarks[mw] = mark
-		r.diffBlocks(b.Body.Stmts, mw.Body.Stmts)
+		d.BaseMarks[b] = mark
+		d.ModMarks[mw] = mark
+		d.diffBlocks(b.Body.Stmts, mw.Body.Stmts)
 	case *ast.Block:
 		mb := m.(*ast.Block)
-		r.BaseMarks[b] = Unchanged
-		r.ModMarks[mb] = Unchanged
-		r.diffBlocks(b.Stmts, mb.Stmts)
+		d.BaseMarks[b] = Unchanged
+		d.ModMarks[mb] = Unchanged
+		d.diffBlocks(b.Stmts, mb.Stmts)
 	default:
 		// Leaf statements (assign, assert, skip, return): changed unless
 		// identical (identical ones are normally consumed by the LCS, but a
 		// gap pairing can still see them, e.g. when surrounded by changes).
 		mark := Changed
-		if key(b) == key(m) {
+		if d.same(b, m) {
 			mark = Unchanged
 		}
-		r.BaseMarks[b] = mark
-		r.ModMarks[m.(ast.Stmt)] = mark
+		d.BaseMarks[b] = mark
+		d.ModMarks[m] = mark
 	}
 }
 
-func sameKind(a, b ast.Stmt) bool {
-	switch a.(type) {
+// numKinds counts the statement kinds kindOf distinguishes.
+const numKinds = 8
+
+// kindOf numbers a statement's kind: statements of equal kind pair up as
+// changed in a gap.
+func kindOf(s ast.Stmt) int {
+	switch s.(type) {
 	case *ast.Assign:
-		_, ok := b.(*ast.Assign)
-		return ok
+		return 0
 	case *ast.If:
-		_, ok := b.(*ast.If)
-		return ok
+		return 1
 	case *ast.While:
-		_, ok := b.(*ast.While)
-		return ok
+		return 2
 	case *ast.Assert:
-		_, ok := b.(*ast.Assert)
-		return ok
+		return 3
 	case *ast.Skip:
-		_, ok := b.(*ast.Skip)
-		return ok
+		return 4
 	case *ast.Return:
-		_, ok := b.(*ast.Return)
-		return ok
+		return 5
 	case *ast.Call:
-		_, ok := b.(*ast.Call)
-		return ok
+		return 6
 	case *ast.Block:
-		_, ok := b.(*ast.Block)
-		return ok
+		return 7
 	}
-	return false
+	panic("diff: unknown statement")
 }
 
-func kindAppearsLater(ms []ast.Stmt, b ast.Stmt) bool {
-	for _, m := range ms {
-		if sameKind(b, m) {
-			return true
-		}
-	}
-	return false
-}
+// anchor is a pair of deeply equal statements the LCS aligns.
+type anchor struct{ bi, mi int }
 
 // lcs computes anchor pairs of deeply-equal statements via classic dynamic
-// programming over the statements' canonical text.
-func lcs(bs, ms []ast.Stmt) []struct{ bi, mi int } {
+// programming over one flat table of statement ids.
+func (d *differ) lcs(bs, ms []ast.Stmt) []anchor {
 	n, m := len(bs), len(ms)
 	if n == 0 || m == 0 {
 		return nil
 	}
-	bkeys := make([]string, n)
+	bk := make([]int32, n)
 	for i, s := range bs {
-		bkeys[i] = key(s)
+		bk[i] = d.ids.stmts[s]
 	}
-	mkeys := make([]string, m)
+	mk := make([]int32, m)
 	for j, s := range ms {
-		mkeys[j] = key(s)
+		mk[j] = d.ids.stmts[s]
 	}
-	dp := make([][]int, n+1)
-	for i := range dp {
-		dp[i] = make([]int, m+1)
-	}
+	// dp[i*w+j] is the LCS length of bk[i:] and mk[j:].
+	w := m + 1
+	dp := make([]int32, (n+1)*w)
 	for i := n - 1; i >= 0; i-- {
+		row, below := dp[i*w:], dp[(i+1)*w:]
 		for j := m - 1; j >= 0; j-- {
-			if bkeys[i] == mkeys[j] {
-				dp[i][j] = dp[i+1][j+1] + 1
-			} else if dp[i+1][j] >= dp[i][j+1] {
-				dp[i][j] = dp[i+1][j]
-			} else {
-				dp[i][j] = dp[i][j+1]
+			switch {
+			case bk[i] == mk[j]:
+				row[j] = below[j+1] + 1
+			case below[j] >= row[j+1]:
+				row[j] = below[j]
+			default:
+				row[j] = row[j+1]
 			}
 		}
 	}
-	var out []struct{ bi, mi int }
+	var out []anchor
 	for i, j := 0, 0; i < n && j < m; {
 		switch {
-		case bkeys[i] == mkeys[j]:
-			out = append(out, struct{ bi, mi int }{i, j})
+		case bk[i] == mk[j]:
+			out = append(out, anchor{i, j})
 			i++
 			j++
-		case dp[i+1][j] >= dp[i][j+1]:
+		case dp[(i+1)*w+j] >= dp[i*w+j+1]:
 			i++
 		default:
 			j++

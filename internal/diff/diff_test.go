@@ -6,6 +6,8 @@ import (
 
 	"dise/internal/lang/ast"
 	"dise/internal/lang/parser"
+	"dise/internal/lang/token"
+	"dise/internal/randprog"
 )
 
 func parse(t *testing.T, src string) *ast.Procedure {
@@ -369,5 +371,96 @@ func TestDuplicateStatementsAlign(t *testing.T) {
 	}
 	if len(r.AddedLines()) != 0 {
 		t.Errorf("added = %v, want none", r.AddedLines())
+	}
+}
+
+// TestSuffixTrimKeepsTracebackChoice pins the guard on the common-suffix
+// trim. The full LCS traceback skips the base "x = 1;" on a tie and matches
+// "y = 2;" with the first mod statement, so "x = 1;" is removed and the
+// second "y = 2;" added. Trimming the shared trailing "y = 2;" regardless
+// would leave "x = 1;" against "y = 2;", which diffGap pairs as changed.
+func TestSuffixTrimKeepsTracebackChoice(t *testing.T) {
+	base := parse(t, "proc p() {\n  x = 1;\n  y = 2;\n}")
+	mod := parse(t, "proc p() {\n  y = 2;\n  y = 2;\n}")
+	r := Procedures(base, mod)
+	bs, ms := base.Body.Stmts, mod.Body.Stmts
+	if r.BaseMarks[bs[0]] != Removed || r.BaseMarks[bs[1]] != Unchanged {
+		t.Errorf("base marks = %v, %v; want removed, unchanged", r.BaseMarks[bs[0]], r.BaseMarks[bs[1]])
+	}
+	if r.ModMarks[ms[0]] != Unchanged || r.ModMarks[ms[1]] != Added {
+		t.Errorf("mod marks = %v, %v; want unchanged, added", r.ModMarks[ms[0]], r.ModMarks[ms[1]])
+	}
+	if r.Pairs[bs[1]] != ms[0] || len(r.Pairs) != 1 {
+		t.Errorf("pairs = %v, want only y = 2; with the first mod statement", r.Pairs)
+	}
+}
+
+// TestIDsEqualExactlyWhenTextsEqual checks the interner's contract on every
+// statement and condition of 400 random programs (200 seeds, base and
+// mutant, half with loops) and of hand-written shapes the printer could
+// confuse: two ids are equal exactly when the String() texts are.
+func TestIDsEqualExactlyWhenTextsEqual(t *testing.T) {
+	in := newInterner()
+	var stmts []ast.Stmt
+	var conds []ast.Expr
+	add := func(pr *ast.Procedure) {
+		in.block(pr.Body)
+		ast.Walk(pr.Body.Stmts, func(s ast.Stmt) {
+			stmts = append(stmts, s)
+			switch s := s.(type) {
+			case *ast.If:
+				conds = append(conds, s.Cond)
+			case *ast.While:
+				conds = append(conds, s.Cond)
+			case *ast.Assert:
+				conds = append(conds, s.Cond)
+			}
+		})
+	}
+	add(parse(t, `proc p(int a, int b) {
+		x = -5; x = 0 - 5; x = a - -5; x = -a; x = -(a + b); x = -(-a);
+		if (a > 0) { x = 1; } if (a > 0) { x = 1; } else { } if (a > 0) { x = 1; } else { x = 1; }
+		if (a > 0) { x = 1; } else { if (b > 0) { x = 1; } }
+		if (a > 0) { x = 1; } else if (b > 0) { x = 1; }
+		{ x = 1; } { x = 1; y = 2; } { } skip; return;
+		while (!(a > b)) { skip; } while (!(a > b)) { } assert a + b * 2 > (a + b) * 2;
+	}`))
+	// The parser folds "-5"; the negation of the literal 5 prints the same.
+	neg := &ast.Assign{Name: "x", Value: &ast.Unary{Op: token.MINUS, X: &ast.IntLit{Value: 5}}}
+	negNeg := &ast.Assign{Name: "x", Value: &ast.Unary{Op: token.MINUS, X: neg.Value}}
+	minus0 := &ast.Assign{Name: "x", Value: &ast.Unary{Op: token.MINUS, X: &ast.IntLit{Value: 0}}}
+	add(&ast.Procedure{Body: &ast.Block{Stmts: []ast.Stmt{neg, negNeg, minus0,
+		&ast.Assign{Name: "x", Value: &ast.Unary{Op: token.MINUS, X: &ast.IntLit{Value: -5}}},
+		&ast.Call{Callee: "f", Args: []ast.Expr{&ast.Ident{Name: "a"}, &ast.IntLit{Value: 1}}},
+		&ast.Call{Callee: "f"},
+	}}})
+	for seed := int64(0); seed < 200; seed++ {
+		gen := randprog.New(seed, randprog.Config{Loops: seed%2 == 0})
+		prog := gen.Program()
+		mutant, _ := gen.Mutate(prog, 3)
+		add(prog.Proc("p"))
+		add(mutant.Proc("p"))
+	}
+	// Equal ids exactly when equal texts: text → id and id → text are both
+	// functions.
+	check := func(text string, id int32, byText map[string]int32, byID map[int32]string) {
+		t.Helper()
+		if other, ok := byText[text]; ok && other != id {
+			t.Fatalf("%q has ids %d and %d", text, other, id)
+		}
+		if other, ok := byID[id]; ok && other != text {
+			t.Fatalf("id %d names both %q and %q", id, other, text)
+		}
+		byText[text], byID[id] = id, text
+	}
+	byText, byID := map[string]int32{}, map[int32]string{}
+	for _, s := range stmts {
+		check(s.String(), in.stmts[s], byText, byID)
+	}
+	for _, e := range conds {
+		check(e.String(), in.expr(e), byText, byID)
+	}
+	if len(byText) < 1000 {
+		t.Errorf("only %d distinct texts checked", len(byText))
 	}
 }

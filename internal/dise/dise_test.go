@@ -259,10 +259,10 @@ proc p(int a, int b) {
   }
 }`
 	res := analyze(t, base, mod, "p")
-	if len(res.Affected.AWN) == 0 {
+	if res.Affected.AWN.Count() == 0 {
 		t.Fatal("the changed write must be affected")
 	}
-	if len(res.Affected.ACN) != 0 {
+	if res.Affected.ACN.Count() != 0 {
 		t.Errorf("no conditional should be affected, got lines %v", res.Affected.ACNLines())
 	}
 	// The paper's WBS v4 row: a changed write with no affected conditionals
@@ -401,7 +401,7 @@ proc p(int a) {
 	// The write y = 1 was control dependent on the removed guard in the
 	// base version; its mod counterpart must be affected, and through it
 	// the conditional on y.
-	if len(res.Affected.AWN) == 0 {
+	if res.Affected.AWN.Count() == 0 {
 		t.Fatal("the formerly guarded write must be affected")
 	}
 	if got, want := res.Affected.ACNLines(), []int{5}; !reflect.DeepEqual(got, want) {
@@ -436,7 +436,7 @@ proc p(int a) {
   out = y;
 }`
 	res := analyze(t, base, mod, "p")
-	if len(res.Affected.AWN) == 0 {
+	if res.Affected.AWN.Count() == 0 {
 		t.Fatal("added write must be affected")
 	}
 	// The added write uses y, so Eq. (4) also marks the two y-defining
@@ -576,23 +576,23 @@ func TestLiftMarksMapsNodes(t *testing.T) {
 	d := diff.Procedures(baseProc, modProc)
 	gBase, gMod := cfg.Build(baseProc), cfg.Build(modProc)
 	nm := LiftMarks(d, gBase, gMod)
-	// Every statement node of the base CFG must be marked and (since nothing
-	// was removed) mapped.
+	// Every statement node of the base CFG must carry its statement's mark
+	// and (since nothing was removed) be mapped.
 	for _, n := range gBase.StatementNodes() {
-		if _, ok := nm.Base[n]; !ok {
-			t.Errorf("base node %v unmarked", n)
+		if nm.Base[n.ID] != d.BaseMarks[n.Stmt] {
+			t.Errorf("base node %v marked %v, its statement %v", n, nm.Base[n.ID], d.BaseMarks[n.Stmt])
 		}
-		if _, ok := nm.DiffMap[n]; !ok {
+		if nm.DiffMap[n.ID] < 0 {
 			t.Errorf("base node %v unmapped", n)
 		}
 	}
 	// The changed conditional maps to the changed conditional.
 	bn := gBase.NodeAtLine(6)
 	mn := gMod.NodeAtLine(6)
-	if nm.DiffMap[bn] != mn {
+	if int(nm.DiffMap[bn.ID]) != mn.ID {
 		t.Error("changed conditional not mapped to its counterpart")
 	}
-	if nm.Base[bn] != diff.Changed || nm.Mod[mn] != diff.Changed {
+	if nm.Base[bn.ID] != diff.Changed || nm.Mod[mn.ID] != diff.Changed {
 		t.Error("changed conditional must be marked changed on both sides")
 	}
 }

@@ -36,7 +36,7 @@ proc p(int a) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paperFaithful.Affected.ACN) != 0 {
+	if paperFaithful.Affected.ACN.Count() != 0 {
 		t.Errorf("published rules must not reach the conditional through a write chain, got ACN lines %v",
 			paperFaithful.Affected.ACNLines())
 	}
@@ -51,7 +51,7 @@ proc p(int a) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(extended.Affected.ACN), 1; got != want {
+	if got, want := extended.Affected.ACN.Count(), 1; got != want {
 		t.Fatalf("extension ACN size = %d, want %d (lines %v)", got, want, extended.Affected.ACNLines())
 	}
 	if len(extended.Summary.Paths) != 2 {
@@ -101,11 +101,11 @@ proc p(int a) {
 		t.Fatal(err)
 	}
 	// All four chain writes affected, conditional affected, both arms explored.
-	if got := len(extended.Affected.AWN); got < 4 {
+	if got := extended.Affected.AWN.Count(); got < 4 {
 		t.Errorf("AWN size = %d, want >= 4 (full chain)", got)
 	}
-	if len(extended.Affected.ACN) != 1 {
-		t.Errorf("ACN size = %d, want 1", len(extended.Affected.ACN))
+	if extended.Affected.ACN.Count() != 1 {
+		t.Errorf("ACN size = %d, want 1", extended.Affected.ACN.Count())
 	}
 	if len(extended.Summary.Paths) != 2 {
 		t.Errorf("paths = %d, want 2", len(extended.Summary.Paths))
@@ -141,7 +141,7 @@ proc p(int a, int b) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(extended.Affected.ACN) != 0 {
+	if extended.Affected.ACN.Count() != 0 {
 		t.Errorf("unrelated conditional must stay unaffected, ACN lines %v", extended.Affected.ACNLines())
 	}
 	for _, line := range extended.Affected.AWNLines() {

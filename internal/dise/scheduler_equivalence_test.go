@@ -43,10 +43,10 @@ func newOracle(engine *symexec.Engine, affected *Affected) *oracleRunner {
 		unExCond:  map[int]bool{},
 		unExWrite: map[int]bool{},
 	}
-	for id := range affected.ACN {
+	for id := affected.ACN.Next(0); id >= 0; id = affected.ACN.Next(id + 1) {
 		o.unExCond[id] = true
 	}
-	for id := range affected.AWN {
+	for id := affected.AWN.Next(0); id >= 0; id = affected.AWN.Next(id + 1) {
 		o.unExWrite[id] = true
 	}
 	return o
@@ -315,14 +315,15 @@ func TestReachabilityCheckAllocFree(t *testing.T) {
 	r := NewRunner(engine, ComputeAffected(cfg.Build(base.Proc("update")), engine.Graph, d, Options{}))
 	s := engine.InitialState()
 	// Mark every affected node explored so each check also resets them all.
-	for id := range r.Affected.ACN {
+	acn := r.Affected.ACN
+	for id := acn.Next(0); id >= 0; id = acn.Next(id + 1) {
 		r.updateExploredSet(id)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if !r.affectedLocIsReachable(s) {
 			t.Fatal("every affected node is reachable from the entry")
 		}
-		for id := range r.Affected.ACN {
+		for id := acn.Next(0); id >= 0; id = acn.Next(id + 1) {
 			r.updateExploredSet(id)
 		}
 	})

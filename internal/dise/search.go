@@ -89,12 +89,8 @@ func NewRunner(engine *symexec.Engine, affected *Affected) *Runner {
 		targets:   cfg.NewBitset(n),
 		resets:    cfg.NewBitset(n),
 	}
-	for id := range affected.ACN {
-		r.unExCond.Set(id)
-	}
-	for id := range affected.AWN {
-		r.unExWrite.Set(id)
-	}
+	copy(r.unExCond, affected.ACN)
+	copy(r.unExWrite, affected.AWN)
 	return r
 }
 

@@ -48,10 +48,11 @@ import (
 // levels (see enter).
 const maxNesting = 10000
 
-// Parser holds parse state over a pre-scanned token stream.
+// Parser holds parse state over a token stream it pulls from its lexer one
+// token at a time: the grammar is LL(1).
 type Parser struct {
-	toks []token.Token
-	pos  int
+	lex  *lexer.Lexer
+	tok  token.Token // the current token
 	errs []error
 	// recovered is set right after panic-mode recovery so that the next
 	// failing expect() is suppressed instead of producing a cascade.
@@ -64,15 +65,16 @@ type Parser struct {
 
 // Parse parses a complete program from source text.
 func Parse(src string) (*ast.Program, error) {
-	toks, lexErrs := lexer.ScanAll(src)
-	p := &Parser{toks: toks}
-	for _, e := range lexErrs {
-		p.errs = append(p.errs, e)
-	}
+	p := &Parser{lex: lexer.New(src)}
+	p.tok = p.lex.Next()
 	prog := p.parseProgram()
-	if len(p.errs) > 0 {
-		msgs := make([]string, 0, len(p.errs))
-		for _, e := range p.errs {
+	// Scan what the parse left unread, so that every scan error is reported,
+	// ahead of the parse errors.
+	p.skipToEOF()
+	errs := append(p.lex.Errors(), p.errs...)
+	if len(errs) > 0 {
+		msgs := make([]string, 0, len(errs))
+		for _, e := range errs {
 			msgs = append(msgs, e.Error())
 		}
 		return prog, errors.New(strings.Join(msgs, "\n"))
@@ -111,13 +113,20 @@ func ParseProcedure(src, name string) (*ast.Program, *ast.Procedure, error) {
 	return prog, pr, nil
 }
 
-func (p *Parser) cur() token.Token { return p.toks[p.pos] }
+func (p *Parser) cur() token.Token { return p.tok }
 func (p *Parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.pos++
+		p.tok = p.lex.Next()
 	}
 	return t
+}
+
+// skipToEOF consumes the rest of the input.
+func (p *Parser) skipToEOF() {
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lex.Next()
+	}
 }
 
 func (p *Parser) at(k token.Kind) bool { return p.cur().Kind == k }
@@ -172,7 +181,7 @@ func (p *Parser) enter() bool {
 	if !p.tooDeep {
 		p.errs = append(p.errs, fmt.Errorf("%s: nesting deeper than %d levels", p.cur().Pos, maxNesting))
 		p.tooDeep = true
-		p.pos = len(p.toks) - 1 // the EOF token
+		p.skipToEOF()
 	}
 	return false
 }

@@ -153,9 +153,9 @@ type Engine struct {
 	stats        Stats
 	depthBound   int
 	interruptErr error
-	// memoKeys maps this graph's node IDs to their stable keys, resolved at
-	// build time when Config.Memo is set (read-only thereafter).
-	memoKeys map[int]string
+	// memoKeys holds the stable key of each node of this graph, by node ID,
+	// resolved at build time when Config.Memo is set (read-only thereafter).
+	memoKeys []string
 	// memoGen is the trie's step generation captured when the initial state
 	// is built; every trie node this run touches is stamped with it, which
 	// is what lets the trie's budget enforcement tell replayed/live nodes

@@ -28,7 +28,7 @@ func TestStepReportsInfeasibleTargets(t *testing.T) {
 	if len(step.InfeasibleTargets) != 1 {
 		t.Fatalf("infeasible targets = %d, want 1", len(step.InfeasibleTargets))
 	}
-	if got := step.InfeasibleTargets[0].Text; !strings.Contains(got, "neg = 1") {
+	if got := step.InfeasibleTargets[0].Text(); !strings.Contains(got, "neg = 1") {
 		t.Errorf("infeasible target = %q, want the true-branch write", got)
 	}
 }
@@ -57,7 +57,7 @@ func TestStepReportsFoldedFalseTargets(t *testing.T) {
 		t.Fatalf("step = %d feasible / %d infeasible, want 1/1",
 			len(step.Feasible), len(step.InfeasibleTargets))
 	}
-	if got := step.InfeasibleTargets[0].Text; !strings.Contains(got, "big = 1") {
+	if got := step.InfeasibleTargets[0].Text(); !strings.Contains(got, "big = 1") {
 		t.Errorf("folded-away target = %q, want the true-branch write", got)
 	}
 }

@@ -29,7 +29,7 @@ func (e *Engine) growTree(t *TreeNode) {
 	for _, succ := range e.Successors(t.State) {
 		edge := ""
 		if n := t.State.Node; n.Line > 0 {
-			edge = fmt.Sprintf("%d: %s", n.Line, n.Text)
+			edge = fmt.Sprintf("%d: %s", n.Line, n.Text())
 		}
 		child := &TreeNode{State: succ, EdgeText: edge}
 		t.Children = append(t.Children, child)
