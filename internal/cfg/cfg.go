@@ -287,9 +287,7 @@ type builder struct {
 
 // Build constructs the CFG for procedure pr.
 func Build(pr *ast.Procedure) *Graph {
-	stmts := 0
-	ast.Walk(pr.Body.Stmts, func(ast.Stmt) { stmts++ })
-	g := &Graph{Proc: pr, Nodes: make([]*Node, 0, stmts+3), stmtNode: make(map[ast.Stmt]*Node, stmts)}
+	g := &Graph{Proc: pr, stmtNode: map[ast.Stmt]*Node{}}
 	b := &builder{g: g}
 	g.Begin = b.newNode(KindBegin, 0, nil)
 	// Build the body; collect dangling exits that flow to end.
@@ -339,21 +337,13 @@ func (b *builder) condNode(s ast.Stmt, cond ast.Expr) *Node {
 // useList returns the variables e reads, sorted and distinct.
 func (b *builder) useList(e ast.Expr) []string {
 	b.uses = b.uses[:0]
-	b.appendVars(e)
+	ast.WalkExpr(e, func(x ast.Expr) {
+		if id, ok := x.(*ast.Ident); ok {
+			b.uses = append(b.uses, id.Name)
+		}
+	})
 	slices.Sort(b.uses)
 	return slices.Clone(slices.Compact(b.uses))
-}
-
-func (b *builder) appendVars(e ast.Expr) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		b.uses = append(b.uses, e.Name)
-	case *ast.Unary:
-		b.appendVars(e.X)
-	case *ast.Binary:
-		b.appendVars(e.L)
-		b.appendVars(e.R)
-	}
 }
 
 func (b *builder) edge(from, to *Node, label EdgeLabel) {

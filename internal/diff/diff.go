@@ -26,7 +26,6 @@ package diff
 
 import (
 	"sort"
-	"sync"
 
 	"dise/internal/lang/ast"
 	"dise/internal/lang/token"
@@ -74,8 +73,7 @@ type Result struct {
 
 // Procedures diffs two versions of a procedure.
 func Procedures(base, mod *ast.Procedure) *Result {
-	in := interners.Get().(*interner)
-	defer in.release()
+	in := newInterner()
 	in.block(base.Body)
 	nb := len(in.stmts)
 	in.block(mod.Body)
@@ -90,24 +88,6 @@ func Procedures(base, mod *ast.Procedure) *Result {
 	d := &differ{Result: r, ids: in}
 	d.diffBlocks(base.Body.Stmts, mod.Body.Stmts)
 	return r
-}
-
-// interners keeps emptied interners for reuse: their tables keep their
-// capacity, so a diff of a procedure no larger than earlier ones grows no
-// table.
-var interners = sync.Pool{New: func() any { return newInterner() }}
-
-// release empties the interner and returns it to the pool, unless its
-// tables grew so large that clearing them would cost small diffs more than
-// fresh tables do.
-func (in *interner) release() {
-	if len(in.cells) > 1<<12 {
-		return
-	}
-	clear(in.names)
-	clear(in.cells)
-	clear(in.stmts)
-	interners.Put(in)
 }
 
 // differ carries one Procedures call: the result under construction and the

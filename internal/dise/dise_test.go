@@ -576,9 +576,12 @@ func TestLiftMarksMapsNodes(t *testing.T) {
 	d := diff.Procedures(baseProc, modProc)
 	gBase, gMod := cfg.Build(baseProc), cfg.Build(modProc)
 	nm := LiftMarks(d, gBase, gMod)
-	// Every statement node of the base CFG must carry its statement's mark
-	// and (since nothing was removed) be mapped.
+	// Every statement node of the base CFG must be marked by the diff, carry
+	// that mark and (since nothing was removed) be mapped.
 	for _, n := range gBase.StatementNodes() {
+		if _, ok := d.BaseMarks[n.Stmt]; !ok {
+			t.Errorf("base node %v unmarked", n)
+		}
 		if nm.Base[n.ID] != d.BaseMarks[n.Stmt] {
 			t.Errorf("base node %v marked %v, its statement %v", n, nm.Base[n.ID], d.BaseMarks[n.Stmt])
 		}

@@ -178,14 +178,25 @@ func refStableKeys(g *cfg.Graph) map[int]string {
 func refUse(n *cfg.Node) map[string]bool {
 	switch s := n.Stmt.(type) {
 	case *ast.Assign:
-		return ast.Vars(s.Value)
+		return refVars(s.Value)
 	case nil:
 		return map[string]bool{}
 	}
 	if n.Cond != nil {
-		return ast.Vars(n.Cond)
+		return refVars(n.Cond)
 	}
 	return map[string]bool{}
+}
+
+// refVars returns the set of variable names read by expression e.
+func refVars(e ast.Expr) map[string]bool {
+	out := map[string]bool{}
+	ast.WalkExpr(e, func(x ast.Expr) {
+		if id, ok := x.(*ast.Ident); ok {
+			out[id.Name] = true
+		}
+	})
+	return out
 }
 
 // graphOracle is every reference analysis of one graph; cd[ni] holds the

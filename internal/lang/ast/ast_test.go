@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,12 +114,21 @@ func TestWalkExprAndVars(t *testing.T) {
 	if count != 6 {
 		t.Errorf("visited %d nodes, want 6", count)
 	}
-	vars := Vars(e)
-	if !vars["a"] || !vars["b"] || len(vars) != 2 {
-		t.Errorf("Vars = %v, want {a, b}", vars)
+	// The variables read are the identifiers the walk visits.
+	idents := func(e Expr) []string {
+		var out []string
+		WalkExpr(e, func(x Expr) {
+			if id, ok := x.(*Ident); ok {
+				out = append(out, id.Name)
+			}
+		})
+		return out
 	}
-	if got := Vars(intLit(1)); len(got) != 0 {
-		t.Errorf("Vars(literal) = %v, want empty", got)
+	if got := idents(e); !slices.Equal(got, []string{"a", "b", "a"}) {
+		t.Errorf("identifiers = %v, want [a b a]", got)
+	}
+	if got := idents(intLit(1)); len(got) != 0 {
+		t.Errorf("identifiers of a literal = %v, want none", got)
 	}
 }
 

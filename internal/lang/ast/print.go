@@ -92,17 +92,6 @@ func WalkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// Vars returns the set of variable names read by expression e.
-func Vars(e Expr) map[string]bool {
-	out := map[string]bool{}
-	WalkExpr(e, func(x Expr) {
-		if id, ok := x.(*Ident); ok {
-			out[id.Name] = true
-		}
-	})
-	return out
-}
-
 // CloneExpr returns a deep copy of e.
 func CloneExpr(e Expr) Expr {
 	switch e := e.(type) {
