@@ -372,10 +372,21 @@ func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config) (*Result, err
 		internal:                 res,
 		proc:                     job.Engine.Proc,
 	}
-	for _, p := range res.Summary.Paths {
-		out.Paths = append(out.Paths, PathInfo{PathCondition: p.PCString, AssertViolated: p.Err})
-	}
+	out.Paths = pathInfos(res.Summary.Paths)
 	return out, nil
+}
+
+// pathInfos projects explored paths onto the public PathInfo, in order.
+// No paths yield nil, as appending one at a time did.
+func pathInfos(paths []symexec.Path) []PathInfo {
+	if len(paths) == 0 {
+		return nil
+	}
+	out := make([]PathInfo, len(paths))
+	for i, p := range paths {
+		out[i] = PathInfo{PathCondition: p.PCString, AssertViolated: p.Err}
+	}
+	return out
 }
 
 func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo) bool) (*Result, error) {
@@ -483,10 +494,8 @@ func (a *Analyzer) Execute(ctx context.Context, src, procName string) (*Summary,
 	if summary.Stats.MaxStatesHit && a.conf.maxStates > 0 {
 		return nil, &Error{Kind: BudgetExhausted}
 	}
-	out := &Summary{proc: engine.Proc, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths), a.resultConfig())}
-	for _, p := range summary.Paths {
-		out.Paths = append(out.Paths, PathInfo{PathCondition: p.PCString, AssertViolated: p.Err})
-	}
+	out := &Summary{proc: engine.Proc, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths), a.resultConfig()),
+		Paths: pathInfos(summary.Paths)}
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -221,6 +222,65 @@ func TestAnalyzeBatchMatchesSequential(t *testing.T) {
 	// have parsed it once, not once per worker.
 	if stats := batch.CacheStats(); stats.Misses > int64(len(reqs)+1) {
 		t.Errorf("cache misses = %d, want <= %d (one per distinct source)", stats.Misses, len(reqs)+1)
+	}
+}
+
+// TestParseCacheSingleFlight pins the single-flight miss path: eight
+// goroutines request one source nobody has parsed yet, and the cache
+// records exactly one miss — the other seven wait for that parse and count
+// as hits, sharing its entry. A failing source reaches every waiter as a
+// ParseError and is not cached.
+func TestParseCacheSingleFlight(t *testing.T) {
+	a, _ := artifacts.ByName("WBS")
+	pc := newProgramCache(0, 0)
+	getAll := func(src string) ([]*cachedProgram, []error) {
+		const n = 8
+		entries := make([]*cachedProgram, n)
+		errs := make([]error, n)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for i := 0; i < n; i++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				entries[i], errs[i] = pc.get(src)
+			}()
+		}
+		start.Done()
+		done.Wait()
+		return entries, errs
+	}
+
+	entries, errs := getAll(a.Base)
+	for i := range entries {
+		if errs[i] != nil || entries[i] == nil || entries[i] != entries[0] {
+			t.Fatalf("request %d: entry %p, err %v; want the one shared entry %p", i, entries[i], errs[i], entries[0])
+		}
+	}
+	if st := pc.stats(); st.Misses != 1 || st.Hits != 7 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, 7 hits, 1 entry", st)
+	}
+
+	// A request that arrives after a failed parse finished finds nothing
+	// cached and parses again, so only the totals are fixed here.
+	const bad = "proc broken( {"
+	_, errs = getAll(bad)
+	for i, err := range errs {
+		var e *Error
+		if !errors.As(err, &e) || e.Kind != ParseError {
+			t.Fatalf("request %d: err = %v, want a ParseError", i, err)
+		}
+	}
+	st := pc.stats()
+	if st.Misses < 2 || st.Misses+st.Hits != 16 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 16 lookups, at least one more miss, still 1 entry", st)
+	}
+	if _, err := pc.get(bad); err == nil {
+		t.Fatal("a failing source parsed on retry")
+	}
+	if after := pc.stats(); after.Misses != st.Misses+1 || after.Entries != 1 {
+		t.Fatalf("stats after a retry = %+v, want one more miss: failures are not cached", after)
 	}
 }
 

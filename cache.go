@@ -3,6 +3,7 @@ package dise
 import (
 	"container/list"
 	"crypto/sha256"
+	"errors"
 	"sync"
 
 	"dise/internal/cfg"
@@ -53,15 +54,25 @@ type CacheStats = constraint.CacheStats
 // applies; an approximate byte budget (maxBytes > 0) additionally evicts
 // least-recently-used entries when the estimated retained size overflows.
 type programCache struct {
-	mu        sync.Mutex
-	capacity  int
-	maxBytes  int64
-	bytes     int64
-	entries   map[[sha256.Size]byte]*list.Element
-	lru       *list.List // of *cacheSlot, front = most recent
+	mu       sync.Mutex
+	capacity int
+	maxBytes int64
+	bytes    int64
+	entries  map[[sha256.Size]byte]*list.Element
+	lru      *list.List // of *cacheSlot, front = most recent
+	// pending holds the misses being parsed, by key: a request for a source
+	// another request is already parsing waits for that parse.
+	pending   map[[sha256.Size]byte]*pendingParse
 	hits      int64
 	misses    int64
 	evictions int64
+}
+
+// pendingParse is one in-flight miss. done closes when entry or err is set.
+type pendingParse struct {
+	done  chan struct{}
+	entry *cachedProgram
+	err   error
 }
 
 type cacheSlot struct {
@@ -85,29 +96,71 @@ func newProgramCache(capacity int, maxBytes int64) *programCache {
 		maxBytes: maxBytes,
 		entries:  map[[sha256.Size]byte]*list.Element{},
 		lru:      list.New(),
+		pending:  map[[sha256.Size]byte]*pendingParse{},
 	}
 }
 
 // get returns the cached bundle for src, parsing and type-checking on a
-// miss. Parse and type failures are classified (ParseError/TypeError) and
-// never cached: source that fails today may be retried cheaply, and failed
-// requests should not evict useful entries.
+// miss. Misses are single-flight: the first request for a source parses it,
+// and concurrent requests for the same source wait for that parse and count
+// as hits, so a batch whose workers all start on one base version parses it
+// once. Parse and type failures are classified (ParseError/TypeError),
+// reach every waiting request, and are never cached: source that fails
+// today may be retried cheaply, and failed requests should not evict
+// useful entries.
 func (pc *programCache) get(src string) (*cachedProgram, error) {
 	key := sha256.Sum256([]byte(src))
+	entry, p, owner := pc.claim(key)
+	switch {
+	case entry != nil:
+		return entry, nil
+	case !owner:
+		<-p.done
+		return p.entry, p.err
+	}
+	// Whatever happens in the parse (a panic included), the waiters are
+	// released and the key stops being pending.
+	defer close(p.done)
+	defer func() {
+		pc.mu.Lock()
+		defer pc.mu.Unlock()
+		delete(pc.pending, key)
+		if p.err == nil {
+			pc.insert(key, p.entry, len(src))
+		}
+	}()
+	// Parse outside the lock, so requests for other sources proceed.
+	p.entry, p.err = parseProgram(src)
+	return p.entry, p.err
+}
+
+// claim looks key up: it returns the cached entry on a hit; otherwise the
+// in-flight parse to wait for (owner false, counted as a hit), or a new
+// pending parse the caller must complete (owner true, counted as a miss).
+func (pc *programCache) claim(key [sha256.Size]byte) (entry *cachedProgram, p *pendingParse, owner bool) {
 	pc.mu.Lock()
+	defer pc.mu.Unlock()
 	if el, ok := pc.entries[key]; ok {
 		pc.lru.MoveToFront(el)
 		pc.hits++
-		entry := el.Value.(*cacheSlot).prog
-		pc.mu.Unlock()
-		return entry, nil
+		return el.Value.(*cacheSlot).prog, nil, false
+	}
+	if p, ok := pc.pending[key]; ok {
+		pc.hits++
+		return nil, p, false
 	}
 	pc.misses++
-	pc.mu.Unlock()
+	p = &pendingParse{done: make(chan struct{}), err: errParsePanicked}
+	pc.pending[key] = p
+	return nil, p, true
+}
 
-	// Parse outside the lock: concurrent misses on the same source duplicate
-	// work at most once each, which beats serializing every request behind
-	// one parse.
+// errParsePanicked is what requests waiting on a parse receive when it
+// panicked instead of returning.
+var errParsePanicked = &Error{Kind: ParseError, Err: errors.New("parsing the source panicked")}
+
+// parseProgram parses and type-checks one source text.
+func parseProgram(src string) (*cachedProgram, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return nil, &Error{Kind: ParseError, Err: err}
@@ -115,17 +168,13 @@ func (pc *programCache) get(src string) (*cachedProgram, error) {
 	if _, err := types.Check(prog); err != nil {
 		return nil, &Error{Kind: TypeError, Err: err}
 	}
-	entry := &cachedProgram{prog: prog, graphs: map[string]*cfg.Graph{}}
+	return &cachedProgram{prog: prog, graphs: map[string]*cfg.Graph{}}, nil
+}
 
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.entries[key]; ok {
-		// A concurrent request inserted it first; keep that copy so everyone
-		// shares one AST.
-		pc.lru.MoveToFront(el)
-		return el.Value.(*cacheSlot).prog, nil
-	}
-	slot := &cacheSlot{key: key, prog: entry, size: programEntryBytes(len(src))}
+// insert adds a freshly parsed entry and evicts least-recently-used
+// entries past either bound. The caller holds pc.mu.
+func (pc *programCache) insert(key [sha256.Size]byte, entry *cachedProgram, srcLen int) {
+	slot := &cacheSlot{key: key, prog: entry, size: programEntryBytes(srcLen)}
 	pc.entries[key] = pc.lru.PushFront(slot)
 	pc.bytes += slot.size
 	//diselint:ignore interruptloop bounded: each iteration evicts one LRU entry
@@ -138,7 +187,6 @@ func (pc *programCache) get(src string) (*cachedProgram, error) {
 		pc.bytes -= old.size
 		pc.evictions++
 	}
-	return entry, nil
 }
 
 // stats snapshots hit/miss counters.

@@ -252,6 +252,21 @@ func (l *Loader) loadBase(path string) (*types.Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
+	files, err := l.parseBase(path)
+	if err != nil {
+		return nil, err
+	}
+	conf := l.config(nil)
+	tpkg, err := conf.Check(path, l.Fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s: %v", path, err)
+	}
+	l.base[path] = tpkg
+	return tpkg, nil
+}
+
+// parseBase parses the non-test files of the package at path.
+func (l *Loader) parseBase(path string) ([]*ast.File, error) {
 	dir := l.dirForImport(path)
 	paths, err := goFilesIn(dir)
 	if err != nil {
@@ -271,13 +286,7 @@ func (l *Loader) loadBase(path string) (*types.Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
 	}
-	conf := l.config(nil)
-	tpkg, err := conf.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: type-checking %s: %v", path, err)
-	}
-	l.base[path] = tpkg
-	return tpkg, nil
+	return files, nil
 }
 
 func (l *Loader) dirForImport(path string) string {
@@ -335,9 +344,17 @@ func (l *Loader) config(override map[string]*types.Package) *types.Config {
 // unitImporter resolves one unit's imports: overrides first (the augmented
 // variant for an external test package), then module/testdata source, then
 // compiled export data for everything else.
+//
+// With an override, module packages that import an overridden package
+// (directly or through other module packages) are type-checked again
+// against it, as `go test` recompiles them for an external test package
+// ("symexec [memo.test]"): a type the test passes from the tested package
+// through such a dependency and back must be one type, not two.
 type unitImporter struct {
 	l        *Loader
 	override map[string]*types.Package
+	variants map[string]*types.Package // re-checked dependents, by path
+	depends  map[string]bool           // whether a module package reaches an override
 }
 
 func (u *unitImporter) Import(path string) (*types.Package, error) {
@@ -358,9 +375,76 @@ func (u *unitImporter) ImportFrom(path, dir string, mode types.ImportMode) (*typ
 		}
 	}
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
+		if len(u.override) > 0 {
+			return u.variant(path)
+		}
 		return l.loadBase(path)
 	}
 	return l.gcImp.ImportFrom(path, dir, 0)
+}
+
+// variant returns the module package at path as the unit sees it: the base
+// variant, or — when it reaches an overridden package — a copy type-checked
+// against the override.
+func (u *unitImporter) variant(path string) (*types.Package, error) {
+	if p, ok := u.variants[path]; ok {
+		return p, nil
+	}
+	reaches, err := u.reachesOverride(path)
+	if err != nil || !reaches {
+		return u.l.loadBase(path)
+	}
+	files, err := u.l.parseBase(path)
+	if err != nil {
+		return nil, err
+	}
+	conf := &types.Config{Importer: u, Error: func(error) {}}
+	tpkg, err := conf.Check(path, u.l.Fset, files, nil)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: type-checking %s for a test: %v", path, err)
+	}
+	if u.variants == nil {
+		u.variants = map[string]*types.Package{}
+	}
+	u.variants[path] = tpkg
+	return tpkg, nil
+}
+
+// reachesOverride reports whether the module package at path imports an
+// overridden package, directly or through other module packages.
+func (u *unitImporter) reachesOverride(path string) (bool, error) {
+	if r, ok := u.depends[path]; ok {
+		return r, nil
+	}
+	if u.depends == nil {
+		u.depends = map[string]bool{}
+	}
+	u.depends[path] = false // an import cycle reaches nothing new
+	files, err := u.l.parseBase(path)
+	if err != nil {
+		return false, err
+	}
+	l := u.l
+	for _, f := range files {
+		for _, imp := range f.Imports {
+			ip := strings.Trim(imp.Path.Value, `"`)
+			if _, ok := u.override[ip]; ok {
+				u.depends[path] = true
+				return true, nil
+			}
+			if ip == l.modPath || strings.HasPrefix(ip, l.modPath+"/") {
+				r, err := u.reachesOverride(ip)
+				if err != nil {
+					return false, err
+				}
+				if r {
+					u.depends[path] = true
+					return true, nil
+				}
+			}
+		}
+	}
+	return false, nil
 }
 
 // ---- stdlib export data ----

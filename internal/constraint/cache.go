@@ -1,7 +1,6 @@
 package constraint
 
 import (
-	"container/list"
 	"hash/fnv"
 	"sync"
 
@@ -96,19 +95,31 @@ type PrefixCache struct {
 	// retained bytes of its entries (bytes tracks the current total) — the
 	// service-scale bound, where what matters is heap footprint rather than
 	// entry count.
-	maxBytes  int64
-	bytes     int64
-	entries   map[prefixKey]*list.Element
-	lru       *list.List // of *prefixSlot, front = most recent
-	hits      int64
-	misses    int64
-	evictions int64
+	maxBytes int64
+	bytes    int64
+	// entries indexes slots by key. chunks is the arena of slots the LRU
+	// list runs through by index (head = most recent, tail = least recent,
+	// -1 when empty), grown a fixed-size chunk at a time so no slot is ever
+	// copied, and free chains the slots evictions emptied, so an insert
+	// reuses a slot instead of allocating one.
+	entries    map[prefixKey]int32
+	chunks     [][]prefixSlot
+	used       int32 // slots handed out of chunks so far
+	head, tail int32
+	free       int32
+	hits       int64
+	misses     int64
+	evictions  int64
 }
 
+// slotChunkLen is the number of slots per arena chunk (a power of two).
+const slotChunkLen = 256
+
 type prefixSlot struct {
-	key  prefixKey
-	ent  prefixEntry
-	size int64
+	key        prefixKey
+	ent        prefixEntry
+	size       int64
+	prev, next int32 // LRU neighbours (toward head, toward tail); next chains the free list
 }
 
 // Approximate per-entry byte costs for the byte bound: the slot with its
@@ -153,8 +164,50 @@ func NewPrefixCacheBytes(capacity int, maxBytes int64) *PrefixCache {
 	return &PrefixCache{
 		capacity: capacity,
 		maxBytes: maxBytes,
-		entries:  map[prefixKey]*list.Element{},
-		lru:      list.New(),
+		entries:  map[prefixKey]int32{},
+		head:     -1,
+		tail:     -1,
+		free:     -1,
+	}
+}
+
+// slot returns slot i of the arena.
+func (c *PrefixCache) slot(i int32) *prefixSlot {
+	return &c.chunks[i/slotChunkLen][i%slotChunkLen]
+}
+
+// unlink takes slot i out of the LRU list.
+func (c *PrefixCache) unlink(i int32) {
+	sl := c.slot(i)
+	if sl.prev >= 0 {
+		c.slot(sl.prev).next = sl.next
+	} else {
+		c.head = sl.next
+	}
+	if sl.next >= 0 {
+		c.slot(sl.next).prev = sl.prev
+	} else {
+		c.tail = sl.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (c *PrefixCache) pushFront(i int32) {
+	sl := c.slot(i)
+	sl.prev, sl.next = -1, c.head
+	if c.head >= 0 {
+		c.slot(c.head).prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// touch moves slot i to the front of the LRU list.
+func (c *PrefixCache) touch(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -162,10 +215,10 @@ func NewPrefixCacheBytes(capacity int, maxBytes int64) *PrefixCache {
 func (c *PrefixCache) get(key prefixKey) (prefixEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
+	if i, ok := c.entries[key]; ok {
+		c.touch(i)
 		c.hits++
-		return el.Value.(*prefixSlot).ent, true
+		return c.slot(i).ent, true
 	}
 	c.misses++
 	return prefixEntry{}, false
@@ -177,28 +230,43 @@ func (c *PrefixCache) get(key prefixKey) (prefixEntry, bool) {
 func (c *PrefixCache) put(key prefixKey, ent prefixEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		slot := el.Value.(*prefixSlot)
-		if ent.res != nil || slot.ent.res == nil {
-			slot.ent = ent
+	if i, ok := c.entries[key]; ok {
+		sl := c.slot(i)
+		if ent.res != nil || sl.ent.res == nil {
+			sl.ent = ent
 			size := approxEntryBytes(ent)
-			c.bytes += size - slot.size
-			slot.size = size
+			c.bytes += size - sl.size
+			sl.size = size
 		}
-		c.lru.MoveToFront(el)
+		c.touch(i)
 		return
 	}
-	slot := &prefixSlot{key: key, ent: ent, size: approxEntryBytes(ent)}
-	c.entries[key] = c.lru.PushFront(slot)
-	c.bytes += slot.size
+	i := c.free
+	if i >= 0 {
+		c.free = c.slot(i).next
+	} else {
+		if c.used%slotChunkLen == 0 {
+			c.chunks = append(c.chunks, make([]prefixSlot, slotChunkLen))
+		}
+		i = c.used
+		c.used++
+	}
+	sl := c.slot(i)
+	*sl = prefixSlot{key: key, ent: ent, size: approxEntryBytes(ent)}
+	c.pushFront(i)
+	c.entries[key] = i
+	c.bytes += sl.size
 	//diselint:ignore interruptloop bounded: each iteration evicts one LRU entry
-	for c.lru.Len() > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1) {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		old := oldest.Value.(*prefixSlot)
-		delete(c.entries, old.key)
-		c.bytes -= old.size
+	for len(c.entries) > c.capacity || (c.maxBytes > 0 && c.bytes > c.maxBytes && len(c.entries) > 1) {
+		old := c.tail
+		c.unlink(old)
+		sl := c.slot(old)
+		delete(c.entries, sl.key)
+		c.bytes -= sl.size
 		c.evictions++
+		// Drop the entry's references and chain the slot for reuse.
+		*sl = prefixSlot{next: c.free}
+		c.free = old
 	}
 }
 
@@ -220,5 +288,5 @@ type CacheStats struct {
 func (c *PrefixCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len(), Bytes: c.bytes, Evictions: c.evictions}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: len(c.entries), Bytes: c.bytes, Evictions: c.evictions}
 }

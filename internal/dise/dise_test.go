@@ -165,7 +165,7 @@ func TestTable1Pruning(t *testing.T) {
 	g := res.ModGraph
 	for _, p := range res.Summary.Paths {
 		condsSeen := 0
-		for _, id := range p.Trace {
+		for _, id := range p.Trace() {
 			if bswitchLines[g.Nodes[id].Line] {
 				condsSeen++
 			}
@@ -173,7 +173,7 @@ func TestTable1Pruning(t *testing.T) {
 		// Every emitted path passes through the BSwitch block at most once
 		// per conditional (no path explores multiple BSwitch variants).
 		if condsSeen > 2 {
-			t.Errorf("path %v visits the BSwitch block more than once", p.Trace)
+			t.Errorf("path %v visits the BSwitch block more than once", p.Trace())
 		}
 	}
 	if res.Prune.PrunedStates == 0 {
@@ -196,7 +196,7 @@ func fullAffectedSequences(t *testing.T, modSrc, proc string, a *Affected, confi
 	full := engine.RunFull()
 	out := map[string]bool{}
 	for _, p := range full.Paths {
-		seq := a.AffectedSequence(p.Trace)
+		seq := a.AffectedSequence(p.Trace())
 		if len(seq) > 0 {
 			out[SequenceKey(seq)] = true
 		}
@@ -213,7 +213,7 @@ func TestTheorem310OnMotivatingExample(t *testing.T) {
 	want := fullAffectedSequences(t, fig2ModSource, "update", res.Affected, symexec.Config{})
 	got := map[string]bool{}
 	for _, p := range res.Summary.Paths {
-		key := SequenceKey(res.Affected.AffectedSequence(p.Trace))
+		key := SequenceKey(res.Affected.AffectedSequence(p.Trace()))
 		if got[key] {
 			t.Errorf("duplicate affected sequence %s (violates Case II)", key)
 		}
@@ -530,7 +530,7 @@ proc p(int n) {
 	got := map[string]bool{}
 	maxLen := 0
 	for _, p := range res.Summary.Paths {
-		seq := res.Affected.AffectedSequence(p.Trace)
+		seq := res.Affected.AffectedSequence(p.Trace())
 		key := SequenceKey(seq)
 		if got[key] {
 			t.Errorf("duplicate affected sequence %s", key)

@@ -56,14 +56,14 @@ func TestLoopModeRandomPrograms(t *testing.T) {
 
 		fullSeqs := map[string][]int{}
 		for _, p := range full.Paths {
-			seq := res.Affected.AffectedSequence(p.Trace)
+			seq := res.Affected.AffectedSequence(p.Trace())
 			if len(seq) > 0 {
 				fullSeqs[SequenceKey(seq)] = seq
 			}
 		}
 		// Soundness: DiSE sequences are prefixes of full sequences.
 		for _, p := range res.Summary.Paths {
-			seq := res.Affected.AffectedSequence(p.Trace)
+			seq := res.Affected.AffectedSequence(p.Trace())
 			matched := false
 			for _, fullSeq := range fullSeqs {
 				if isPrefix(seq, fullSeq) {

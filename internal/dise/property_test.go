@@ -74,7 +74,7 @@ func TestTheorem310RandomPrograms(t *testing.T) {
 		var fullSeqs [][]int
 		fullSeen := map[string]bool{}
 		for _, p := range full.Paths {
-			seq := res.Affected.AffectedSequence(p.Trace)
+			seq := res.Affected.AffectedSequence(p.Trace())
 			if len(seq) > 0 && !fullSeen[SequenceKey(seq)] {
 				fullSeen[SequenceKey(seq)] = true
 				fullSeqs = append(fullSeqs, seq)
@@ -84,7 +84,7 @@ func TestTheorem310RandomPrograms(t *testing.T) {
 		diseSeen := map[string]bool{}
 		for _, p := range res.Summary.Paths {
 			totalDiSEPaths++
-			seq := res.Affected.AffectedSequence(p.Trace)
+			seq := res.Affected.AffectedSequence(p.Trace())
 			key := SequenceKey(seq)
 			if diseSeen[key] {
 				dupSeqs++

@@ -198,7 +198,7 @@ func runOracle(t *testing.T, baseProg, modProg *ast.Program, proc string) ([]str
 func pathStrings(s *symexec.Summary) []string {
 	out := make([]string, len(s.Paths))
 	for i, p := range s.Paths {
-		out[i] = fmt.Sprintf("%s %v err=%v", p.PCString, p.Trace, p.Err)
+		out[i] = fmt.Sprintf("%s %v err=%v", p.PCString, p.Trace(), p.Err)
 	}
 	return out
 }

@@ -57,6 +57,7 @@ type Runner struct {
 	resets  cfg.Bitset
 
 	summary *symexec.Summary
+	paths   symexec.PathList
 
 	// PruneStats counts directed-search-specific events.
 	PruneStats PruneStats
@@ -102,6 +103,7 @@ func (r *Runner) Run() *symexec.Summary {
 	explorer := symexec.NewExplorer(r.Engine, symexec.ExploreOptions{Pruner: r})
 	stats := explorer.Run().Stats
 	stats.Time = time.Since(start)
+	r.summary.Paths = r.paths.Paths()
 	r.summary.Stats = stats
 	return r.summary
 }
@@ -141,8 +143,8 @@ func (r *Runner) Enter(s *symexec.State) bool {
 // sight (no "beacon" to trigger the reset machinery of lines 21–23), the new
 // sequence is pruned. The paper's Theorem 3.10 idealizes this away;
 // TestTheorem310RandomPrograms quantifies it.
-func (r *Runner) Expanded(s *symexec.State, step symexec.Step) {
-	for _, t := range step.InfeasibleTargets {
+func (r *Runner) Expanded(s *symexec.State, infeasible []*cfg.Node) {
+	for _, t := range infeasible {
 		r.updateExploredSet(t.ID)
 	}
 }
@@ -194,10 +196,7 @@ func (r *Runner) Maximal(s *symexec.State) {
 // of the emitted trace even though it has not produced successors.
 func (r *Runner) collect(s *symexec.State) {
 	adjusted := *s
-	switch s.Node.Kind {
-	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		adjusted.Trace = s.Trace.Append(s.Node.ID)
-	}
+	adjusted.Trace = r.Engine.VisitedTrace(s)
 	affected := adjusted.Trace.Any(r.Affected.Contains)
 	// A merged state's trace continues one representative sibling; the other
 	// constituents' footprints live in Cover (state merging,
@@ -218,7 +217,7 @@ func (r *Runner) collect(s *symexec.State) {
 	if r.OnPath != nil && !r.OnPath(path) {
 		r.stopped = true
 	}
-	r.summary.Paths = append(r.summary.Paths, path)
+	r.paths.Add(path)
 }
 
 // updateExploredSet is UpdateExploredSet of Fig. 6 (lines 30–35).

@@ -7,16 +7,19 @@ import (
 	"dise/internal/sym"
 )
 
-// buildChain attaches a linear chain of n nodes under parent, stamping each
-// with gen and hits, and returns the first node of the chain.
-func buildChain(parent *Node, n int, gen uint64, hits uint32, via int8, cond sym.Expr) *Node {
-	first := &Node{Key: "k", Via: via, ViaCond: cond, gen: gen, hits: hits, Expanded: true}
-	parent.Succs = append(parent.Succs, first)
+// buildChain attaches a linear chain of n nodes under parent, at the tree's
+// current generation, giving each node hits recorded lookups, and returns
+// the first node of the chain.
+func buildChain(tr *Tree, parent *Node, n int, hits uint32, via int8, cond sym.Expr) *Node {
+	var kids [1]*Node
+	tr.Expand(parent, []Arm{{Via: via, Cond: cond, Slot: tr.Slot("k")}}, kids[:])
+	first := kids[0]
+	first.hits = hits
 	cur := first
 	for i := 1; i < n; i++ {
-		next := &Node{Key: "k", Via: ViaFlow, gen: gen, hits: hits, Expanded: true}
-		cur.Succs = append(cur.Succs, next)
-		cur = next
+		tr.Expand(cur, []Arm{{Via: ViaFlow, Slot: tr.Slot("k")}}, kids[:])
+		cur = kids[0]
+		cur.hits = hits
 	}
 	return first
 }
@@ -24,7 +27,7 @@ func buildChain(parent *Node, n int, gen uint64, hits uint32, via int8, cond sym
 func TestEnforceNoBudgetIsNoop(t *testing.T) {
 	var tr Tree
 	root := tr.Root("r")
-	buildChain(root, 50, 0, 0, ViaTrue, sym.V("c1"))
+	buildChain(&tr, root, 50, 0, ViaTrue, sym.V("c1"))
 	if n := tr.Enforce(); n != 0 {
 		t.Fatalf("Enforce with no budget evicted %d nodes", n)
 	}
@@ -37,9 +40,9 @@ func TestEnforceEvictsColdestSubtreeFirst(t *testing.T) {
 	var tr Tree
 	tr.BeginStep() // gen 1
 	root := tr.Root("r")
-	cold := buildChain(root, 10, 1, 0, ViaTrue, sym.Cmp(sym.OpLT, sym.V("a"), sym.Int(3)))
+	cold := buildChain(&tr, root, 10, 0, ViaTrue, sym.Cmp(sym.OpLT, sym.V("a"), sym.Int(3)))
 	tr.BeginStep() // gen 2
-	hot := buildChain(root, 10, 2, 5, ViaFalse, sym.Cmp(sym.OpGE, sym.V("a"), sym.Int(3)))
+	hot := buildChain(&tr, root, 10, 5, ViaFalse, sym.Cmp(sym.OpGE, sym.V("a"), sym.Int(3)))
 
 	tr.SetNodeBudget(11) // root + one chain
 	evicted := tr.Enforce()
@@ -66,8 +69,8 @@ func TestEnforceHitAwareAmongEquallyStale(t *testing.T) {
 	var tr Tree
 	tr.BeginStep()
 	root := tr.Root("r")
-	unhit := buildChain(root, 8, 1, 0, ViaTrue, sym.V("p"))
-	hitten := buildChain(root, 8, 1, 9, ViaFalse, sym.V("q"))
+	unhit := buildChain(&tr, root, 8, 0, ViaTrue, sym.V("p"))
+	hitten := buildChain(&tr, root, 8, 9, ViaFalse, sym.V("q"))
 	tr.BeginStep() // both chains now stale
 
 	tr.SetNodeBudget(9)
@@ -90,10 +93,10 @@ func TestEnforceEvictedMeansColdNeverWrong(t *testing.T) {
 	tr.BeginStep()
 	root := tr.Root("r")
 	cond := sym.Cmp(sym.OpEQ, sym.V("x"), sym.Int(7))
-	child := buildChain(root, 3, 1, 0, ViaTrue, cond)
-	child.Record(cond, true, solver.NewModel(nil, map[string]int64{"x": 7}))
+	child := buildChain(&tr, root, 3, 0, ViaTrue, cond)
+	tr.Record(child, cond, true, solver.NewModel(nil, map[string]int64{"x": 7}))
 	tr.BeginStep()
-	buildChain(root, 3, 2, 0, ViaFalse, sym.NotE(cond))
+	buildChain(&tr, root, 3, 0, ViaFalse, sym.NotE(cond))
 
 	tr.SetNodeBudget(4)
 	tr.Enforce()
@@ -113,7 +116,7 @@ func TestEnforceDeterministic(t *testing.T) {
 		tr.BeginStep()
 		root := tr.Root("r")
 		for i := 0; i < 6; i++ {
-			buildChain(root, 5, 1, uint32(i%3), ViaTrue, sym.Cmp(sym.OpLT, sym.V("v"), sym.Int(int64(i))))
+			buildChain(&tr, root, 5, uint32(i%3), ViaTrue, sym.Cmp(sym.OpLT, sym.V("v"), sym.Int(int64(i))))
 		}
 		tr.SetNodeBudget(16)
 		return &tr
@@ -125,11 +128,11 @@ func TestEnforceDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic eviction: sizes %d vs %d", a.Size(), b.Size())
 	}
 	ra, rb := a.Root(""), b.Root("")
-	if len(ra.Succs) != len(rb.Succs) {
-		t.Fatalf("non-deterministic eviction: %d vs %d surviving children", len(ra.Succs), len(rb.Succs))
+	if len(ra.succs) != len(rb.succs) {
+		t.Fatalf("non-deterministic eviction: %d vs %d surviving children", len(ra.succs), len(rb.succs))
 	}
-	for i := range ra.Succs {
-		if !eqExpr(ra.Succs[i].ViaCond, rb.Succs[i].ViaCond) {
+	for i := range ra.succs {
+		if !eqExpr(ra.succs[i].ViaCond, rb.succs[i].ViaCond) {
 			t.Fatalf("surviving child %d differs between identical runs", i)
 		}
 	}
@@ -146,8 +149,8 @@ func TestBytesEstimatorSanity(t *testing.T) {
 		t.Fatalf("single-node tree reports %d bytes", small)
 	}
 	cond := sym.Cmp(sym.OpLT, sym.V("x"), sym.Int(1))
-	c := buildChain(root, 20, 1, 0, ViaTrue, cond)
-	c.Record(cond, true, solver.NewModel(nil, map[string]int64{"x": 0, "y": 1}))
+	c := buildChain(&tr, root, 20, 0, ViaTrue, cond)
+	tr.Record(c, cond, true, solver.NewModel(nil, map[string]int64{"x": 0, "y": 1}))
 	grown := tr.Bytes()
 	if grown <= small {
 		t.Fatalf("Bytes did not grow with nodes: %d -> %d", small, grown)
@@ -167,24 +170,6 @@ func TestBytesEstimatorSanity(t *testing.T) {
 	}
 }
 
-// refUsage is the reference accounting Usage must reproduce in its single
-// walk: the node count and the per-node byte estimate, summed separately.
-func refUsage(n *Node) (nodes int, bytes int64) {
-	if n == nil {
-		return 0, 0
-	}
-	nodes, bytes = 1, int64(nodeBaseBytes+len(n.Key)+cap(n.Succs)*succPtrBytes)
-	for _, v := range n.Verdicts {
-		bytes += verdictBytes + int64(v.Model.Len()*modelEntryBytes)
-	}
-	for _, c := range n.Succs {
-		cn, cb := refUsage(c)
-		nodes += cn
-		bytes += cb
-	}
-	return nodes, bytes
-}
-
 // TestUsageMatchesSizeAndBytes pins that Usage's one walk equals Size and
 // Bytes, and the reference accounting, on a recorded trie before and after
 // budget enforcement.
@@ -193,13 +178,13 @@ func TestUsageMatchesSizeAndBytes(t *testing.T) {
 	tr.BeginStep()
 	root := tr.Root("root")
 	a := sym.Cmp(sym.OpLT, sym.V("a"), sym.Int(3))
-	root.Record(a, true, solver.NewModel(nil, map[string]int64{"a": 0, "b": 1}))
-	root.Record(sym.NotE(a), true, solver.NewModel(nil, map[string]int64{"a": 3}))
-	cold := buildChain(root, 6, 1, 0, ViaTrue, a)
-	cold.Record(sym.Cmp(sym.OpEQ, sym.V("b"), sym.Int(1)), false, nil)
+	tr.Record(root, a, true, solver.NewModel(nil, map[string]int64{"a": 0, "b": 1}))
+	tr.Record(root, sym.NotE(a), true, solver.NewModel(nil, map[string]int64{"a": 3}))
+	cold := buildChain(&tr, root, 6, 0, ViaTrue, a)
+	tr.Record(cold, sym.Cmp(sym.OpEQ, sym.V("b"), sym.Int(1)), false, nil)
 	tr.BeginStep()
-	hot := buildChain(root, 4, 2, 3, ViaFalse, sym.NotE(a))
-	hot.Record(sym.Cmp(sym.OpGT, sym.V("b"), sym.Zero), true, solver.NewModel(nil, map[string]int64{"a": 3, "b": 1}))
+	hot := buildChain(&tr, root, 4, 3, ViaFalse, sym.NotE(a))
+	tr.Record(hot, sym.Cmp(sym.OpGT, sym.V("b"), sym.Zero), true, solver.NewModel(nil, map[string]int64{"a": 3, "b": 1}))
 
 	check := func(when string, wantNodes int) {
 		t.Helper()

@@ -20,18 +20,18 @@ func condB() sym.Expr  { return sym.Cmp(sym.OpGT, sym.V("Y"), sym.Int(5)) }
 func buildTrie() (*Tree, *Node, *Node, *Node, *Node) {
 	tree := &Tree{}
 	root := tree.Root("^")
-	w := &Node{Key: "s0", Via: ViaFlow}
-	c := &Node{Key: "s1", Via: ViaFlow}
-	tNode := &Node{Key: "s2", Via: ViaTrue, ViaCond: condA()}
-	fNode := &Node{Key: "s3", Via: ViaFalse, ViaCond: condNA()}
-	root.Succs = []*Node{w}
-	root.Expanded = true
-	w.Succs = []*Node{c}
-	w.Expanded = true
-	c.Succs = []*Node{tNode, fNode}
-	c.Expanded = true
-	c.Record(condA(), true, solver.NewModel(nil, map[string]int64{"X": 4}))
-	c.Record(condNA(), false, nil)
+	var kids [2]*Node
+	tree.Expand(root, []Arm{{Via: ViaFlow, Slot: tree.Slot("s0")}}, kids[:])
+	w := kids[0]
+	tree.Expand(w, []Arm{{Via: ViaFlow, Slot: tree.Slot("s1")}}, kids[:])
+	c := kids[0]
+	tree.Expand(c, []Arm{
+		{Via: ViaTrue, Cond: condA(), Slot: tree.Slot("s2")},
+		{Via: ViaFalse, Cond: condNA(), Slot: tree.Slot("s3")},
+	}, kids[:])
+	tNode, fNode := kids[0], kids[1]
+	tree.Record(c, condA(), true, solver.NewModel(nil, map[string]int64{"X": 4}))
+	tree.Record(c, condNA(), false, nil)
 	return tree, w, c, tNode, fNode
 }
 
@@ -80,15 +80,15 @@ func TestRekeyTranslatesAndCounts(t *testing.T) {
 	if kept != 4 || invalidated != 1 {
 		t.Fatalf("Rekey = kept %d, invalidated %d; want 4, 1", kept, invalidated)
 	}
-	if w.Key != "" {
-		t.Errorf("invalidated node kept its identity %q", w.Key)
+	if w.Key() != "" {
+		t.Errorf("invalidated node kept its identity %q", w.Key())
 	}
-	if c.Key != "s9" {
-		t.Errorf("surviving node key = %q, want s9", c.Key)
+	if c.Key() != "s9" {
+		t.Errorf("surviving node key = %q, want s9", c.Key())
 	}
 	// Invalidation is identity-level only: recorded facts stay reachable so
 	// renderings that still match (or match again after a revert) replay.
-	if len(c.Verdicts) != 2 || len(c.Succs) != 2 || c.Succs[0] != tNode {
+	if len(c.verdicts) != 2 || len(c.succs) != 2 || c.succs[0] != tNode {
 		t.Errorf("rekey dropped recorded facts: %+v", c)
 	}
 }

@@ -114,15 +114,34 @@ func (s *Solver) Tighten(parent *Box, constraints []sym.Expr) (box *Box, residua
 	}
 	for i, name := range tpl.varNames {
 		if d, _ := parent.get(tpl.pos[i], name); d != dom[i] {
-			return parent.with(tpl, dom), residual, true
+			return s.with(parent, tpl, dom), residual, true
 		}
 	}
 	return parent, residual, true
 }
 
-// with returns a copy of b with the template's variables set to dom.
-func (b *Box) with(tpl *propTemplate, dom []Interval) *Box {
-	out := &Box{iv: append([]Interval(nil), b.iv...), outside: b.outside}
+// Box slab chunk lengths: 64 boxes (2 KB) and 1024 intervals (16 KB).
+const (
+	boxSlabLen = 64
+	ivSlabLen  = 1024
+)
+
+// with returns a copy of b with the template's variables set to dom, carved
+// from the solver's slabs.
+func (s *Solver) with(b *Box, tpl *propTemplate, dom []Interval) *Box {
+	if len(s.boxSlab) == cap(s.boxSlab) {
+		s.boxSlab = make([]Box, 0, boxSlabLen)
+	}
+	s.boxSlab = s.boxSlab[:len(s.boxSlab)+1]
+	out := &s.boxSlab[len(s.boxSlab)-1]
+	n := len(b.iv)
+	if cap(s.ivSlab)-len(s.ivSlab) < n {
+		s.ivSlab = make([]Interval, 0, max(ivSlabLen, n))
+	}
+	at := len(s.ivSlab)
+	s.ivSlab = s.ivSlab[:at+n]
+	*out = Box{iv: s.ivSlab[at : at+n : at+n], outside: b.outside}
+	copy(out.iv, b.iv)
 	copied := false
 	for i, pos := range tpl.pos {
 		if pos >= 0 {

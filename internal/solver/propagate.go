@@ -144,17 +144,44 @@ func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Sta
 // places its names by the index.
 func (p *problem) modelFrom(domains []Interval) *Model {
 	if p.dense {
-		vals := make([]int64, len(domains))
+		m := p.models.carve(len(domains))
+		m.index = p.index
 		for i, d := range domains {
-			vals[i] = d.Lo
+			m.vals[i] = d.Lo
 		}
-		return &Model{index: p.index, vals: vals}
+		return m
 	}
 	values := make(map[string]int64, len(p.varNames))
 	for i, name := range p.varNames {
 		values[name] = domains[i].Lo
 	}
 	return NewModel(p.index, values)
+}
+
+// modelSlab carves dense models and their values from chunks of 64 models
+// and 1024 values; a nil slab allocates each model on its own.
+type modelSlab struct {
+	models []Model
+	vals   []int64
+}
+
+// carve returns a zero model with n values.
+func (s *modelSlab) carve(n int) *Model {
+	if s == nil {
+		return &Model{vals: make([]int64, n)}
+	}
+	if len(s.models) == cap(s.models) {
+		s.models = make([]Model, 0, 64)
+	}
+	s.models = s.models[:len(s.models)+1]
+	m := &s.models[len(s.models)-1]
+	if cap(s.vals)-len(s.vals) < n {
+		s.vals = make([]int64, 0, max(1024, n))
+	}
+	at := len(s.vals)
+	s.vals = s.vals[:at+n]
+	m.vals = s.vals[at : at+n : at+n]
+	return m
 }
 
 // concreteTruth evaluates a constraint whose variables are all fixed,

@@ -2,7 +2,6 @@ package symexec
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -156,18 +155,24 @@ type Engine struct {
 	// memoKeys holds the stable key of each node of this graph, by node ID,
 	// resolved at build time when Config.Memo is set (read-only thereafter).
 	memoKeys []string
-	// memoGen is the trie's step generation captured when the initial state
-	// is built; every trie node this run touches is stamped with it, which
-	// is what lets the trie's budget enforcement tell replayed/live nodes
-	// from retained-but-unmatched ones.
-	memoGen uint64
+	// memoSlots holds the trie's key slot of each node of this graph, by
+	// node ID. They are resolved when the run starts (InitialState): the
+	// session rekeys the trie after building the engine, and a slot names a
+	// key of the trie's current key space.
+	memoSlots []*memo.Slot
 	// stack mirrors the constraints currently asserted on the Backend, one
 	// frame per path-condition conjunct.
 	stack []sym.Expr
-	// pcScratch is the reusable buffer syncPC materializes a state's
-	// path-condition list into; it keeps stack syncing allocation-free in
-	// steady state.
+	// pcScratch is the reusable buffer syncPC and Collect materialize a
+	// state's path-condition list into; it keeps stack syncing and path
+	// rendering allocation-free in steady state.
 	pcScratch []sym.Expr
+	// infScratch backs the infeasible-target list of the scheduler's
+	// expansions, which the walks read before the next step.
+	infScratch [2]*cfg.Node
+	// slabs carve the exploration's list cells from chunks and recycle its
+	// states (slab.go).
+	slabs slabs
 }
 
 // New type-checks the program, builds the CFG of procedure procName, and
@@ -465,9 +470,12 @@ func (e *Engine) InitialState() *State {
 	// before use on every executable path of well-formed artifacts.
 	e.stats.StatesExplored++
 	s := &State{Node: e.Graph.Begin, Env: env, PC: nil, Trace: nil, model: e.lows}
-	if e.config.Memo != nil {
-		e.memoGen = e.config.Memo.Gen()
-		s.memo = e.config.Memo.Root(e.memoKeys[e.Graph.Begin.ID])
+	if t := e.config.Memo; t != nil {
+		e.memoSlots = make([]*memo.Slot, len(e.memoKeys))
+		for id, key := range e.memoKeys {
+			e.memoSlots[id] = t.Slot(key)
+		}
+		s.memo = t.Root(e.memoKeys[e.Graph.Begin.ID])
 	}
 	return s
 }
@@ -497,55 +505,66 @@ func (e *Engine) Successors(s *State) []*State {
 // non-nil) it produces no successors, so any search loop built on it unwinds
 // within one step.
 func (e *Engine) Step(s *State) Step {
+	feasible, infeasible := e.expand(s, nil, nil)
+	return Step{Feasible: feasible, InfeasibleTargets: infeasible}
+}
+
+// expand is Step with the successors and the infeasible targets appended to
+// the given empty buffers, returned as two lists. A node has at most two of
+// each, so the scheduler's walks pass two-element arrays (successors from
+// their own frame, targets from the engine, read before the next
+// expansion) and an expansion allocates no list.
+func (e *Engine) expand(s *State, feasible []*State, infeasible []*cfg.Node) ([]*State, []*cfg.Node) {
 	if e.interruptErr != nil {
-		return Step{}
+		return nil, nil
 	}
 	if e.config.Interrupt != nil {
 		if err := e.config.Interrupt(); err != nil {
 			e.interruptErr = err
-			return Step{}
+			return nil, nil
 		}
 	}
 	n := s.Node
 	switch n.Kind {
 	case cfg.KindEnd, cfg.KindError:
-		return Step{}
+		return nil, nil
 	}
 	if s.Depth >= e.depthBound {
 		e.stats.DepthBoundHits++
-		return Step{}
+		return nil, nil
 	}
 
 	rec := e.memoEnter(s)
-	var out Step
-	// Branch arms and path-condition contributions of out.Feasible, tracked
-	// only when rec != nil (the chain invariant's induction data). A node has
-	// at most two successors, so they fit the stack arrays.
-	var viaBuf [2]int8
-	var viaCondBuf [2]sym.Expr
-	vias, viaConds := viaBuf[:0], viaCondBuf[:0]
+	// The successors' trie arms (branch arm, path-condition contribution,
+	// key), tracked only when rec != nil: the chain invariant's induction
+	// data.
+	var armBuf [2]memo.Arm
+	arms := armBuf[:0]
+	// Every successor records this node in its trace when it is a source
+	// statement: one cell, shared by both arms of a conditional.
+	trace := s.Trace
+	if n.Kind != cfg.KindBegin {
+		trace = e.appendTrace(trace, n.ID)
+	}
 	switch n.Kind {
 	case cfg.KindBegin, cfg.KindNop:
-		succ := s.fork(n.Succs[0].To)
-		succ.appendTraceIfStmt(n)
-		out.Feasible = append(out.Feasible, succ)
+		succ := e.fork(s, n.Succs[0].To, trace)
+		feasible = append(feasible, succ)
 		if rec != nil {
-			vias, viaConds = append(vias, memo.ViaFlow), append(viaConds, nil)
+			arms = append(arms, memo.Arm{Via: memo.ViaFlow, Slot: e.memoSlots[succ.Node.ID]})
 		}
 	case cfg.KindWrite:
 		a := n.Stmt.(*ast.Assign)
 		val := e.evalExpr(a.Value, s.Env)
-		succ := s.fork(n.Succs[0].To)
+		succ := e.fork(s, n.Succs[0].To, trace)
 		succ.Env = succ.Env.Set(a.Name, val)
-		succ.appendTraceIfStmt(n)
-		out.Feasible = append(out.Feasible, succ)
+		feasible = append(feasible, succ)
 		if rec != nil {
-			vias, viaConds = append(vias, memo.ViaFlow), append(viaConds, nil)
+			arms = append(arms, memo.Arm{Via: memo.ViaFlow, Slot: e.memoSlots[succ.Node.ID]})
 		}
 	case cfg.KindCond:
 		cond := e.evalExpr(n.Cond, s.Env)
-		out.Feasible = make([]*State, 0, 2)
-		for arm, branch := range []struct {
+		for arm, branch := range [2]struct {
 			c  sym.Expr
 			to *cfg.Node
 		}{
@@ -561,18 +580,17 @@ func (e *Engine) Step(s *State) Step {
 					// target as infeasible, like a solver-refuted branch, so
 					// the directed search marks it explored instead of
 					// chasing it through unaffected variations.
-					out.InfeasibleTargets = append(out.InfeasibleTargets, branch.to)
+					infeasible = append(infeasible, branch.to)
 					continue
 				}
-				succ := s.fork(branch.to)
-				succ.appendTraceIfStmt(n)
+				succ := e.fork(s, branch.to, trace)
 				if branch.to.Kind == cfg.KindError {
 					succ.Err = true
 				}
-				out.Feasible = append(out.Feasible, succ)
+				feasible = append(feasible, succ)
 				if rec != nil {
 					// A folded branch appends no conjunct: nil contribution.
-					vias, viaConds = append(vias, via), append(viaConds, nil)
+					arms = append(arms, memo.Arm{Via: via, Slot: e.memoSlots[branch.to.ID]})
 				}
 			default:
 				var model *solver.Model
@@ -598,7 +616,7 @@ func (e *Engine) Step(s *State) Step {
 						e.stats.MemoHits++
 						if !v.Sat {
 							e.stats.InfeasibleBranches++
-							out.InfeasibleTargets = append(out.InfeasibleTargets, branch.to)
+							infeasible = append(infeasible, branch.to)
 							continue
 						}
 						model = v.Model
@@ -617,25 +635,24 @@ func (e *Engine) Step(s *State) Step {
 					if rec != nil && !res.Unknown {
 						// Unknown is budget- and interrupt-dependent; only
 						// definitive verdicts become facts of the trie.
-						rec.Record(branch.c, res.Sat, res.Model)
+						e.config.Memo.Record(rec, branch.c, res.Sat, res.Model)
 					}
 					if !res.Sat {
 						e.stats.InfeasibleBranches++
-						out.InfeasibleTargets = append(out.InfeasibleTargets, branch.to)
+						infeasible = append(infeasible, branch.to)
 						continue
 					}
 					model = res.Model
 				}
-				succ := s.fork(branch.to)
-				succ.PC = succ.PC.Append(branch.c)
+				succ := e.fork(s, branch.to, trace)
+				succ.PC = e.appendPC(s.PC, branch.c)
 				succ.model = model
-				succ.appendTraceIfStmt(n)
 				if branch.to.Kind == cfg.KindError {
 					succ.Err = true
 				}
-				out.Feasible = append(out.Feasible, succ)
+				feasible = append(feasible, succ)
 				if rec != nil {
-					vias, viaConds = append(vias, via), append(viaConds, branch.c)
+					arms = append(arms, memo.Arm{Via: via, Cond: branch.c, Slot: e.memoSlots[branch.to.ID]})
 				}
 			}
 		}
@@ -643,24 +660,27 @@ func (e *Engine) Step(s *State) Step {
 		panic(fmt.Sprintf("symexec: cannot execute node %v", n))
 	}
 	if rec != nil {
-		e.memoLink(rec, out.Feasible, vias, viaConds)
+		var kids [2]*memo.Node
+		e.config.Memo.Expand(rec, arms, kids[:])
+		for i, st := range feasible {
+			st.memo = kids[i]
+		}
 	}
-	e.stats.StatesExplored += len(out.Feasible)
-	return out
+	e.stats.StatesExplored += len(feasible)
+	return feasible, infeasible
 }
 
 // memoEnter resolves the memo-trie node of a state about to be expanded.
 // The node's identity (stable key) is re-learned on divergence — e.g. an
 // inserted statement shifted the walk's alignment — but never gates replay:
 // data validity rests entirely on the chain invariant (internal/memo), which
-// memoLink enforces when children are attached.
+// the trie's Expand enforces when children are attached.
 func (e *Engine) memoEnter(s *State) *memo.Node {
 	rec := s.memo
 	if rec == nil {
 		return nil
 	}
-	rec.Key = e.memoKeys[s.Node.ID]
-	rec.Touch(e.memoGen)
+	e.config.Memo.Enter(rec, e.memoSlots[s.Node.ID])
 	if rec.Expanded {
 		e.stats.MemoStatesReplayed++
 	} else {
@@ -669,66 +689,26 @@ func (e *Engine) memoEnter(s *State) *memo.Node {
 	return rec
 }
 
-// memoLink attaches trie nodes to the successors of an expansion. A recorded
-// child is reused only when both its branch arm and its path-condition
-// contribution match the successor's (the chain invariant's induction step:
-// matching by arm keeps a diamond-shaped join from inheriting the other
-// arm's context, matching by contribution keeps recorded facts bound to
-// their exact conjunction); otherwise the successor gets a fresh node.
-// Recorded children the expansion did not re-match are retained behind the
-// attached ones: their conjunctions simply do not occur in this version, but
-// a later version may produce them again — most commonly when an edit is
-// reverted, the dominant pattern of a version chain revisiting behaviors.
-func (e *Engine) memoLink(rec *memo.Node, feasible []*State, vias []int8, viaConds []sym.Expr) {
-	succs := make([]*memo.Node, 0, len(feasible)+len(rec.Succs))
-	for i, st := range feasible {
-		c := rec.Child(vias[i], viaConds[i])
-		if c == nil {
-			c = &memo.Node{Key: e.memoKeys[st.Node.ID], Via: vias[i], ViaCond: viaConds[i]}
-		}
-		c.Touch(e.memoGen)
-		succs = append(succs, c)
-		st.memo = c
-	}
-	attached := succs[:len(feasible)] // at most two: a conditional's arms
-	for _, c := range rec.Succs {
-		if c != nil && !slices.Contains(attached, c) {
-			succs = append(succs, c)
-		}
-	}
-	rec.Succs = succs
-	rec.Expanded = true
-}
-
-// appendTraceIfStmt records the executed node in the successor's trace when
-// it corresponds to a source statement: one list cell on top of the trace
-// the successor shares with its parent and siblings.
-func (s *State) appendTraceIfStmt(n *cfg.Node) {
-	switch n.Kind {
-	case cfg.KindCond, cfg.KindWrite, cfg.KindNop:
-		s.Trace = s.Trace.Append(n.ID)
-	}
-}
-
 // Terminal reports whether s completed a path (end node or error sink).
 func (e *Engine) Terminal(s *State) bool {
 	return s.Node.Kind == cfg.KindEnd || s.Node.Kind == cfg.KindError
 }
 
-// Collect converts a terminal state into a Path record — the one place the
-// shared-tail path-condition and trace lists become exact-size slices. The
-// persistent environment and the state's witness are shared as they are.
+// Collect converts a terminal state into a Path record. The path keeps the
+// state's shared-tail path-condition and trace lists and its persistent
+// environment and witness as they are; only the path condition's rendering
+// is built here, from the engine's scratch buffer.
 func (e *Engine) Collect(s *State) Path {
 	e.stats.PathsExplored++
-	pc := s.PC.Slice()
+	e.pcScratch = s.PC.AppendTo(e.pcScratch[:0])
 	return Path{
-		PC:       pc,
-		PCString: sym.Conjoin(pc),
+		PCString: sym.Conjoin(e.pcScratch),
 		Env:      s.Env,
-		Trace:    s.Trace.Slice(),
 		Cover:    s.Cover,
 		Err:      s.Err || s.Node.Kind == cfg.KindError,
 		Witness:  s.model,
+		pc:       s.PC,
+		trace:    s.Trace,
 	}
 }
 

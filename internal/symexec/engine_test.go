@@ -161,16 +161,17 @@ func TestTracesFollowCFG(t *testing.T) {
 	summary := e.RunFull()
 	for _, p := range summary.Paths {
 		// Each trace must be a valid CFG walk: consecutive nodes connected.
-		for i := 0; i+1 < len(p.Trace); i++ {
-			from := e.Graph.Nodes[p.Trace[i]]
+		trace := p.Trace()
+		for i := 0; i+1 < len(trace); i++ {
+			from := e.Graph.Nodes[trace[i]]
 			connected := false
 			for _, edge := range from.Succs {
-				if edge.To.ID == p.Trace[i+1] {
+				if edge.To.ID == trace[i+1] {
 					connected = true
 				}
 			}
 			if !connected {
-				t.Fatalf("trace %v has no edge n%d -> n%d", p.Trace, p.Trace[i], p.Trace[i+1])
+				t.Fatalf("trace %v has no edge n%d -> n%d", trace, trace[i], trace[i+1])
 			}
 		}
 	}

@@ -179,22 +179,23 @@ func (x *Explorer) runMerged(s0 *State) {
 func (x *Explorer) expandMerged(s *State, rpo []int, q *mergeQueue) {
 	e, p := x.e, x.opts.Pruner
 	if p == nil && e.Terminal(s) {
-		x.summary.Paths = append(x.summary.Paths, e.Collect(s))
+		x.paths.Add(e.Collect(s))
 		return
 	}
 	if p != nil && !p.Enter(s) {
 		return
 	}
-	step := e.Step(s)
+	var kids [2]*State
+	feasible, infeasible := e.expand(s, kids[:0], e.infScratch[:0])
 	if e.interruptErr != nil {
 		// Aborted mid-step: the empty successor list does not mean the path
 		// is maximal, so the pruner must not collect it.
 		return
 	}
 	if p != nil {
-		p.Expanded(s, step)
+		p.Expanded(s, infeasible)
 		explored := false
-		for _, c := range step.Feasible {
+		for _, c := range feasible {
 			switch p.Child(c) {
 			case ChildDescend:
 				explored = true
@@ -208,7 +209,7 @@ func (x *Explorer) expandMerged(s *State, rpo []int, q *mergeQueue) {
 		}
 		return
 	}
-	for _, c := range step.Feasible {
+	for _, c := range feasible {
 		x.pushMerge(q, rpo, c)
 	}
 }

@@ -46,7 +46,7 @@ proc guard(int a, int b) {
 func coveredSet(paths []Path) map[int]bool {
 	m := map[int]bool{}
 	for _, p := range paths {
-		for _, id := range p.Trace {
+		for _, id := range p.Trace() {
 			m[id] = true
 		}
 		for _, id := range p.Cover {
@@ -145,7 +145,7 @@ func TestMergeErrorPathEquivalence(t *testing.T) {
 	// feasibility), including those carrying ite and disjunction conjuncts.
 	e := newEngine(t, mergeAssertSource, "guard", Config{})
 	for i, p := range merged.Paths {
-		res := e.CheckPC(p.PC)
+		res := e.CheckPC(p.PC())
 		if !res.Sat || res.Unknown {
 			t.Errorf("merged path %d PC %q not solvable (sat=%v unknown=%v)", i, p.PCString, res.Sat, res.Unknown)
 		}

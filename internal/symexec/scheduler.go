@@ -27,7 +27,10 @@ package symexec
 // (the facade's AnalyzeBatch and the daemon's admission slots), whose
 // engines share a constraint.PrefixCache.
 
-import "dise/internal/sym"
+import (
+	"dise/internal/cfg"
+	"dise/internal/sym"
+)
 
 // ChildVerdict is a Pruner's decision about one feasible successor state.
 type ChildVerdict int
@@ -47,13 +50,18 @@ const (
 // invoked on the exploring goroutine, in depth-first tree order (heap order
 // under state merging) — a pruner therefore needs no internal locking.
 type Pruner interface {
+	// A state passed to a hook is valid only during the call: the walk
+	// reuses it once it is expanded, dropped or collected, so a pruner that
+	// keeps a state's data copies it (as DiSE's collect does).
+	//
 	// Enter is called when the committed walk reaches s, before expansion.
 	// Returning false stops the walk at s — the pruner has either dropped
 	// the state or consumed it as a path itself.
 	Enter(s *State) bool
-	// Expanded is called with s's expansion result, before the successors
-	// are filtered.
-	Expanded(s *State, step Step)
+	// Expanded is called with the branch targets s's expansion found
+	// infeasible (Step.InfeasibleTargets), before the successors are
+	// filtered. The list is only valid during the call.
+	Expanded(s *State, infeasible []*cfg.Node)
 	// Child decides the fate of one feasible successor, in execution order.
 	Child(c *State) ChildVerdict
 	// Maximal is called when no successor of s was explored (every one
@@ -90,6 +98,7 @@ type Explorer struct {
 	mergeSeq    uint64                // merge-queue insertions, the tie-break of equal RPO
 
 	summary *Summary
+	paths   PathList // the free and merged walks' collected paths
 }
 
 // NewExplorer prepares an exploration of e's procedure.
@@ -116,6 +125,7 @@ func (x *Explorer) Run() *Summary {
 	st.Merges = x.merges
 	st.MergedStatesSaved = x.mergedSaved
 	st.IteNodes = len(x.iteNodes)
+	x.summary.Paths = x.paths.Paths()
 	x.summary.Stats = st
 	return x.summary
 }
@@ -134,14 +144,17 @@ func (x *Explorer) runFree(s0 *State) {
 			if x.opts.CountOnly {
 				e.stats.PathsExplored++
 			} else {
-				x.summary.Paths = append(x.summary.Paths, e.Collect(s))
+				x.paths.Add(e.Collect(s))
 			}
+			e.release(s)
 			continue
 		}
-		succ := e.Step(s).Feasible
+		var kids [2]*State
+		succ, _ := e.expand(s, kids[:0], e.infScratch[:0])
 		for i := len(succ) - 1; i >= 0; i-- {
 			stack = append(stack, succ[i])
 		}
+		e.release(s)
 	}
 }
 
@@ -155,26 +168,31 @@ func (x *Explorer) commit(s *State) {
 		return
 	}
 	if !p.Enter(s) {
+		e.release(s)
 		return
 	}
-	step := e.Step(s)
+	var kids [2]*State
+	feasible, infeasible := e.expand(s, kids[:0], e.infScratch[:0])
 	if e.interruptErr != nil {
 		// Expansion was aborted mid-step: the empty successor list does not
 		// mean this path is maximal, so do not let the pruner collect it.
 		return
 	}
-	p.Expanded(s, step)
+	p.Expanded(s, infeasible)
 	explored := false
-	for _, c := range step.Feasible {
+	for _, c := range feasible {
 		switch p.Child(c) {
 		case ChildDescend:
 			explored = true
-			x.commit(c)
+			x.commit(c) // releases c
+			continue
 		case ChildEmit:
 			explored = true
 		}
+		e.release(c)
 	}
 	if !explored {
 		p.Maximal(s)
 	}
+	e.release(s)
 }

@@ -58,7 +58,7 @@ func oracleRunFull(e *Engine) *Summary {
 
 // pathKey renders a path for comparison: path condition plus trace, so two
 // paths differing only in unconstrained suffix nodes stay distinct.
-func pathKey(p Path) string { return fmt.Sprintf("%s %v err=%v", p.PCString, p.Trace, p.Err) }
+func pathKey(p Path) string { return fmt.Sprintf("%s %v err=%v", p.PCString, p.Trace(), p.Err) }
 
 func pathKeys(s *Summary) []string {
 	out := make([]string, len(s.Paths))

@@ -16,10 +16,14 @@
 // trace are shared-tail lists extended by one cell per branch or statement;
 // the environment is a shared sorted base shadowed by a small sorted write
 // log, so a write copies at most envLogMax bindings and the whole
-// environment is rebuilt only when the log folds. The lists become fresh
-// slices only when a path is emitted (Engine.Collect); syncing the solver
-// stack reads the path condition into a reusable buffer. The engine's inner
-// loop therefore allocates per change, not per fork or per path length.
+// environment is rebuilt only when the log folds. An emitted Path keeps
+// both lists as they are, and builds slices from them only when asked
+// (Path.PC, Path.Trace); syncing the solver stack and rendering a path
+// condition read it into a reusable buffer. List cells are carved from
+// per-engine slabs, the scheduler's walks hand states back for reuse once
+// they are expanded (slab.go), and they give each expansion buffers for its
+// successor lists, so the engine's inner loop allocates per change, not
+// per fork or per path length.
 package symexec
 
 import (
@@ -319,23 +323,6 @@ func (s *State) MarkMemoPruned() {
 	}
 }
 
-// fork returns a successor of s at node. Everything is shared with the
-// parent: Env, PC and Trace are persistent (the caller extends them only for
-// writes, branch constraints and executed statements), and the witness model
-// is immutable.
-func (s *State) fork(node *cfg.Node) *State {
-	return &State{
-		Node:  node,
-		Env:   s.Env,
-		PC:    s.PC,
-		Depth: s.Depth + 1,
-		Trace: s.Trace,
-		Cover: s.Cover,
-		Err:   s.Err,
-		model: s.model,
-	}
-}
-
 // EnvString renders the environment deterministically: "x: X, y: Y + X".
 func (s *State) EnvString() string {
 	var b strings.Builder
@@ -362,35 +349,88 @@ func (s *State) String() string {
 
 // Path is one complete execution path produced by symbolic execution.
 type Path struct {
-	// PC is the full path condition of the path.
-	PC []sym.Expr
-	// PCString is the canonical rendering of PC (used for comparing path
-	// conditions across techniques and versions).
+	// PCString is the canonical rendering of the path condition (used for
+	// comparing path conditions across techniques and versions).
 	PCString string
 	// Env is the final symbolic environment (the symbolic summary of the
 	// path's effect): the terminal state's persistent Env, shared with it
 	// rather than copied into a map.
 	Env Env
-	// Trace is the sequence of statement CFG node IDs executed.
-	Trace []int
 	// Cover is the sorted set of statement CFG node IDs covered by sibling
 	// paths that state merging folded into this one (nil outside merged
 	// runs). Coverage accounting should consult Trace ∪ Cover.
 	Cover []int
 	// Err reports that the path ended in an assertion violation.
 	Err bool
-	// Witness is a model of PC: the exploration's own witness of the path's
-	// feasibility, shared read-only with the solver results it came from.
-	// Test generation renders it (internal/testgen). Every path an engine
-	// collects carries one.
+	// Witness is a model of the path condition: the exploration's own
+	// witness of the path's feasibility, shared read-only with the solver
+	// results it came from. Test generation renders it (internal/testgen).
+	// Every path an engine collects carries one.
 	Witness *solver.Model
+
+	// pc and trace are the terminal state's shared-tail lists, kept as they
+	// are: sibling paths share their common prefixes, and the slices PC and
+	// Trace return are built only when asked for.
+	pc    *PathCond
+	trace *Trace
 }
+
+// PC returns the path condition's conjuncts in path order, as a fresh
+// slice.
+func (p Path) PC() []sym.Expr { return p.pc.Slice() }
+
+// Trace returns the statement CFG node IDs the path executed, in order, as
+// a fresh slice.
+func (p Path) Trace() []int { return p.trace.Slice() }
 
 // Summary is the result of a symbolic execution run: the set of path
 // conditions plus cost counters, i.e. the "symbolic summary" of §2.1.
 type Summary struct {
 	Paths []Path
 	Stats Stats
+}
+
+// PathList accumulates a run's paths in chunks that double in size, and
+// Paths flattens them into one slice: each path is copied once, and a
+// result of more than one chunk keeps no spare capacity — where growing one
+// slice path by path copies the early paths again at every growth and keeps
+// up to half its capacity unused. The zero value is empty.
+type PathList struct {
+	chunks [][]Path
+}
+
+// Add appends p.
+func (l *PathList) Add(p Path) {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		size := 16
+		if last >= 0 {
+			size = min(2*cap(l.chunks[last]), 4096)
+		}
+		l.chunks = append(l.chunks, make([]Path, 0, size))
+		last++
+	}
+	l.chunks[last] = append(l.chunks[last], p)
+}
+
+// Paths returns the paths in the order they were added, nil when there are
+// none.
+func (l *PathList) Paths() []Path {
+	switch len(l.chunks) {
+	case 0:
+		return nil
+	case 1:
+		return l.chunks[0]
+	}
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	out := make([]Path, 0, n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // PathConditions returns the rendered path conditions in exploration order.

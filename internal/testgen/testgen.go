@@ -48,8 +48,8 @@ func NewGenerator(engine *symexec.Engine) *Generator {
 // deduplicated test cases in first-generation order. A path without a
 // witness (one no engine collected) yields no test.
 func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
-	var out []TestCase
-	seen := map[string]bool{}
+	out := make([]TestCase, 0, len(summary.Paths))
+	seen := make(map[string]bool, len(summary.Paths))
 	symbols := make([]string, len(g.Proc.Params))
 	for i, p := range g.Proc.Params {
 		symbols[i] = symexec.SymbolName(p.Name)

@@ -118,7 +118,7 @@ func TestModelsSatisfyPathConditions(t *testing.T) {
 		if p.Witness == nil {
 			t.Fatalf("path %q has no witness", p.PCString)
 		}
-		for _, c := range p.PC {
+		for _, c := range p.PC() {
 			v, err := solver.EvalInt01(c, p.Witness)
 			if err != nil || v == 0 {
 				t.Errorf("witness %v violates %s (err=%v)", p.Witness, c, err)

@@ -32,7 +32,7 @@ func coveredAffected(res *Result) (cov map[int]bool, anyErr bool) {
 	cov = map[int]bool{}
 	aff := res.internal.Affected
 	for _, p := range res.internal.Summary.Paths {
-		for _, id := range p.Trace {
+		for _, id := range p.Trace() {
 			if aff.Contains(id) {
 				cov[id] = true
 			}
@@ -108,10 +108,10 @@ func TestMergedDiseVerdictEquivalenceOnArtifacts(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, p := range got.internal.Summary.Paths {
-						if res := engine.CheckPC(p.PC); !res.Sat {
+						if res := engine.CheckPC(p.PC()); !res.Sat {
 							t.Errorf("merged path condition %q re-solves %+v — a factored disjunction went infeasible", p.PCString, res)
 						}
-						for _, c := range p.PC {
+						for _, c := range p.PC() {
 							if val, err := solver.EvalInt01(c, p.Witness); err != nil || val == 0 {
 								t.Errorf("witness %v of %q violates %v (err=%v)", p.Witness, p.PCString, c, err)
 							}
@@ -205,7 +205,7 @@ func TestMergeStatsRepeatable(t *testing.T) {
 func fullCoverage(s *Summary) (cov map[int]bool, anyErr bool) {
 	cov = map[int]bool{}
 	for _, p := range s.summary.Paths {
-		for _, id := range p.Trace {
+		for _, id := range p.Trace() {
 			cov[id] = true
 		}
 		for _, id := range p.Cover {

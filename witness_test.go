@@ -37,7 +37,7 @@ import (
 // violated returns the first conjunct of the path's condition its witness
 // does not satisfy, or nil.
 func violated(p symexec.Path) sym.Expr {
-	for _, c := range p.PC {
+	for _, c := range p.PC() {
 		if v, err := solver.EvalInt01(c, p.Witness); err != nil || v == 0 {
 			return c
 		}
@@ -75,7 +75,7 @@ func resolvedCalls(t *testing.T, src, proc string, paths []symexec.Path) []strin
 	}
 	re := &symexec.Summary{}
 	for _, p := range paths {
-		res := engine.CheckPC(p.PC)
+		res := engine.CheckPC(p.PC())
 		if !res.Sat {
 			continue
 		}
@@ -193,7 +193,7 @@ func TestWitnessesOnRandomPrograms(t *testing.T) {
 				continue
 			}
 			local := false
-			for _, name := range sym.VarsAll(p.PC) {
+			for _, name := range sym.VarsAll(p.PC()) {
 				local = local || !inputs[name]
 			}
 			switch c := violated(p); {
