@@ -77,6 +77,7 @@ import (
 	"slices"
 	"sort"
 
+	"dise/internal/slab"
 	"dise/internal/solver"
 	"dise/internal/sym"
 )
@@ -298,11 +299,7 @@ func (t *Tree) setSlot(n *Node, s *Slot) {
 
 // newNode creates a counted node; the caller links it into the trie.
 func (t *Tree) newNode(s *Slot, via int8, viaCond sym.Expr) *Node {
-	if len(t.nodeSlab) == cap(t.nodeSlab) {
-		t.nodeSlab = make([]Node, 0, nodeSlabLen)
-	}
-	t.nodeSlab = t.nodeSlab[:len(t.nodeSlab)+1]
-	n := &t.nodeSlab[len(t.nodeSlab)-1]
+	n := slab.New(&t.nodeSlab, nodeSlabLen)
 	*n = Node{Via: via, ViaCond: viaCond}
 	t.nodes++
 	t.bytes += nodeBaseBytes
@@ -379,7 +376,7 @@ func (t *Tree) Expand(n *Node, arms []Arm, out []*Node) {
 	if cap(old) == size && len(old) >= len(arms) && slices.Equal(old[:len(arms)], attached) {
 		return
 	}
-	succs := t.succList(size)
+	succs := slab.Slice(&t.succSlab, succSlabLen, size)[:0]
 	succs = append(succs, attached...)
 	for _, c := range old {
 		if !slices.Contains(attached, c) {
@@ -389,16 +386,6 @@ func (t *Tree) Expand(n *Node, arms []Arm, out []*Node) {
 	t.bytes += int64(cap(succs)-cap(old)) * succPtrBytes
 	clear(old) // abandoned in its chunk: it must pin no nodes
 	n.succs = succs
-}
-
-// succList carves an empty successor list of capacity size.
-func (t *Tree) succList(size int) []*Node {
-	if cap(t.succSlab)-len(t.succSlab) < size {
-		t.succSlab = make([]*Node, 0, max(succSlabLen, size))
-	}
-	at := len(t.succSlab)
-	t.succSlab = t.succSlab[:at+size]
-	return t.succSlab[at : at : at+size]
 }
 
 // Size returns the number of nodes in the trie.

@@ -1,6 +1,9 @@
 package solver
 
-import "dise/internal/sym"
+import (
+	"dise/internal/slab"
+	"dise/internal/sym"
+)
 
 // Box is a propagation snapshot: the domains of a solver's inputs, tightened
 // to bounds consistency under some conjunction of constraints. It holds one
@@ -129,18 +132,8 @@ const (
 // with returns a copy of b with the template's variables set to dom, carved
 // from the solver's slabs.
 func (s *Solver) with(b *Box, tpl *propTemplate, dom []Interval) *Box {
-	if len(s.boxSlab) == cap(s.boxSlab) {
-		s.boxSlab = make([]Box, 0, boxSlabLen)
-	}
-	s.boxSlab = s.boxSlab[:len(s.boxSlab)+1]
-	out := &s.boxSlab[len(s.boxSlab)-1]
-	n := len(b.iv)
-	if cap(s.ivSlab)-len(s.ivSlab) < n {
-		s.ivSlab = make([]Interval, 0, max(ivSlabLen, n))
-	}
-	at := len(s.ivSlab)
-	s.ivSlab = s.ivSlab[:at+n]
-	*out = Box{iv: s.ivSlab[at : at+n : at+n], outside: b.outside}
+	out := slab.New(&s.boxSlab, boxSlabLen)
+	*out = Box{iv: slab.Slice(&s.ivSlab, ivSlabLen, len(b.iv)), outside: b.outside}
 	copy(out.iv, b.iv)
 	copied := false
 	for i, pos := range tpl.pos {

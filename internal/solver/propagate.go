@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 
+	"dise/internal/slab"
 	"dise/internal/sym"
 )
 
@@ -159,7 +160,7 @@ func (p *problem) modelFrom(domains []Interval) *Model {
 }
 
 // modelSlab carves dense models and their values from chunks of 64 models
-// and 1024 values; a nil slab allocates each model on its own.
+// and 1024 values.
 type modelSlab struct {
 	models []Model
 	vals   []int64
@@ -167,20 +168,8 @@ type modelSlab struct {
 
 // carve returns a zero model with n values.
 func (s *modelSlab) carve(n int) *Model {
-	if s == nil {
-		return &Model{vals: make([]int64, n)}
-	}
-	if len(s.models) == cap(s.models) {
-		s.models = make([]Model, 0, 64)
-	}
-	s.models = s.models[:len(s.models)+1]
-	m := &s.models[len(s.models)-1]
-	if cap(s.vals)-len(s.vals) < n {
-		s.vals = make([]int64, 0, max(1024, n))
-	}
-	at := len(s.vals)
-	s.vals = s.vals[:at+n]
-	m.vals = s.vals[at : at+n : at+n]
+	m := slab.New(&s.models, 64)
+	m.vals = slab.Slice(&s.vals, 1024, n)
 	return m
 }
 

@@ -446,7 +446,7 @@ type problem struct {
 	// are exactly that index's inputs, in order.
 	index *Index
 	dense bool
-	// models, when set, is the solver's slab dense models are carved from.
+	// models is the solver's slab a dense problem carves its models from.
 	models *modelSlab
 	// trivialUnsat is set when same-form analysis found two linear
 	// constraints over the same term vector with incompatible ranges

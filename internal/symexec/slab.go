@@ -2,6 +2,7 @@ package symexec
 
 import (
 	"dise/internal/cfg"
+	"dise/internal/slab"
 	"dise/internal/sym"
 )
 
@@ -27,19 +28,9 @@ type slabs struct {
 	free   []*State
 }
 
-// carve returns the next free element of *slab, starting a new chunk of n
-// elements when the current one is full.
-func carve[T any](slab *[]T, n int) *T {
-	if len(*slab) == cap(*slab) {
-		*slab = make([]T, 0, n)
-	}
-	*slab = (*slab)[:len(*slab)+1]
-	return &(*slab)[len(*slab)-1]
-}
-
 // appendTrace is Trace.Append with the cell carved from the engine's slab.
 func (e *Engine) appendTrace(t *Trace, id int) *Trace {
-	c := carve(&e.slabs.traces, traceSlabLen)
+	c := slab.New(&e.slabs.traces, traceSlabLen)
 	*c = Trace{parent: t, id: int32(id), n: int32(t.Len() + 1)}
 	return c
 }
@@ -58,7 +49,7 @@ func (e *Engine) VisitedTrace(s *State) *Trace {
 
 // appendPC is PathCond.Append with the cell carved from the engine's slab.
 func (e *Engine) appendPC(p *PathCond, c sym.Expr) *PathCond {
-	cell := carve(&e.slabs.pcs, pcSlabLen)
+	cell := slab.New(&e.slabs.pcs, pcSlabLen)
 	*cell = PathCond{parent: p, c: c, n: p.Len() + 1}
 	return cell
 }
