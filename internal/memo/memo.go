@@ -357,9 +357,9 @@ type Arm struct {
 // reverted, the dominant pattern of a version chain revisiting behaviors.
 //
 // The successor list is sized for the attached plus the previously recorded
-// children, as it always was (the byte estimate charges its capacity); a
-// replay that re-attaches the recorded children in their recorded order
-// keeps the list it has.
+// children, and the byte estimate charges that capacity; a replay that
+// re-attaches the recorded children in their recorded order keeps the list
+// it has.
 func (t *Tree) Expand(n *Node, arms []Arm, out []*Node) {
 	attached := out[:len(arms)]
 	for i, a := range arms {
