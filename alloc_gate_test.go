@@ -16,14 +16,14 @@ import (
 const (
 	// seedObjectsPerState gates NewSession's seeding run: full symbolic
 	// execution of OAE's base version recording the memo trie (parse and
-	// CFG included), over its 33,790 states. Measured 1.112.
-	seedObjectsPerState = 1.22
+	// CFG included), over its 33,790 states. Measured 2.359.
+	seedObjectsPerState = 2.59
 	// analyzeObjectsPerState gates one cold Analyze of OAE v1 plus Tests,
-	// over its 8,452 states. Measured 1.566.
-	analyzeObjectsPerState = 1.72
+	// over its 8,452 states. Measured 2.812.
+	analyzeObjectsPerState = 3.09
 	// advanceObjectsPerState gates the eight Advance calls of the OAE chain
-	// after the seed, over their 60,600 states. Measured 1.131.
-	advanceObjectsPerState = 1.24
+	// after the seed, over their 60,600 states. Measured 1.491.
+	advanceObjectsPerState = 1.64
 )
 
 func TestAllocsPerExploredState(t *testing.T) {

@@ -150,10 +150,13 @@ func TestAnalyzerCancelMidSearch(t *testing.T) {
 	}
 }
 
+// TestAnalyzerDeadline gives a fresh Analyzer 1 ms for OAE v1, which takes
+// several milliseconds (parse, CFG, diff and a search of 8,452 states), so
+// the deadline expires after Analyze has started.
 func TestAnalyzerDeadline(t *testing.T) {
 	base, mod, proc := wideArtifact(t)
 	a := NewAnalyzer()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	_, err := a.Analyze(ctx, Request{BaseSrc: base, ModSrc: mod, Proc: proc})
 	var e *Error

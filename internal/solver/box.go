@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"dise/internal/slab"
-	"dise/internal/sym"
-)
+import "dise/internal/sym"
 
 // Box is a propagation snapshot: the domains of a solver's inputs, tightened
 // to bounds consistency under some conjunction of constraints. It holds one
@@ -117,24 +114,15 @@ func (s *Solver) Tighten(parent *Box, constraints []sym.Expr) (box *Box, residua
 	}
 	for i, name := range tpl.varNames {
 		if d, _ := parent.get(tpl.pos[i], name); d != dom[i] {
-			return s.with(parent, tpl, dom), residual, true
+			return parent.with(tpl, dom), residual, true
 		}
 	}
 	return parent, residual, true
 }
 
-// Box slab chunk lengths: 64 boxes (2 KB) and 1024 intervals (16 KB).
-const (
-	boxSlabLen = 64
-	ivSlabLen  = 1024
-)
-
-// with returns a copy of b with the template's variables set to dom, carved
-// from the solver's slabs.
-func (s *Solver) with(b *Box, tpl *propTemplate, dom []Interval) *Box {
-	out := slab.New(&s.boxSlab, boxSlabLen)
-	*out = Box{iv: slab.Slice(&s.ivSlab, ivSlabLen, len(b.iv)), outside: b.outside}
-	copy(out.iv, b.iv)
+// with returns a copy of b with the template's variables set to dom.
+func (b *Box) with(tpl *propTemplate, dom []Interval) *Box {
+	out := &Box{iv: append([]Interval(nil), b.iv...), outside: b.outside}
 	copied := false
 	for i, pos := range tpl.pos {
 		if pos >= 0 {

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 
-	"dise/internal/slab"
 	"dise/internal/sym"
 )
 
@@ -145,32 +144,17 @@ func (p *problem) searchWithout(drop *constraint, domains []Interval, stats *Sta
 // places its names by the index.
 func (p *problem) modelFrom(domains []Interval) *Model {
 	if p.dense {
-		m := p.models.carve(len(domains))
-		m.index = p.index
+		vals := make([]int64, len(domains))
 		for i, d := range domains {
-			m.vals[i] = d.Lo
+			vals[i] = d.Lo
 		}
-		return m
+		return &Model{index: p.index, vals: vals}
 	}
 	values := make(map[string]int64, len(p.varNames))
 	for i, name := range p.varNames {
 		values[name] = domains[i].Lo
 	}
 	return NewModel(p.index, values)
-}
-
-// modelSlab carves dense models and their values from chunks of 64 models
-// and 1024 values.
-type modelSlab struct {
-	models []Model
-	vals   []int64
-}
-
-// carve returns a zero model with n values.
-func (s *modelSlab) carve(n int) *Model {
-	m := slab.New(&s.models, 64)
-	m.vals = slab.Slice(&s.vals, 1024, n)
-	return m
 }
 
 // concreteTruth evaluates a constraint whose variables are all fixed,

@@ -91,15 +91,6 @@ type Solver struct {
 	mapBuf   []Interval
 	tightBuf []Interval
 	residBuf []sym.Expr
-
-	// boxSlab and ivSlab are the chunks Tighten carves new boxes and their
-	// intervals from. A box is immutable once built and may outlive the
-	// solver (prefix caches share them), so nothing carved is ever reused.
-	boxSlab []Box
-	ivSlab  []Interval
-	// models is the slab the dense models of Check are carved from; like
-	// boxes, models are immutable once built and outlive the solver.
-	models modelSlab
 }
 
 // propTemplate is the reusable, read-only part of a Tighten problem.
@@ -231,7 +222,7 @@ func (s *Solver) indexedProblem(compiled []*constraint, box *Box) *problem {
 	}
 	s.viewBuf = views
 	s.domBuf = append(s.domBuf[:0], box.iv...)
-	s.prob = problem{varNames: s.index.names, varIdx: s.index.pos, domains: s.domBuf, views: views, dense: true, models: &s.models}
+	s.prob = problem{varNames: s.index.names, varIdx: s.index.pos, domains: s.domBuf, views: views, dense: true}
 	s.prob.intersectForms()
 	return &s.prob
 }
@@ -446,8 +437,6 @@ type problem struct {
 	// are exactly that index's inputs, in order.
 	index *Index
 	dense bool
-	// models is the solver's slab a dense problem carves its models from.
-	models *modelSlab
 	// trivialUnsat is set when same-form analysis found two linear
 	// constraints over the same term vector with incompatible ranges
 	// (e.g. X - Y >= 1 together with X - Y == 0). Bounds propagation alone
