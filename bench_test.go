@@ -298,7 +298,8 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 // cost: "Cold" re-solves each path condition from scratch (the
 // pre-subsystem behavior), "Incremental" reuses prefix state within and
 // across requests, "Bitvec" exercises the wraparound backend end to end.
-// Results are recorded in BENCH_solver.json.
+// Compare two commits' results with -benchmem; the benchmark's pairwise
+// workload gates the default backend's solver_calls_per_op.
 func benchSolverBackend(b *testing.B, artifact, backend string) {
 	b.Helper()
 	a, ok := artifacts.ByName(artifact)
@@ -389,7 +390,6 @@ func BenchmarkSearchOAEDiSE(b *testing.B) {
 // smoke catches any drift in the merger's fusing decisions. OAE is all
 // independent value-diamonds, the best case for merging: the 9216-path /
 // 33790-state unmerged tree collapses to 3 paths / 57 states unbounded.
-// Results are recorded in BENCH_merge.json.
 func benchMergeFullOAE(b *testing.B, bound, wantPaths, wantStates int) {
 	b.Helper()
 	a, _ := artifacts.ByName("OAE")
@@ -549,7 +549,7 @@ func BenchmarkTestGeneration(b *testing.B) {
 	}
 }
 
-// --- version-chain sessions (BENCH_incremental.json) -------------------------
+// --- version-chain sessions ----------------------------------------------------
 
 // benchChainCold analyzes every consecutive version pair of an artifact's
 // evolution chain with a fresh Analyzer per step — no state survives between

@@ -64,6 +64,7 @@ import (
 
 	"dise"
 	"dise/internal/artifacts"
+	"dise/internal/symexec"
 )
 
 // jsonResult is the machine-readable output of -json.
@@ -101,11 +102,16 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort the analysis after this long, reporting the Cancelled kind (0 = no timeout)")
 	flag.Parse()
 
-	// An unknown backend is a flag error: reject it before reading any
-	// source, with the exit code of every other bad flag value.
+	// An unknown backend or an out-of-range merge bound is a flag error:
+	// reject it before reading any source, with the exit code of every
+	// other bad flag value.
 	if *solverName != "" && !slices.Contains(dise.SolverBackends(), *solverName) {
 		fmt.Fprintf(os.Stderr, "dise: %v: -solver %q is not a backend (have %v)\n",
 			dise.ErrInvalidConfig, *solverName, dise.SolverBackends())
+		os.Exit(2)
+	}
+	if err := symexec.CheckMergeBound(*mergeBound); err != nil {
+		fmt.Fprintf(os.Stderr, "dise: %v: -merge-bound: %v\n", dise.ErrInvalidConfig, err)
 		os.Exit(2)
 	}
 

@@ -149,18 +149,29 @@ func TestSubcommandRejectsUnknownFlag(t *testing.T) {
 	}
 }
 
-// TestUnknownSolverRejectedBeforeReading checks that -solver is validated
-// with the flags: an unknown backend exits 2 with the accepted names, even
-// though the -base and -mod files do not exist.
+// TestUnknownSolverRejectedBeforeReading checks that -solver and
+// -merge-bound are validated with the flags: an unknown backend or a merge
+// bound of 1 exits 2 with an InvalidConfig message, even though the -base
+// and -mod files do not exist.
 func TestUnknownSolverRejectedBeforeReading(t *testing.T) {
 	dir := t.TempDir()
-	out, code := run(t, "-base", filepath.Join(dir, "missing-old.mini"), "-mod", filepath.Join(dir, "missing-new.mini"), "-solver", "portfolio")
-	if code != 2 {
-		t.Fatalf("exit %d, want 2\n%s", code, out)
-	}
-	for _, want := range []string{"invalid configuration", `"portfolio"`, "interval"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+	files := []string{"-base", filepath.Join(dir, "missing-old.mini"), "-mod", filepath.Join(dir, "missing-new.mini")}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-solver", "portfolio"}, []string{`"portfolio"`, "interval"}},
+		{[]string{"-merge-bound", "1"}, []string{"-merge-bound", "merge bound 1 out of range"}},
+	} {
+		out, code := run(t, append(files, tc.args...)...)
+		if code != 2 {
+			t.Errorf("dise %v: exit %d, want 2\n%s", tc.args, code, out)
+			continue
+		}
+		for _, want := range append([]string{"invalid configuration"}, tc.want...) {
+			if !strings.Contains(out, want) {
+				t.Errorf("dise %v: output lacks %q:\n%s", tc.args, want, out)
+			}
 		}
 	}
 }

@@ -34,6 +34,7 @@ import (
 
 	"dise"
 	"dise/internal/service"
+	"dise/internal/symexec"
 )
 
 func main() {
@@ -63,9 +64,8 @@ func main() {
 			dise.ErrInvalidConfig, *solverName, dise.SolverBackends())
 		os.Exit(2)
 	}
-	if *mergeBound == 1 || *mergeBound < -1 {
-		fmt.Fprintf(os.Stderr, "dised: %v: -merge-bound %d out of range (0 = off, -1 = unbounded, >= 2 = bounded)\n",
-			dise.ErrInvalidConfig, *mergeBound)
+	if err := symexec.CheckMergeBound(*mergeBound); err != nil {
+		fmt.Fprintf(os.Stderr, "dised: %v: -merge-bound: %v\n", dise.ErrInvalidConfig, err)
 		os.Exit(2)
 	}
 
@@ -97,16 +97,16 @@ func main() {
 		MaxQueue:             *maxQueue,
 		DefaultDeadline:      *deadline,
 		MaxDeadline:          *maxDeadline,
-		MaxTrieNodes:         *maxTrieNodes,
 		MaxTrieBytes:         *maxTrieBytes,
-		InternGCEpochs:       *internGCEpochs,
-		CacheBytes:           *cacheBytes,
 		DefaultMergeBound:    *mergeBound,
 		AnalyzerOptions: []dise.Option{
 			dise.WithDepthBound(*depth),
 			dise.WithMaxStates(*maxStates),
 			dise.WithSolverBackend(*solverName),
 			dise.WithSMTSolver(*smtSolver),
+			dise.WithMemoNodeBudget(*maxTrieNodes),
+			dise.WithInternGC(*internGCEpochs),
+			dise.WithCacheByteBudget(*cacheBytes),
 		},
 	})
 	defer svc.Close()

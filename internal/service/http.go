@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dise"
+	"dise/internal/symexec"
 )
 
 // Wire types of the HTTP/JSON API. Analysis requests carry the tenant in
@@ -69,9 +70,9 @@ type ResultPayload struct {
 	AffectedWriteLines       []int           `json:"affected_write_lines"`
 }
 
-// PayloadOf projects a Result onto the wire form — exported so clients (the
-// load generator, the equivalence test) can build the reference payload
-// from an in-process Result.
+// PayloadOf projects a Result onto the wire form, so a client can build the
+// reference payload of an in-process Result (the equivalence and soak tests
+// do).
 func PayloadOf(r *dise.Result) ResultPayload {
 	return ResultPayload{
 		Paths:                    r.Paths,
@@ -272,9 +273,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// A bad merge bound is client input, not server misconfiguration:
 	// reject it here as 400 instead of letting the engine's InvalidConfig
 	// surface as 500.
-	if err == nil && (req.MergeBound == 1 || req.MergeBound < -1) {
-		err = fmt.Errorf("%w: merge_bound %d out of range (0 = off, -1 = unbounded, >= 2 = bounded)",
-			errBadRequest, req.MergeBound)
+	if err == nil {
+		if err = symexec.CheckMergeBound(req.MergeBound); err != nil {
+			err = fmt.Errorf("%w: merge_bound: %v", errBadRequest, err)
+		}
 	}
 	if err != nil {
 		s.fail(w, "analyze", start, err)

@@ -166,8 +166,8 @@ func (m *metrics) observe(endpoint string, d time.Duration, stats *dise.Stats, e
 }
 
 // MemoryStats is the runtime-memory block of /metrics; SessionsPerGB is the
-// store occupancy divided by heap-in-use gigabytes — the capacity-planning
-// figure BENCH_service.json records.
+// store occupancy divided by heap-in-use gigabytes, a capacity-planning
+// figure.
 type MemoryStats struct {
 	HeapAllocBytes uint64  `json:"heap_alloc_bytes"`
 	HeapInuseBytes uint64  `json:"heap_inuse_bytes"`

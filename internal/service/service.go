@@ -60,30 +60,19 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps client-requested deadlines. Default 2m.
 	MaxDeadline time.Duration
-	// MaxTrieNodes bounds each session's memo trie to this many nodes,
-	// evicting cold subtrees after every step (dise.WithMemoNodeBudget).
-	// 0 = unbounded, today's behavior.
-	MaxTrieNodes int
 	// MaxTrieBytes is the global ceiling on the resident sessions' summed
 	// memo-trie bytes; under pressure the store evicts least-recently-used
 	// sessions before rejecting anything. 0 = unbounded.
 	MaxTrieBytes int64
-	// InternGCEpochs enables epoch collection of the hash-consing intern
-	// table, keeping entries touched within the last N completed runs
-	// (dise.WithInternGC). 0 = collection off.
-	InternGCEpochs int
-	// CacheBytes bounds the shared parse/CFG and solved-prefix caches to
-	// approximately this many retained bytes in total
-	// (dise.WithCacheByteBudget). 0 = entry-count bounds only.
-	CacheBytes int64
 	// DefaultMergeBound applies bounded state merging to one-shot
 	// /v1/analyze requests that carry no merge_bound of their own
 	// (0 = off, dise.MergeUnbounded = unbounded, >= 2 = bounded). Session
 	// endpoints are unaffected: merging is incompatible with memoized
 	// version chains, so it is never a session default.
 	DefaultMergeBound int
-	// AnalyzerOptions configures the shared Analyzer (solver backend,
-	// bounds, cache capacities).
+	// AnalyzerOptions configures the shared Analyzer: solver backend,
+	// bounds, cache capacities, and the memory bounds the Analyzer enforces
+	// itself (dise.WithMemoNodeBudget, WithInternGC, WithCacheByteBudget).
 	AnalyzerOptions []dise.Option
 
 	// now overrides the clock in tests (nil means time.Now).
@@ -198,19 +187,9 @@ func (g *drainGate) releaseLocked() {
 // owns the returned Service and must Close it to release the janitor.
 func New(cfg Config) *Service {
 	cfg.defaults()
-	opts := cfg.AnalyzerOptions
-	if cfg.MaxTrieNodes > 0 {
-		opts = append(opts, dise.WithMemoNodeBudget(cfg.MaxTrieNodes))
-	}
-	if cfg.InternGCEpochs > 0 {
-		opts = append(opts, dise.WithInternGC(cfg.InternGCEpochs))
-	}
-	if cfg.CacheBytes > 0 {
-		opts = append(opts, dise.WithCacheByteBudget(cfg.CacheBytes))
-	}
 	s := &Service{
 		cfg:      cfg,
-		analyzer: dise.NewAnalyzer(opts...),
+		analyzer: dise.NewAnalyzer(cfg.AnalyzerOptions...),
 		store:    newSessionStore(cfg.MaxSessions, cfg.MaxSessionsPerTenant, cfg.SessionTTL, cfg.MaxTrieBytes, cfg.now),
 		adm:      newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		metrics:  newMetrics(),

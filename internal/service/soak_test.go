@@ -41,11 +41,13 @@ func TestSoakBoundedMemoryChurn(t *testing.T) {
 		chains, steps = 48, 3
 	}
 	_, srv := newTestServer(t, Config{
-		MaxSessions:    8, // far below the chain population: constant churn
-		MaxTrieNodes:   512,
-		MaxTrieBytes:   1 << 20,
-		InternGCEpochs: 8,
-		CacheBytes:     1 << 20,
+		MaxSessions:  8, // far below the chain population: constant churn
+		MaxTrieBytes: 1 << 20,
+		AnalyzerOptions: []dise.Option{
+			dise.WithMemoNodeBudget(512),
+			dise.WithInternGC(8),
+			dise.WithCacheByteBudget(1 << 20),
+		},
 	})
 	ref := dise.NewAnalyzer() // unbounded correctness reference
 	ctx := context.Background()

@@ -82,6 +82,16 @@ type Config struct {
 // at a join whole, however many states arrive.
 const MergeUnbounded = -1
 
+// CheckMergeBound reports whether bound is a usable Config.MergeBound: 0
+// (off), MergeUnbounded, or at least 2. Engine construction applies it, and
+// front ends call it to reject a bad bound before any analysis runs.
+func CheckMergeBound(bound int) error {
+	if bound == 1 || bound < MergeUnbounded {
+		return fmt.Errorf("merge bound %d out of range (0 = off, %d = unbounded, >= 2 = bounded)", bound, MergeUnbounded)
+	}
+	return nil
+}
+
 // Stats are the cost counters reported in the paper's Table 2: states
 // explored, time, and the number of path conditions (len(Summary.Paths)).
 type Stats struct {
@@ -215,9 +225,8 @@ func build(prog *ast.Program, proc *ast.Procedure, g *cfg.Graph, config Config) 
 		return nil, err
 	}
 	if config.MergeBound != 0 {
-		if config.MergeBound == 1 || config.MergeBound < MergeUnbounded {
-			return nil, fmt.Errorf("symexec: merge bound %d out of range (0 = off, %d = unbounded, >= 2 = bounded)",
-				config.MergeBound, MergeUnbounded)
+		if err := CheckMergeBound(config.MergeBound); err != nil {
+			return nil, fmt.Errorf("symexec: %w", err)
 		}
 		if config.Memo != nil {
 			return nil, fmt.Errorf("symexec: state merging is incompatible with a memoized session trie: recorded verdicts are keyed by per-path conjunctions, which merging replaces with factored disjunctions")
