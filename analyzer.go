@@ -268,10 +268,6 @@ func (a *Analyzer) engineConfig(ctx context.Context) symexec.Config {
 	return cfg
 }
 
-// resultConfig is the engine configuration a result's stats echo —
-// identical to the request's, minus its context hooks.
-func (a *Analyzer) resultConfig() symexec.Config { return a.engineConfig(context.Background()) }
-
 // Request describes one differential analysis.
 type Request struct {
 	// BaseSrc and ModSrc are the source texts of the two program versions.
@@ -352,10 +348,7 @@ func (a *Analyzer) resolveVersion(src, procName, stage string, interprocedural b
 
 // runJob executes a prepared directed-analysis job and converts the outcome
 // into the public Result, classifying interrupts and budget trips.
-// resultCfg is the context-free engine configuration the run actually used
-// (per-request overrides like Request.MergeBound included); it feeds the
-// stats echo.
-func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config) (*Result, error) {
+func (a *Analyzer) runJob(job idise.Job) (*Result, error) {
 	defer a.noteRunDone()
 	res := idise.Run(job)
 	if err := job.Engine.InterruptErr(); err != nil {
@@ -365,7 +358,7 @@ func (a *Analyzer) runJob(job idise.Job, resultCfg symexec.Config) (*Result, err
 		return nil, &Error{Kind: BudgetExhausted}
 	}
 	out := &Result{
-		Stats:                    statsOf(res.Summary.Stats, len(res.Summary.Paths), resultCfg),
+		Stats:                    statsOf(res.Summary.Stats, len(res.Summary.Paths)),
 		ChangedNodes:             res.Affected.ChangedNodes,
 		AffectedConditionalLines: res.Affected.ACNLines(),
 		AffectedWriteLines:       res.Affected.AWNLines(),
@@ -404,10 +397,8 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 	}
 
 	cfgc := a.engineConfig(ctx)
-	resultCfg := a.resultConfig()
 	if req.MergeBound != 0 {
 		cfgc.MergeBound = req.MergeBound
-		resultCfg.MergeBound = req.MergeBound
 	}
 	// CheckNoCalls already validated the procedure, so a construction
 	// failure here means the engine configuration itself is unusable
@@ -428,7 +419,7 @@ func (a *Analyzer) analyze(ctx context.Context, req Request, yield func(PathInfo
 		Engine:    engine,
 		Opts:      idise.Options{TransitiveWrites: a.conf.transitiveWrites},
 		OnPath:    onPath,
-	}, resultCfg)
+	})
 }
 
 // BatchResult pairs one request of an AnalyzeBatch call with its outcome.
@@ -494,7 +485,7 @@ func (a *Analyzer) Execute(ctx context.Context, src, procName string) (*Summary,
 	if summary.Stats.MaxStatesHit && a.conf.maxStates > 0 {
 		return nil, &Error{Kind: BudgetExhausted}
 	}
-	out := &Summary{proc: engine.Proc, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths), a.resultConfig()),
+	out := &Summary{proc: engine.Proc, summary: summary, Stats: statsOf(summary.Stats, len(summary.Paths)),
 		Paths: pathInfos(summary.Paths)}
 	return out, nil
 }

@@ -35,7 +35,7 @@ func TestUnknownSolverBackendError(t *testing.T) {
 
 // affectedPathSet runs DiSE with the given backend, checks that every
 // path's witness satisfies every conjunct of its path condition under
-// solver.EvalInt01 (whose int64 arithmetic is also bitvec's), and returns
+// sym.Eval (whose int64 arithmetic is also bitvec's), and returns
 // the path conditions as a set (exploration order is identical too, but
 // the set comparison keeps the failure output readable).
 func affectedPathSet(t *testing.T, backend, baseSrc, modSrc, proc string) map[string]int {

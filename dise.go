@@ -152,39 +152,10 @@ type MemoStats struct {
 }
 
 // MergeStats is the observability block of bounded state merging
-// (WithStateMerging): how many join-point fusions the run performed and how
-// much exploration they collapsed. Like the solver counters these are cost
-// observability, not outcome — a merged run covers the same affected
-// branches and keeps every path condition solvable (the verdict-equivalence
-// gate, see internal/symexec/merge.go).
-type MergeStats struct {
-	// Enabled distinguishes a merged run from the default per-path mode.
-	Enabled bool `json:"enabled"`
-	// Bound echoes the configured merge bound (MergeUnbounded = fuse every
-	// mergeable sibling set whole; >= 2 = fuse in chunks of at most Bound).
-	Bound int `json:"bound"`
-	// Merges counts join-point fusion operations; each fusion of k sibling
-	// states contributes k-1 to MergedStatesSaved.
-	Merges            int `json:"merges"`
-	MergedStatesSaved int `json:"merged_states_saved"`
-	// IteNodes counts the distinct ite expressions the run's merges built
-	// when fusing divergent environment bindings — the footprint merging
-	// trades exploration for.
-	IteNodes int `json:"ite_nodes"`
-}
-
-// Add accumulates one run's merge counters into an aggregate. Enabled is a
-// disjunction, Bound keeps the first enabled sample's value, the counters
-// sum.
-func (m *MergeStats) Add(o MergeStats) {
-	if o.Enabled && !m.Enabled {
-		m.Enabled = true
-		m.Bound = o.Bound
-	}
-	m.Merges += o.Merges
-	m.MergedStatesSaved += o.MergedStatesSaved
-	m.IteNodes += o.IteNodes
-}
+// (WithStateMerging, Request.MergeBound): how many join-point fusions the
+// run performed and how much exploration they collapsed. It is the engine's
+// counter set itself, JSON tags included.
+type MergeStats = symexec.MergeStats
 
 // SolverStats is the observability block of the constraint subsystem: how
 // many satisfiability checks ran, how the assertion stack moved with the
@@ -231,17 +202,7 @@ func (s *Stats) Add(o Stats) {
 	s.Merge.Add(o.Merge)
 }
 
-func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
-	var merge MergeStats
-	if cfg.MergeBound != 0 {
-		merge = MergeStats{
-			Enabled:           true,
-			Bound:             cfg.MergeBound,
-			Merges:            s.Merges,
-			MergedStatesSaved: s.MergedStatesSaved,
-			IteNodes:          s.IteNodes,
-		}
-	}
+func statsOf(s symexec.Stats, pcs int) Stats {
 	return Stats{
 		StatesExplored:     s.StatesExplored,
 		PathConditions:     pcs,
@@ -249,7 +210,7 @@ func statsOf(s symexec.Stats, pcs int, cfg symexec.Config) Stats {
 		TimeMilliseconds:   s.Time.Milliseconds(),
 		SolverCalls:        s.Solver.Checks,
 		Solver:             s.Solver,
-		Merge:              merge,
+		Merge:              s.Merge,
 	}
 }
 
@@ -313,16 +274,14 @@ func (s *Summary) PathConditions() []string {
 }
 
 // TestCase is a concrete invocation of the procedure under analysis,
-// rendered as a call string (paper §5.2).
-type TestCase struct {
-	Call          string `json:"call"`
-	PathCondition string `json:"path_condition"`
-}
+// rendered as a call string (paper §5.2), with the path condition it was
+// generated from.
+type TestCase = testgen.TestCase
 
 // Tests renders the concrete test inputs of the summary's paths: each
 // path's witness, the model exploration found for its path condition.
 func (s *Summary) Tests() []TestCase {
-	return convertTests((&testgen.Generator{Proc: s.proc}).Generate(s.summary))
+	return (&testgen.Generator{Proc: s.proc}).Generate(s.summary)
 }
 
 // Tests renders the concrete test inputs of the DiSE result's affected
@@ -330,40 +289,18 @@ func (s *Summary) Tests() []TestCase {
 // directed search found for its path condition. The error is always nil;
 // no path condition is solved again.
 func (r *Result) Tests() ([]TestCase, error) {
-	return convertTests((&testgen.Generator{Proc: r.proc}).Generate(r.internal.Summary)), nil
-}
-
-func convertTests(ts []testgen.TestCase) []TestCase {
-	out := make([]TestCase, len(ts))
-	for i, tc := range ts {
-		out[i] = TestCase{Call: tc.Call, PathCondition: tc.PCString}
-	}
-	return out
+	return (&testgen.Generator{Proc: r.proc}).Generate(r.internal.Summary), nil
 }
 
 // Selection splits DiSE-generated tests against an existing suite (paper
 // §5.2, Table 3): Selected tests already exist and can be re-used; Added
-// tests are new and augment the suite.
-type Selection struct {
-	Selected []TestCase
-	Added    []TestCase
-}
+// tests are new and augment the suite; Total counts both.
+type Selection = testgen.Selection
 
 // SelectAugment performs test case selection and augmentation by exact
 // string comparison of rendered calls, as in the paper.
 func SelectAugment(baseSuite, diseTests []TestCase) Selection {
-	toInternal := func(ts []TestCase) []testgen.TestCase {
-		out := make([]testgen.TestCase, len(ts))
-		for i, tc := range ts {
-			out[i] = testgen.TestCase{Call: tc.Call, PCString: tc.PathCondition}
-		}
-		return out
-	}
-	sel := testgen.SelectAugment(toInternal(baseSuite), toInternal(diseTests))
-	return Selection{
-		Selected: convertTests(sel.Selected),
-		Added:    convertTests(sel.Added),
-	}
+	return testgen.SelectAugment(baseSuite, diseTests)
 }
 
 // EvaluationArtifacts lists the names of the built-in evaluation artifacts

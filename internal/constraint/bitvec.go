@@ -259,14 +259,15 @@ func (b *bitvecBackend) search(dom map[string]solver.Interval, cons []sym.Expr, 
 // evaluation error (division by zero) makes it false: the concrete
 // execution would trap rather than follow the path.
 func concretelyTrue(c sym.Expr, dom map[string]solver.Interval) bool {
-	names := sym.Vars(c)
-	env := make(map[string]int64, len(names))
-	for _, n := range names {
-		env[n] = dom[n].Lo
-	}
-	v, err := solver.EvalInt01(c, solver.NewModel(nil, env))
+	v, err := sym.Eval(c, fixedDom(dom))
 	return err == nil && v != 0
 }
+
+// fixedDom reads each variable's value off a domain map in which it is
+// fixed; a name the map lacks reads as 0.
+type fixedDom map[string]solver.Interval
+
+func (d fixedDom) Value(name string) (int64, bool) { return d[name].Lo, true }
 
 // refine applies backward (inverse) propagation of top-level comparisons to
 // variable domains, to a small fixpoint. Sound: only assignments that
@@ -477,22 +478,8 @@ func valueIv(e sym.Expr, dom map[string]solver.Interval) solver.Interval {
 // rejects it exactly.
 func arithIv(op sym.Op, l, r solver.Interval) solver.Interval {
 	if l.Fixed() && r.Fixed() {
-		a, b := l.Lo, r.Lo
-		switch op {
-		case sym.OpAdd:
-			return solver.Singleton(a + b)
-		case sym.OpSub:
-			return solver.Singleton(a - b)
-		case sym.OpMul:
-			return solver.Singleton(a * b)
-		case sym.OpDiv:
-			if b != 0 {
-				return solver.Singleton(a / b)
-			}
-		case sym.OpMod:
-			if b != 0 {
-				return solver.Singleton(a % b)
-			}
+		if v, ok := op.Arith(l.Lo, r.Lo); ok {
+			return solver.Singleton(v)
 		}
 		return fullRange
 	}

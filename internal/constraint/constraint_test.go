@@ -247,7 +247,7 @@ func TestBackendsAgreeOnRandomLinearSystems(t *testing.T) {
 			if res.Sat {
 				// The model must actually satisfy the conjunction.
 				for _, c := range cs {
-					v, err := solver.EvalInt01(c, res.Model)
+					v, err := sym.Eval(c, res.Model)
 					if err != nil || v == 0 {
 						t.Fatalf("[%s] trial %d model %v violates %v (err=%v)", name, trial, res.Model, c, err)
 					}

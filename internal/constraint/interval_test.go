@@ -51,7 +51,7 @@ func TestIntervalCycleAllocs(t *testing.T) {
 
 	c1, c2 := sym.Cmp(sym.OpGE, x, sym.Int(6)), sym.Cmp(sym.OpGE, x, sym.Int(7))
 	for _, c := range []sym.Expr{c1, c2} {
-		if v, err := solver.EvalInt01(c, witness); err != nil || v != 0 {
+		if v, err := sym.Eval(c, witness); err != nil || v != 0 {
 			t.Fatalf("the parent's witness %v must violate %v", witness, c)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // The printer renders sym expressions into the SMT-LIB2 fragment the
 // external solver sees. The IR is integer-valued with C-like truth (a
 // condition holds iff it evaluates to a non-zero integer — see
-// solver.EvalInt01), while SMT-LIB is two-sorted, so the printer carries
+// sym.Eval), while SMT-LIB is two-sorted, so the printer carries
 // the target sort through the recursion: bexpr renders into Bool, iexpr
 // into Int, and the two coerce into each other with (distinct _ 0) and
 // (ite _ 1 0) at the seams.

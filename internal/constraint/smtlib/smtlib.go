@@ -198,7 +198,7 @@ func (b *backend) adopt(values map[string]int64) (*solver.Model, error) {
 	model := solver.NewModel(b.index, values)
 	for _, f := range b.frames {
 		for _, c := range f.conds {
-			v, err := solver.EvalInt01(c, model)
+			v, err := sym.Eval(c, model)
 			if err != nil {
 				return nil, fmt.Errorf("evaluating %v: %v", c, err)
 			}

@@ -356,10 +356,10 @@ type Arm struct {
 // a later version may produce them again — most commonly when an edit is
 // reverted, the dominant pattern of a version chain revisiting behaviors.
 //
-// The successor list is sized for the attached plus the previously recorded
-// children, and the byte estimate charges that capacity; a replay that
-// re-attaches the recorded children in their recorded order keeps the list
-// it has.
+// A replay that re-attaches the recorded children in their recorded order
+// keeps the list it has: rebuilt, it would be the same list. Otherwise the
+// successor list is carved to hold exactly the attached children and the
+// unmatched recorded ones, and the byte estimate charges that capacity.
 func (t *Tree) Expand(n *Node, arms []Arm, out []*Node) {
 	attached := out[:len(arms)]
 	for i, a := range arms {
@@ -372,9 +372,14 @@ func (t *Tree) Expand(n *Node, arms []Arm, out []*Node) {
 	}
 	n.Expanded = true
 	old := n.succs
-	size := len(arms) + len(old)
-	if cap(old) == size && len(old) >= len(arms) && slices.Equal(old[:len(arms)], attached) {
+	if len(old) >= len(arms) && slices.Equal(old[:len(arms)], attached) {
 		return
+	}
+	size := len(arms)
+	for _, c := range old {
+		if !slices.Contains(attached, c) {
+			size++
+		}
 	}
 	succs := slab.Slice(&t.succSlab, succSlabLen, size)[:0]
 	succs = append(succs, attached...)

@@ -346,7 +346,7 @@ func (s *Service) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "create", start, err)
 		return
 	}
-	id := s.store.commit(req.Tenant, req.Proc, sess)
+	id := s.store.commit(req.Tenant, sess)
 	s.metrics.observe("create", time.Since(start), nil, "")
 	writeJSON(w, http.StatusCreated, CreateSessionResponse{SessionID: id})
 }

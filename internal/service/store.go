@@ -26,11 +26,9 @@ var (
 
 // sessionEntry is one stored version-chain session.
 type sessionEntry struct {
-	id      string
-	tenant  string
-	proc    string
-	sess    *dise.Session
-	created time.Time
+	id     string
+	tenant string
+	sess   *dise.Session
 	// lastUsed drives both TTL expiry and LRU ordering; it moves on every
 	// successful lookup.
 	lastUsed time.Time
@@ -240,7 +238,7 @@ func (st *sessionStore) unreserve(tenant string) {
 // commit stores a seeded session under a fresh ID, evicting the
 // least-recently-used session if the store is at capacity. It consumes the
 // caller's reservation.
-func (st *sessionStore) commit(tenant, proc string, sess *dise.Session) string {
+func (st *sessionStore) commit(tenant string, sess *dise.Session) string {
 	id := newSessionID()
 	// Read the seeded trie's usage before taking the store lock (the
 	// session has its own mutex; never nest it inside st.mu). Unit tests
@@ -260,9 +258,7 @@ func (st *sessionStore) commit(tenant, proc string, sess *dise.Session) string {
 	e := &sessionEntry{
 		id:        id,
 		tenant:    tenant,
-		proc:      proc,
 		sess:      sess,
-		created:   st.now(),
 		lastUsed:  st.now(),
 		trieNodes: nodes,
 		trieBytes: bytes,

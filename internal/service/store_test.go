@@ -35,7 +35,7 @@ func addSession(t *testing.T, st *sessionStore, tenant string) string {
 	if err := st.reserve(tenant); err != nil {
 		t.Fatalf("reserve(%s): %v", tenant, err)
 	}
-	return st.commit(tenant, "p", nil)
+	return st.commit(tenant, nil)
 }
 
 func TestStoreTTLEviction(t *testing.T) {

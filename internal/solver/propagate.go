@@ -1,10 +1,6 @@
 package solver
 
-import (
-	"fmt"
-
-	"dise/internal/sym"
-)
+import "dise/internal/sym"
 
 // truth is a three-valued logic value.
 type truth int
@@ -162,16 +158,11 @@ func (p *problem) modelFrom(domains []Interval) *Model {
 // (division by zero) make the constraint false: the corresponding concrete
 // execution would raise an exception rather than follow the path.
 func (p *problem) concreteTruth(v *conView, domains []Interval) truth {
-	val, err := eval01(v.c.expr, fixedBox{varIdx: p.varIdx, domains: domains})
+	val, err := sym.Eval(v.c.expr, fixedBox{varIdx: p.varIdx, domains: domains})
 	if err != nil || val == 0 {
 		return truthFalse
 	}
 	return truthTrue
-}
-
-// binding supplies variable values to eval01: a *Model, or a fixedBox.
-type binding interface {
-	Value(name string) (int64, bool)
 }
 
 // fixedBox reads a problem's variables off a box in which they are fixed.
@@ -186,126 +177,6 @@ func (b fixedBox) Value(name string) (int64, bool) {
 		return 0, false
 	}
 	return b.domains[i].Lo, true
-}
-
-// EvalInt01 evaluates an expression under a model, in the solver's uniform
-// integer encoding: booleans are 0/1 integers, so boolean inputs, boolean
-// constants and logical operators all evaluate over int64. A variable the
-// model does not bind, and division or modulo by zero, return an error.
-func EvalInt01(e sym.Expr, m *Model) (int64, error) { return eval01(e, m) }
-
-// eval01 is EvalInt01 over any source of variable values.
-func eval01[B binding](e sym.Expr, env B) (int64, error) {
-	switch e := e.(type) {
-	case *sym.IntConst:
-		return e.V, nil
-	case *sym.BoolConst:
-		if e.V {
-			return 1, nil
-		}
-		return 0, nil
-	case *sym.Var:
-		v, ok := env.Value(e.Name)
-		if !ok {
-			return 0, fmt.Errorf("solver.EvalInt01: unbound variable %q", e.Name)
-		}
-		return v, nil
-	case *sym.Neg:
-		v, err := eval01(e.X, env)
-		return -v, err
-	case *sym.Ite:
-		c, err := eval01(e.Cond, env)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return eval01(e.Then, env)
-		}
-		return eval01(e.Else, env)
-	case *sym.Not:
-		v, err := eval01(e.X, env)
-		if err != nil {
-			return 0, err
-		}
-		if v == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	case *sym.Bin:
-		l, err := eval01(e.L, env)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case sym.OpAnd:
-			if l == 0 {
-				return 0, nil
-			}
-			return clamp01(eval01(e.R, env))
-		case sym.OpOr:
-			if l != 0 {
-				return 1, nil
-			}
-			return clamp01(eval01(e.R, env))
-		}
-		r, err := eval01(e.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch e.Op {
-		case sym.OpAdd:
-			return l + r, nil
-		case sym.OpSub:
-			return l - r, nil
-		case sym.OpMul:
-			return l * r, nil
-		case sym.OpDiv:
-			if r == 0 {
-				return 0, fmt.Errorf("solver.EvalInt01: division by zero")
-			}
-			return l / r, nil
-		case sym.OpMod:
-			if r == 0 {
-				return 0, fmt.Errorf("solver.EvalInt01: modulo by zero")
-			}
-			return l % r, nil
-		}
-		if e.Op.IsComparison() {
-			if evalCmp01(e.Op, l, r) {
-				return 1, nil
-			}
-			return 0, nil
-		}
-	}
-	return 0, fmt.Errorf("solver.EvalInt01: unknown expression %T", e)
-}
-
-func clamp01(v int64, err error) (int64, error) {
-	if err != nil {
-		return 0, err
-	}
-	if v != 0 {
-		return 1, nil
-	}
-	return 0, nil
-}
-
-func evalCmp01(op sym.Op, a, b int64) bool {
-	switch op {
-	case sym.OpEQ:
-		return a == b
-	case sym.OpNE:
-		return a != b
-	case sym.OpLT:
-		return a < b
-	case sym.OpLE:
-		return a <= b
-	case sym.OpGT:
-		return a > b
-	case sym.OpGE:
-		return a >= b
-	}
-	return false
 }
 
 // truthOf determines the status of a constraint under the current box,

@@ -30,12 +30,9 @@ type Options struct {
 	Interrupt func() error
 }
 
-// Stats counts solver work across Check calls.
+// Stats counts solver work across Check calls. The verdicts are tallied
+// by the backend that calls the solver (constraint.Stats).
 type Stats struct {
-	Calls        int // Check invocations
-	Sat          int // satisfiable results
-	Unsat        int // unsatisfiable results
-	Unknown      int // budget exhausted
 	SearchNodes  int // total branching nodes explored
 	Propagations int // domain-tightening passes
 }
@@ -158,7 +155,6 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 			return s.CheckBox(constraints, &Box{iv: iv})
 		}
 	}
-	s.stats.Calls++
 	return s.solve(newProblem(s.compileAll(constraints), domains))
 }
 
@@ -167,7 +163,6 @@ func (s *Solver) Check(constraints []sym.Expr, domains map[string]Interval) Resu
 // it). Variables the box lacks get DefaultDomain. The box is only read: the
 // search tightens the problem's own copy of its intervals.
 func (s *Solver) CheckBox(constraints []sym.Expr, box *Box) Result {
-	s.stats.Calls++
 	compiled := s.compileAll(constraints)
 	p := s.indexedProblem(compiled, box)
 	if p == nil {
@@ -176,21 +171,11 @@ func (s *Solver) CheckBox(constraints []sym.Expr, box *Box) Result {
 	return s.solve(p)
 }
 
-// solve runs p under the solver's budget and interrupt and tallies the
-// verdict.
+// solve runs p under the solver's budget and interrupt.
 func (s *Solver) solve(p *problem) Result {
 	p.index, p.interrupt = s.index, s.opts.Interrupt
 	budget := s.opts.NodeBudget
-	res := p.solve(&s.stats, &budget)
-	switch {
-	case res.Sat:
-		s.stats.Sat++
-	case res.Unknown:
-		s.stats.Unknown++
-	default:
-		s.stats.Unsat++
-	}
-	return res
+	return p.solve(&s.stats, &budget)
 }
 
 // compileAll compiles the constraints into the solver's scratch list.

@@ -2,149 +2,144 @@ package sym
 
 import "fmt"
 
-// Value is a concrete value: an int64 or a bool.
-type Value struct {
-	IsBool bool
-	I      int64
-	B      bool
-}
+// The concrete meaning of an expression, defined once: the engine's witness
+// test, every solver backend's leaf check and the smart constructors' folds
+// all evaluate through Arith, Holds and Eval. Integers are int64 and wrap
+// on overflow; / and % truncate toward zero, and by zero they trap (the
+// Java ArithmeticException a concrete run would raise); booleans are the
+// integers 0 and 1, so boolean inputs, constants and connectives evaluate
+// over int64 like everything else.
 
-// IntValue wraps an int64.
-func IntValue(v int64) Value { return Value{I: v} }
-
-// BoolValue wraps a bool.
-func BoolValue(v bool) Value { return Value{IsBool: true, B: v} }
-
-// String renders the value.
-func (v Value) String() string {
-	if v.IsBool {
-		if v.B {
-			return "true"
+// Arith computes a op b for a binary arithmetic operator, wrapping on
+// overflow (MinInt64 / -1 is MinInt64, MinInt64 % -1 is 0). ok is false
+// for division and remainder by zero.
+func (o Op) Arith(a, b int64) (v int64, ok bool) {
+	switch o {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpDiv:
+		if b == 0 {
+			return 0, false
 		}
-		return "false"
+		return a / b, true
+	case OpMod:
+		if b == 0 {
+			return 0, false
+		}
+		return a % b, true
 	}
-	return fmt.Sprintf("%d", v.I)
+	panic("sym: not an arithmetic operator: " + o.String())
 }
 
-// Eval evaluates e under a full concrete assignment. It returns an error for
-// unbound variables, type mismatches, or division by zero — the latter
-// mirrors a Java ArithmeticException and lets callers treat the path as
-// erroneous rather than crash.
-func Eval(e Expr, env map[string]Value) (Value, error) {
+// Holds decides the comparison a o b.
+func (o Op) Holds(a, b int64) bool {
+	switch o {
+	case OpEQ:
+		return a == b
+	case OpNE:
+		return a != b
+	case OpLT:
+		return a < b
+	case OpLE:
+		return a <= b
+	case OpGT:
+		return a > b
+	case OpGE:
+		return a >= b
+	}
+	panic("sym: not a comparison: " + o.String())
+}
+
+// Binding supplies the values of an expression's variables to Eval.
+type Binding interface {
+	// Value returns the value bound to name; ok is false when name is
+	// unbound.
+	Value(name string) (v int64, ok bool)
+}
+
+// Values is a Binding over a map.
+type Values map[string]int64
+
+// Value returns the value bound to name.
+func (m Values) Value(name string) (int64, bool) {
+	v, ok := m[name]
+	return v, ok
+}
+
+// Eval evaluates e under b, booleans as 0/1. An unbound variable, and
+// division or remainder by zero, return an error; && and || evaluate their
+// right operand only when the left does not decide them. Eval is generic so
+// that no binding is boxed into an interface on the hot paths that call it.
+func Eval[B Binding](e Expr, b B) (int64, error) {
 	switch e := e.(type) {
 	case *IntConst:
-		return IntValue(e.V), nil
+		return e.V, nil
 	case *BoolConst:
-		return BoolValue(e.V), nil
+		return b01(e.V), nil
 	case *Var:
-		v, ok := env[e.Name]
+		v, ok := b.Value(e.Name)
 		if !ok {
-			return Value{}, fmt.Errorf("sym.Eval: unbound variable %q", e.Name)
+			return 0, fmt.Errorf("sym.Eval: unbound variable %q", e.Name)
 		}
 		return v, nil
 	case *Neg:
-		x, err := Eval(e.X, env)
-		if err != nil {
-			return Value{}, err
-		}
-		if x.IsBool {
-			return Value{}, fmt.Errorf("sym.Eval: negating bool")
-		}
-		return IntValue(-x.I), nil
+		v, err := Eval(e.X, b)
+		return -v, err
 	case *Not:
-		x, err := Eval(e.X, env)
+		v, err := Eval(e.X, b)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
-		if !x.IsBool {
-			return Value{}, fmt.Errorf("sym.Eval: ! on int")
-		}
-		return BoolValue(!x.B), nil
+		return b01(v == 0), nil
 	case *Ite:
-		c, err := Eval(e.Cond, env)
+		c, err := Eval(e.Cond, b)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
-		if !c.IsBool {
-			return Value{}, fmt.Errorf("sym.Eval: ite guard is not boolean")
+		if c != 0 {
+			return Eval(e.Then, b)
 		}
-		if c.B {
-			return Eval(e.Then, env)
-		}
-		return Eval(e.Else, env)
+		return Eval(e.Else, b)
 	case *Bin:
-		l, err := Eval(e.L, env)
+		l, err := Eval(e.L, b)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
-		// Short-circuit booleans first.
 		switch e.Op {
-		case OpAnd:
-			if !l.B {
-				return BoolValue(false), nil
+		case OpAnd, OpOr:
+			// A false left operand decides &&, a true one decides ||.
+			if (l != 0) == (e.Op == OpOr) {
+				return b01(l != 0), nil
 			}
-			return Eval(e.R, env)
-		case OpOr:
-			if l.B {
-				return BoolValue(true), nil
-			}
-			return Eval(e.R, env)
+			r, err := Eval(e.R, b)
+			return b01(r != 0), err
 		}
-		r, err := Eval(e.R, env)
+		r, err := Eval(e.R, b)
 		if err != nil {
-			return Value{}, err
+			return 0, err
 		}
 		switch {
 		case e.Op.IsArith():
-			if l.IsBool || r.IsBool {
-				return Value{}, fmt.Errorf("sym.Eval: arithmetic on bool")
+			v, ok := e.Op.Arith(l, r)
+			if !ok {
+				return 0, fmt.Errorf("sym.Eval: %s by zero", e.Op)
 			}
-			switch e.Op {
-			case OpAdd:
-				return IntValue(l.I + r.I), nil
-			case OpSub:
-				return IntValue(l.I - r.I), nil
-			case OpMul:
-				return IntValue(l.I * r.I), nil
-			case OpDiv:
-				if r.I == 0 {
-					return Value{}, fmt.Errorf("sym.Eval: division by zero")
-				}
-				return IntValue(l.I / r.I), nil
-			case OpMod:
-				if r.I == 0 {
-					return Value{}, fmt.Errorf("sym.Eval: modulo by zero")
-				}
-				return IntValue(l.I % r.I), nil
-			}
+			return v, nil
 		case e.Op.IsComparison():
-			if l.IsBool != r.IsBool {
-				return Value{}, fmt.Errorf("sym.Eval: comparing int with bool")
-			}
-			if l.IsBool {
-				switch e.Op {
-				case OpEQ:
-					return BoolValue(l.B == r.B), nil
-				case OpNE:
-					return BoolValue(l.B != r.B), nil
-				default:
-					return Value{}, fmt.Errorf("sym.Eval: ordering on bool")
-				}
-			}
-			return BoolValue(evalCmpInt(e.Op, l.I, r.I)), nil
+			return b01(e.Op.Holds(l, r)), nil
 		}
 	}
-	return Value{}, fmt.Errorf("sym.Eval: unknown expression %T", e)
+	return 0, fmt.Errorf("sym.Eval: unknown expression %T", e)
 }
 
-// EvalBool evaluates a boolean expression under env.
-func EvalBool(e Expr, env map[string]Value) (bool, error) {
-	v, err := Eval(e, env)
-	if err != nil {
-		return false, err
+// b01 encodes a boolean as 0/1.
+func b01(v bool) int64 {
+	if v {
+		return 1
 	}
-	if !v.IsBool {
-		return false, fmt.Errorf("sym.EvalBool: expression %s is not boolean", e)
-	}
-	return v.B, nil
+	return 0
 }

@@ -10,13 +10,11 @@ package sym
 
 // Add returns l + r simplified.
 func Add(l, r Expr) Expr {
-	if lc, ok := l.(*IntConst); ok {
-		if rc, ok := r.(*IntConst); ok {
-			return Int(lc.V + rc.V)
-		}
-		if lc.V == 0 {
-			return r
-		}
+	if c, ok := foldConst(OpAdd, l, r); ok {
+		return c
+	}
+	if lc, ok := l.(*IntConst); ok && lc.V == 0 {
+		return r
 	}
 	if rc, ok := r.(*IntConst); ok && rc.V == 0 {
 		return l
@@ -26,12 +24,12 @@ func Add(l, r Expr) Expr {
 	if rc, ok := r.(*IntConst); ok {
 		if lb, ok := l.(*Bin); ok && lb.Op == OpAdd {
 			if lrc, ok := lb.R.(*IntConst); ok {
-				return Add(lb.L, Int(lrc.V+rc.V))
+				return Add(lb.L, Add(lrc, rc))
 			}
 		}
 		if lb, ok := l.(*Bin); ok && lb.Op == OpSub {
 			if lrc, ok := lb.R.(*IntConst); ok {
-				return Sub(lb.L, Int(lrc.V-rc.V))
+				return Sub(lb.L, Sub(lrc, rc))
 			}
 		}
 	}
@@ -43,13 +41,11 @@ func Add(l, r Expr) Expr {
 
 // Sub returns l - r simplified.
 func Sub(l, r Expr) Expr {
-	if lc, ok := l.(*IntConst); ok {
-		if rc, ok := r.(*IntConst); ok {
-			return Int(lc.V - rc.V)
-		}
-		if lc.V == 0 {
-			return NegE(r)
-		}
+	if c, ok := foldConst(OpSub, l, r); ok {
+		return c
+	}
+	if lc, ok := l.(*IntConst); ok && lc.V == 0 {
+		return NegE(r)
 	}
 	if rc, ok := r.(*IntConst); ok && rc.V == 0 {
 		return l
@@ -60,12 +56,12 @@ func Sub(l, r Expr) Expr {
 	if rc, ok := r.(*IntConst); ok {
 		if lb, ok := l.(*Bin); ok && lb.Op == OpAdd {
 			if lrc, ok := lb.R.(*IntConst); ok {
-				return Add(lb.L, Int(lrc.V-rc.V))
+				return Add(lb.L, Sub(lrc, rc))
 			}
 		}
 		if lb, ok := l.(*Bin); ok && lb.Op == OpSub {
 			if lrc, ok := lb.R.(*IntConst); ok {
-				return Sub(lb.L, Int(lrc.V+rc.V))
+				return Sub(lb.L, Add(lrc, rc))
 			}
 		}
 	}
@@ -77,10 +73,10 @@ func Sub(l, r Expr) Expr {
 
 // Mul returns l * r simplified.
 func Mul(l, r Expr) Expr {
+	if c, ok := foldConst(OpMul, l, r); ok {
+		return c
+	}
 	if lc, ok := l.(*IntConst); ok {
-		if rc, ok := r.(*IntConst); ok {
-			return Int(lc.V * rc.V)
-		}
 		switch lc.V {
 		case 0:
 			return Zero
@@ -106,13 +102,11 @@ func Mul(l, r Expr) Expr {
 // zero constant is left symbolic and surfaces as an infeasible/opaque
 // constraint downstream rather than panicking here).
 func Div(l, r Expr) Expr {
-	if rc, ok := r.(*IntConst); ok && rc.V != 0 {
-		if lc, ok := l.(*IntConst); ok {
-			return Int(lc.V / rc.V)
-		}
-		if rc.V == 1 {
-			return l
-		}
+	if c, ok := foldConst(OpDiv, l, r); ok {
+		return c
+	}
+	if rc, ok := r.(*IntConst); ok && rc.V == 1 {
+		return l
 	}
 	if lc, ok := l.(*IntConst); ok && lc.V == 0 {
 		if rc, ok := r.(*IntConst); !ok || rc.V != 0 {
@@ -124,13 +118,11 @@ func Div(l, r Expr) Expr {
 
 // Mod returns l % r simplified.
 func Mod(l, r Expr) Expr {
-	if rc, ok := r.(*IntConst); ok && rc.V != 0 {
-		if lc, ok := l.(*IntConst); ok {
-			return Int(lc.V % rc.V)
-		}
-		if rc.V == 1 || rc.V == -1 {
-			return Zero
-		}
+	if c, ok := foldConst(OpMod, l, r); ok {
+		return c
+	}
+	if rc, ok := r.(*IntConst); ok && (rc.V == 1 || rc.V == -1) {
+		return Zero
 	}
 	return newBin(OpMod, l, r)
 }
@@ -202,7 +194,7 @@ func Cmp(op Op, l, r Expr) Expr {
 	}
 	if lc, ok := l.(*IntConst); ok {
 		if rc, ok := r.(*IntConst); ok {
-			return Bool(evalCmpInt(op, lc.V, rc.V))
+			return Bool(op.Holds(lc.V, rc.V))
 		}
 	}
 	if lb, ok := l.(*BoolConst); ok {
@@ -309,22 +301,22 @@ func isConstExpr(e Expr) bool {
 	return false
 }
 
-func evalCmpInt(op Op, a, b int64) bool {
-	switch op {
-	case OpEQ:
-		return a == b
-	case OpNE:
-		return a != b
-	case OpLT:
-		return a < b
-	case OpLE:
-		return a <= b
-	case OpGT:
-		return a > b
-	case OpGE:
-		return a >= b
+// foldConst folds l op r to a constant when both operands are integer
+// constants and the operation does not trap.
+func foldConst(op Op, l, r Expr) (Expr, bool) {
+	lc, ok := l.(*IntConst)
+	if !ok {
+		return nil, false
 	}
-	panic("sym: not a comparison: " + op.String())
+	rc, ok := r.(*IntConst)
+	if !ok {
+		return nil, false
+	}
+	v, ok := op.Arith(lc.V, rc.V)
+	if !ok {
+		return nil, false
+	}
+	return Int(v), true
 }
 
 // AndE returns l && r simplified.

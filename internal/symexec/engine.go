@@ -122,17 +122,44 @@ type Stats struct {
 	MemoStatesReplayed int
 	MemoStatesLive     int
 
-	// State-merging counters of a run with Config.MergeBound set (zero
-	// otherwise).
-	//
-	// Merges counts merge operations: sibling groups fused at a join.
-	Merges int
-	// MergedStatesSaved counts states absorbed by merges — for each merge
-	// of k siblings, k-1 states that were not separately explored.
-	MergedStatesSaved int
-	// IteNodes counts the distinct sym.Ite nodes the run's merges built
-	// when fusing divergent bindings.
-	IteNodes int
+	// Merge holds the state-merging counters of a run with
+	// Config.MergeBound set (zero otherwise).
+	Merge MergeStats
+}
+
+// MergeStats is the observability block of bounded state merging
+// (Config.MergeBound, merge.go): how many join-point fusions the run
+// performed and how much exploration they collapsed. Like the solver
+// counters these are cost observability, not outcome — a merged run covers
+// the same affected branches and keeps every path condition solvable (the
+// verdict-equivalence gate). The dise facade reports it as merge_stats.
+type MergeStats struct {
+	// Enabled distinguishes a merged run from the default per-path mode.
+	Enabled bool `json:"enabled"`
+	// Bound echoes the configured merge bound (MergeUnbounded = fuse every
+	// mergeable sibling set whole; >= 2 = fuse in chunks of at most Bound).
+	Bound int `json:"bound"`
+	// Merges counts join-point fusion operations; each fusion of k sibling
+	// states contributes k-1 to MergedStatesSaved.
+	Merges            int `json:"merges"`
+	MergedStatesSaved int `json:"merged_states_saved"`
+	// IteNodes counts the distinct ite expressions the run's merges built
+	// when fusing divergent environment bindings — the footprint merging
+	// trades exploration for.
+	IteNodes int `json:"ite_nodes"`
+}
+
+// Add accumulates one run's merge counters into an aggregate. Enabled is a
+// disjunction, Bound keeps the first enabled sample's value, the counters
+// sum.
+func (m *MergeStats) Add(o MergeStats) {
+	if o.Enabled && !m.Enabled {
+		m.Enabled = true
+		m.Bound = o.Bound
+	}
+	m.Merges += o.Merges
+	m.MergedStatesSaved += o.MergedStatesSaved
+	m.IteNodes += o.IteNodes
 }
 
 // Engine symbolically executes one procedure.
@@ -604,7 +631,7 @@ func (e *Engine) expand(s *State, feasible []*State, infeasible []*cfg.Node) ([]
 			default:
 				var model *solver.Model
 				if s.model != nil {
-					if v, err := solver.EvalInt01(c, s.model); err == nil && v != 0 {
+					if v, err := sym.Eval(c, s.model); err == nil && v != 0 {
 						// The parent's witness already satisfies the branch
 						// constraint: PC ∧ c is satisfiable without solving.
 						model = s.model

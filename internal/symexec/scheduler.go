@@ -122,9 +122,15 @@ func (x *Explorer) Run() *Summary {
 		x.runFree(s0)
 	}
 	st := x.e.Stats()
-	st.Merges = x.merges
-	st.MergedStatesSaved = x.mergedSaved
-	st.IteNodes = len(x.iteNodes)
+	if bound := x.e.config.MergeBound; bound != 0 {
+		st.Merge = MergeStats{
+			Enabled:           true,
+			Bound:             bound,
+			Merges:            x.merges,
+			MergedStatesSaved: x.mergedSaved,
+			IteNodes:          len(x.iteNodes),
+		}
+	}
 	x.summary.Paths = x.paths.Paths()
 	x.summary.Stats = st
 	return x.summary

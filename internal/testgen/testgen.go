@@ -24,14 +24,15 @@ import (
 	"dise/internal/symexec"
 )
 
-// TestCase is a concrete invocation of the procedure under analysis.
+// TestCase is a concrete invocation of the procedure under analysis,
+// rendered as a call string (paper §5.2).
 type TestCase struct {
 	// Call is the canonical rendering, e.g. "update(0, 1, 3)". Test cases
 	// compare equal iff their Call strings are equal.
-	Call string
-	// PCString is the path condition this test was generated from (the
-	// first one, when several map to the same inputs).
-	PCString string
+	Call string `json:"call"`
+	// PathCondition is the path condition this test was generated from
+	// (the first one, when several map to the same inputs).
+	PathCondition string `json:"path_condition"`
 }
 
 // Generator turns explored paths into test cases.
@@ -80,7 +81,7 @@ func (g *Generator) Generate(summary *symexec.Summary) []TestCase {
 		if seen[string(call)] {
 			continue
 		}
-		tc := TestCase{Call: string(call), PCString: p.PCString}
+		tc := TestCase{Call: string(call), PathCondition: p.PCString}
 		seen[tc.Call] = true
 		out = append(out, tc)
 	}

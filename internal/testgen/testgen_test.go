@@ -8,7 +8,7 @@ import (
 
 	"dise/internal/dise"
 	"dise/internal/lang/parser"
-	"dise/internal/solver"
+	"dise/internal/sym"
 	"dise/internal/symexec"
 )
 
@@ -55,7 +55,7 @@ func TestGenerateFromTestX(t *testing.T) {
 	for i, tc := range tests {
 		p := summary.Paths[i]
 		x, ok := p.Witness.Value("X")
-		if want := fmt.Sprintf("testX(%d)", x); !ok || tc.Call != want || tc.PCString != p.PCString {
+		if want := fmt.Sprintf("testX(%d)", x); !ok || tc.Call != want || tc.PathCondition != p.PCString {
 			t.Errorf("test %d = %+v, want %s from witness %v of %q", i, tc, want, p.Witness, p.PCString)
 		}
 	}
@@ -119,7 +119,7 @@ func TestModelsSatisfyPathConditions(t *testing.T) {
 			t.Fatalf("path %q has no witness", p.PCString)
 		}
 		for _, c := range p.PC() {
-			v, err := solver.EvalInt01(c, p.Witness)
+			v, err := sym.Eval(c, p.Witness)
 			if err != nil || v == 0 {
 				t.Errorf("witness %v violates %s (err=%v)", p.Witness, c, err)
 			}

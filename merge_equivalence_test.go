@@ -21,7 +21,7 @@ import (
 	"testing"
 
 	"dise/internal/artifacts"
-	"dise/internal/solver"
+	"dise/internal/sym"
 	"dise/internal/symexec"
 )
 
@@ -112,7 +112,7 @@ func TestMergedDiseVerdictEquivalenceOnArtifacts(t *testing.T) {
 							t.Errorf("merged path condition %q re-solves %+v — a factored disjunction went infeasible", p.PCString, res)
 						}
 						for _, c := range p.PC() {
-							if val, err := solver.EvalInt01(c, p.Witness); err != nil || val == 0 {
+							if val, err := sym.Eval(c, p.Witness); err != nil || val == 0 {
 								t.Errorf("witness %v of %q violates %v (err=%v)", p.Witness, p.PCString, c, err)
 							}
 						}

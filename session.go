@@ -209,7 +209,7 @@ func (s *Session) Advance(ctx context.Context, nextSrc string) (*Result, error) 
 		Diff:      d,
 		Engine:    engine,
 		Opts:      idise.Options{TransitiveWrites: s.a.conf.transitiveWrites},
-	}, s.a.resultConfig())
+	})
 	if err != nil {
 		// The run started mutating the trie; only a fresh recording is
 		// trustworthy now.

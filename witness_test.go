@@ -28,7 +28,6 @@ import (
 	"dise/internal/lang/ast"
 	"dise/internal/lang/parser"
 	"dise/internal/randprog"
-	"dise/internal/solver"
 	"dise/internal/sym"
 	"dise/internal/symexec"
 	"dise/internal/testgen"
@@ -38,7 +37,7 @@ import (
 // does not satisfy, or nil.
 func violated(p symexec.Path) sym.Expr {
 	for _, c := range p.PC() {
-		if v, err := solver.EvalInt01(c, p.Witness); err != nil || v == 0 {
+		if v, err := sym.Eval(c, p.Witness); err != nil || v == 0 {
 			return c
 		}
 	}
